@@ -10,7 +10,8 @@ is modeled algebraically by zeroing the spin-order and coherence bins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -23,14 +24,15 @@ from .operators import (
     SpinSystem,
     build_operator,
 )
-from .subspaces import decompose_zq, selective_blocks, zq_offdiagonal_cells
+from .subspaces import selective_blocks, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
-    _diagonal_labels,
-    _profile_of,
-    amplitude_profile,
-    blockwise_conjugate,
+    _blockwise_cells,
+    _dense_cells,
+    _diagonal_groups,
+    _profile,
+    _walsh_bin,
     build_hamiltonian,
 )
 
@@ -51,6 +53,10 @@ def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
     """Uniform grid of ``points`` times from ``start`` to ``end`` inclusive."""
     if points < 2:
         raise ConfigurationError(f"a time grid needs at least 2 points, got {points}")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ConfigurationError(
+            f"time grid ends must be finite, got start={start!r} end={end!r}"
+        )
     if not 0 <= start < end:
         raise ConfigurationError(
             f"need 0 <= start < end, got start={start!r} end={end!r}"
@@ -60,11 +66,7 @@ def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
 
 def _channel_labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """Label universe: longitudinal, spin-order, coherence channels."""
-    diagonal = _diagonal_labels(n)
-    longitudinal = tuple(
-        diagonal[s] for s in range(1, 1 << n) if s.bit_count() == 1
-    )
-    orders = tuple(diagonal[s] for s in range(1, 1 << n) if s.bit_count() > 1)
+    (_, longitudinal), (_, orders) = _diagonal_groups(n)
     _, _, units = zq_offdiagonal_cells(n)
     return longitudinal, orders, units
 
@@ -90,6 +92,8 @@ class DiffusionConfig:
         times = tuple(float(t) for t in self.times)
         if not times:
             raise ConfigurationError("time grid is empty")
+        if not all(math.isfinite(t) for t in times):
+            raise ConfigurationError(f"times must be finite, got {times!r}")
         if times[0] < 0:
             raise ConfigurationError(f"times must be non-negative, got {times[0]!r}")
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -174,37 +178,42 @@ def _initial_operator(config: DiffusionConfig) -> Operator:
 
 def _assemble(
     config: DiffusionConfig,
-    profiles: list[AmplitudeProfile],
+    cells,
     engine: str,
     block_sizes: dict[int, int] | None,
 ) -> DiffusionTrace:
-    if config.purge:
-        profiles = [purge(p) for p in profiles]
+    """Bin each time's ``(diag, zqc, residual)`` cells into the trace."""
     n = config.system.n
-    _, orders, units = _channel_labels(n)
-    order_set, unit_set = set(orders), set(units)
-
-    tracked = config.tracked_labels()
-    channels: dict[str, np.ndarray] = {}
-    for lab in tracked:
-        if lab in unit_set:
-            series = [abs(p.zqc[lab]) for p in profiles]
-        elif lab in order_set:
-            series = [p.spin_orders[lab] for p in profiles]
-        else:
-            series = [p.longitudinal[lab] for p in profiles]
-        channels[lab] = np.array(series, dtype=float)
+    (long_idx, _), (order_idx, _) = _diagonal_groups(n)
+    longitudinal, orders, units = _channel_labels(n)
+    n_long = len(longitudinal)
+    n_diag = n_long + len(orders)
+    # one row per channel in label-universe order, one column per time
+    table = np.empty((n_diag + len(units), len(config.times)))
+    profiles = []
+    for i, (t, (diag, zqc, residual)) in enumerate(zip(config.times, cells)):
+        coeff = _walsh_bin(n, diag, zqc, residual)
+        if config.purge:
+            coeff[order_idx] = 0.0
+            zqc = np.zeros_like(zqc)
+        profiles.append(_profile(n, t, coeff, zqc, residual))
+        table[:n_long, i] = coeff[long_idx]
+        table[n_long:n_diag, i] = coeff[order_idx]
+        table[n_diag:, i] = np.abs(zqc)
 
     # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2)
-    weight = 2.0 ** (n - 2)
-    conserved = np.array(
-        [weight * sum(p.longitudinal.values()) for p in profiles], dtype=float
-    )
-    undesired = tuple(lab for lab in tracked if lab in order_set or lab in unit_set)
+    conserved = 2.0 ** (n - 2) * table[:n_long].sum(axis=0)
+    tracked = config.tracked_labels()
+    if config.track == "all":
+        undesired = orders + units
+    else:
+        row = {lab: j for j, lab in enumerate(longitudinal + orders + units)}
+        table = table[[row[lab] for lab in tracked]]
+        undesired = tuple(lab for lab in tracked if row[lab] >= n_long)
     return DiffusionTrace(
         times=config.times,
         profiles=tuple(profiles),
-        channels=channels,
+        channels=dict(zip(tracked, table)),
         conserved=conserved,
         undesired=undesired,
         engine=engine,
@@ -213,33 +222,32 @@ def _assemble(
 
 
 def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
-    """Full-space engine: one propagator conjugation per grid point."""
+    """Full-space engine: one propagator conjugation per grid point.
+
+    This is the dense reference for :func:`run_blockwise`: every grid
+    point conjugates the full ``2^n x 2^n`` operator and measures the
+    weight left outside the zero-quantum pattern.
+    """
     h = build_hamiltonian(config.system, config.hamiltonian)
     q0 = _initial_operator(config)
-    profiles = [amplitude_profile(h, q0, t) for t in config.times]
-    return _assemble(config, profiles, "full", None)
+    cells = (_dense_cells(h, q0, t) for t in config.times)
+    return _assemble(config, cells, "full", None)
 
 
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     """Block-wise engine: each magnetization block evolves on its own.
 
-    The initial operator splits exactly across the blocks, every block
-    is conjugated by its own small propagator and the pieces are summed
-    before binning, so the arithmetic touches sum-of-d(k)^2 entries per
-    grid point instead of the full squared dimension.
+    Every block is diagonalized once and the initial operator's part of
+    it rotated into that eigenbasis once; each grid point then costs two
+    ``d(k) x d(k)`` products per block, and the block's entries go
+    straight into the amplitude bins. No ``2^n x 2^n`` matrix is formed
+    per block or per time.
     """
     h = build_hamiltonian(config.system, config.hamiltonian)
     q0 = _initial_operator(config)
-    parts = decompose_zq(q0)
-    profiles = []
-    for t in config.times:
-        evolved = None
-        for k, component in parts:
-            piece = blockwise_conjugate(h, component, k, t)
-            evolved = piece if evolved is None else evolved + piece
-        profiles.append(_profile_of(evolved, t))
+    cells = _blockwise_cells(h, q0, config.times)
     sizes = {b.k: b.dimension**2 for b in selective_blocks(config.system)}
-    return _assemble(config, profiles, "blockwise", sizes)
+    return _assemble(config, cells, "blockwise", sizes)
 
 
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:

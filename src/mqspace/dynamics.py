@@ -18,6 +18,7 @@ pattern.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -29,9 +30,9 @@ from .operators import (
     OperatorExpansion,
     SpinSystem,
     _adopt,
+    _down_counts,
     _ensure_hermitian,
     reconstruct,
-    spin_operator,
 )
 from .subspaces import (
     MEMBERSHIP_TOL,
@@ -58,6 +59,14 @@ __all__ = [
 HAMILTONIAN_MODELS = ("flipflop", "dipolar_secular", "isotropic_j", "offsets", "custom")
 
 HERMITICITY_TOL = 1e-10
+
+# a coupling of strength J between spins k and l adds
+# J * (zz * I_kz I_lz + flip * (I_k+ I_l- + I_k- I_l+)) for these (zz, flip)
+_PAIR_WEIGHTS = {
+    "flipflop": (0.0, 0.5),
+    "dipolar_secular": (2.0, -0.5),
+    "isotropic_j": (1.0, 0.5),
+}
 
 
 @dataclass(frozen=True)
@@ -88,6 +97,11 @@ class HamiltonianSpec:
         offsets = tuple((int(k), float(w)) for (k, w) in self.offsets)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "offsets", offsets)
+        for value in [j for _, _, j in couplings] + [w for _, w in offsets]:
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"hamiltonian terms must be finite, got {value!r}"
+                )
 
         seen_pairs = set()
         for k, l, _ in couplings:
@@ -141,12 +155,7 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
         if k > n:
             raise ConfigurationError(f"offset spin {k} exceeds system size {n}")
 
-    dim = system.dim
-    h = np.zeros((dim, dim), dtype=complex)
-    if spec.model == "offsets":
-        for k, w in spec.offsets:
-            h += w * spin_operator(system, k, "z").entries
-    elif spec.model == "custom":
+    if spec.model == "custom":
         realized = reconstruct(system, spec.custom)
         defect = realized.hermiticity_defect()
         scale = realized.norm()
@@ -156,29 +165,28 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
                 f"{HERMITICITY_TOL:.0e} relative tolerance"
             )
         h = 0.5 * (realized.entries + realized.entries.conj().T)
-    else:
-        for k, l, j in spec.couplings:
-            if spec.model in ("flipflop", "dipolar_secular"):
-                kp = spin_operator(system, k, "+").entries
-                km = spin_operator(system, k, "-").entries
-                lp = spin_operator(system, l, "+").entries
-                lm = spin_operator(system, l, "-").entries
-                flip = 0.5 * (kp @ lm + km @ lp)
-                if spec.model == "flipflop":
-                    h += j * flip
-                else:
-                    kz = spin_operator(system, k, "z").entries
-                    lz = spin_operator(system, l, "z").entries
-                    h += j * (2.0 * kz @ lz - flip)
-            else:  # isotropic_j
-                term = np.zeros((dim, dim), dtype=complex)
-                for axis in ("x", "y", "z"):
-                    term += (
-                        spin_operator(system, k, axis).entries
-                        @ spin_operator(system, l, axis).entries
-                    )
-                h += j * term
-    return Operator(system, h, True)
+        return Operator(system, h, True)
+
+    # named models straight from the computational basis: z terms are
+    # sign diagonals and a flip-flop pair links each state whose two bits
+    # differ to the state with both bits swapped
+    dim = system.dim
+    states = np.arange(dim)
+    diag = np.zeros(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1)
+    for k, w in spec.offsets:
+        diag += w * (0.5 - ((states >> (n - k)) & 1))
+    for k, l, j in spec.couplings:
+        zz_weight, flip_weight = _PAIR_WEIGHTS[spec.model]
+        pair = (1 << (n - k)) | (1 << (n - l))
+        differ = np.bitwise_count(states & pair) == 1
+        if zz_weight:
+            diag += (j * zz_weight) * np.where(differ, -0.25, 0.25)
+        s = states[differ]
+        flat[s * dim + (s ^ pair)] = j * flip_weight
+    flat[:: dim + 1] = diag
+    return _adopt(system, h, True)
 
 
 def _checked_hermitian(h: Operator, what: str) -> None:
@@ -353,47 +361,57 @@ def _diagonal_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def _profile_of(qc: Operator, t: float) -> AmplitudeProfile:
-    """Bin one already-evolved operator into an amplitude profile."""
-    n = qc.system.n
-    diag = np.diag(qc.entries)
+@lru_cache(maxsize=16)
+def _diagonal_groups(n: int):
+    """``(subset indices, labels)`` of the single-spin and the multi-spin z products."""
+    labels = _diagonal_labels(n)
+    weight = np.bitwise_count(np.arange(1 << n))
+    groups = []
+    for chosen in (weight == 1, weight > 1):
+        idx = np.nonzero(chosen)[0]
+        idx.setflags(write=False)
+        groups.append((idx, tuple(labels[s] for s in idx.tolist())))
+    return tuple(groups)
+
+
+def _walsh_bin(n: int, diag: np.ndarray, zqc: np.ndarray, residual: float) -> np.ndarray:
+    """Real base-operator coefficients of an evolved operator's diagonal.
+
+    The operator is given by its cells: ``diag``, the off-diagonal
+    zero-quantum entries ``zqc`` in :func:`zq_offdiagonal_cells` order and
+    the Frobenius weight ``residual`` outside the zero-quantum pattern.
+    Imaginary coefficient parts above 1e-10 of its norm are an
+    :class:`InvariantError`.
+    """
     coeff = _walsh_matrix(n) @ diag / float(2 ** (n - 1))
+    norm = math.sqrt(
+        np.vdot(diag, diag).real + np.vdot(zqc, zqc).real + residual**2
+    )
     imag_peak = float(np.max(np.abs(coeff.imag))) if coeff.size else 0.0
-    if imag_peak > HERMITICITY_TOL * max(qc.norm(), 1.0):
+    if imag_peak > HERMITICITY_TOL * max(norm, 1.0):
         raise InvariantError(
             f"longitudinal amplitudes acquired imaginary parts ({imag_peak:.3e})"
         )
-    coeff = coeff.real
-    labels = _diagonal_labels(n)
-    identity = float(coeff[0])
-    longitudinal = {}
-    spin_orders = {}
-    for subset in range(1, 1 << n):
-        weight = int(subset).bit_count()
-        if weight == 1:
-            longitudinal[labels[subset]] = float(coeff[subset])
-        else:
-            spin_orders[labels[subset]] = float(coeff[subset])
+    return coeff.real
 
-    rows, cols, unit_labels = zq_offdiagonal_cells(n)
-    values = qc.entries[rows, cols]
-    zqc = {lab: complex(v) for lab, v in zip(unit_labels, values)}
 
-    outside = np.where(
-        support_mask(SubspaceTag.ZERO_QUANTUM, qc.system), 0.0, qc.entries
+def _profile(
+    n: int, t: float, coeff: np.ndarray, zqc: np.ndarray, residual: float
+) -> AmplitudeProfile:
+    """Amplitude profile of binned coefficients and coherence cells."""
+    (long_idx, long_labels), (order_idx, order_labels) = _diagonal_groups(n)
+    _, _, unit_labels = zq_offdiagonal_cells(n)
+    return AmplitudeProfile(
+        t,
+        float(coeff[0]),
+        dict(zip(long_labels, coeff[long_idx].tolist())),
+        dict(zip(order_labels, coeff[order_idx].tolist())),
+        dict(zip(unit_labels, zqc.tolist())),
+        residual,
     )
-    residual = float(np.linalg.norm(outside))
-    return AmplitudeProfile(t, identity, longitudinal, spin_orders, zqc, residual)
 
 
-def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
-    """Conjugate ``q`` by the propagator of ``z`` and bin the result.
-
-    ``z`` must satisfy the :func:`zq_propagator` preconditions; ``q``
-    must be Hermitian, traceless and a zero-quantum member. Violations
-    are rejected with the measured residual. The longitudinal and
-    spin-order amplitudes of the result are real within 1e-10.
-    """
+def _checked_initial(q: Operator) -> None:
     _checked_hermitian(q, "expanded operator")
     tr = abs(q.trace())
     if tr > 1e-10 * max(q.norm(), 1.0):
@@ -404,9 +422,78 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
             "expanded operator is not zero-quantum: residual "
             f"{report.residual:.3e} exceeds {report.tolerance:.0e} relative"
         )
-    u = zq_propagator(z, t)
-    qc = conjugate(u, q)
-    return _profile_of(qc, t)
+
+
+def _dense_cells(z: Operator, q: Operator, t: float):
+    """Cells of ``q`` conjugated by the full propagator of ``z`` at ``t``.
+
+    Returns ``(diag, zqc, residual)`` as :func:`_walsh_bin` takes them,
+    with the out-of-pattern residual measured on the dense result.
+    """
+    _checked_initial(q)
+    qc = conjugate(zq_propagator(z, t), q)
+    rows, cols, _ = zq_offdiagonal_cells(z.system.n)
+    outside = np.where(
+        support_mask(SubspaceTag.ZERO_QUANTUM, qc.system), 0.0, qc.entries
+    )
+    return np.diag(qc.entries), qc.entries[rows, cols], float(np.linalg.norm(outside))
+
+
+def _blockwise_cells(z: Operator, q: Operator, times):
+    """Cells of ``q`` evolved under ``z`` at each time, block by block.
+
+    Checks ``z`` as :func:`blockwise_conjugate` does and ``q`` as
+    :func:`amplitude_profile` does, once. Each block ``k`` is diagonalized
+    once, ``H_k = V diag(w) V^H``, and its part of ``q`` rotated once into
+    that eigenbasis, ``Q = V^H q_k V``. At time ``t`` the block evolves as
+    ``W Q W^H`` with ``W = V diag(exp(-i w t))``; its diagonal is scattered
+    into one ``2^n`` vector and its off-diagonal entries are gathered
+    straight into :func:`zq_offdiagonal_cells` order. After the checks
+    nothing of size ``4^n`` is formed, and the residual is exactly 0 by
+    construction. Yields ``(diag, zqc, 0.0)`` per time.
+    """
+    _checked_hermitian(z, "propagator generator")
+    _checked_zq(z, "propagator generator")
+    z._require_same_system(q)
+    _checked_initial(q)
+    decomps = _block_eigh_cached(z)
+    dims = np.array([len(idx) for idx, _, _ in decomps])
+    # row r's cells start after those of every earlier row r', each of
+    # which holds d(k') - 1 cells for its block k'
+    per_row = dims[_down_counts(z.system.n)] - 1
+    starts = np.cumsum(per_row) - per_row
+    n_cells = int(per_row.sum())
+    blocks = []
+    for idx, w, v in decomps:
+        rotated = v.conj().T @ q.entries[np.ix_(idx, idx)] @ v
+        cells = (starts[idx][:, None] + np.arange(len(idx) - 1)).ravel()
+        blocks.append((idx, w, v, rotated, cells))
+    for t in times:
+        diag = np.empty(z.system.dim, dtype=complex)
+        zqc = np.empty(n_cells, dtype=complex)
+        for idx, w, v, rotated, cells in blocks:
+            d = len(idx)
+            u = v * np.exp(-1j * w * t)
+            r = u @ rotated @ u.conj().T
+            r = 0.5 * (r + r.conj().T)
+            diag[idx] = np.diagonal(r)
+            # row-major off-diagonal entries: drop r[0, 0], then each run
+            # of d + 1 flat entries ends on the next diagonal entry
+            zqc[cells] = r.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
+        yield diag, zqc, 0.0
+
+
+def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
+    """Conjugate ``q`` by the propagator of ``z`` and bin the result.
+
+    ``z`` must satisfy the :func:`zq_propagator` preconditions; ``q``
+    must be Hermitian, traceless and a zero-quantum member. Violations
+    are rejected with the measured residual. The longitudinal and
+    spin-order amplitudes of the result are real within 1e-10.
+    """
+    n = z.system.n
+    diag, zqc, residual = _dense_cells(z, q, t)
+    return _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
 
 
 def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operator:

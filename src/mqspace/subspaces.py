@@ -200,24 +200,37 @@ def zq_offdiagonal_cells(n: int):
     pc = _down_counts(n)
     mask = (pc[:, None] == pc[None, :]) & ~np.eye(1 << n, dtype=bool)
     rows, cols = np.nonzero(mask)
-    labels = []
-    for i, j in zip(rows, cols):
-        parts = []
-        for k in range(1, n + 1):
-            row_bit = (int(i) >> (n - k)) & 1
-            col_bit = (int(j) >> (n - k)) & 1
-            if row_bit == 0 and col_bit == 0:
-                parts.append(f"a{k}")
-            elif row_bit == 1 and col_bit == 1:
-                parts.append(f"b{k}")
-            elif row_bit == 0 and col_bit == 1:
-                parts.append(f"I{k}+")
-            else:
-                parts.append(f"I{k}-")
-        labels.append("".join(parts))
+    # a label is the concatenation of its high-spin and low-spin halves,
+    # each looked up in a table indexed by (row bits, col bits)
+    low = n - n // 2
+    low_mask = (1 << low) - 1
+    prefix = _shift_label_table(1, n // 2)
+    suffix = _shift_label_table(n // 2 + 1, low)
+    hi = ((rows >> low) << (n // 2)) | (cols >> low)
+    lo = ((rows & low_mask) << low) | (cols & low_mask)
+    labels = tuple(map(str.__add__, prefix[hi].tolist(), suffix[lo].tolist()))
     rows.setflags(write=False)
     cols.setflags(write=False)
-    return rows, cols, tuple(labels)
+    return rows, cols, labels
+
+
+def _shift_label_table(first: int, count: int) -> np.ndarray:
+    """Shift-label fragments of spins ``first .. first + count - 1``.
+
+    Entry ``(r << count) | c`` names the unit connecting the row bits
+    ``r`` to the column bits ``c`` of those spins, the first spin owning
+    the most significant bit.
+    """
+    table = []
+    for r in range(1 << count):
+        for c in range(1 << count):
+            parts = []
+            for k in range(first, first + count):
+                shift = first + count - 1 - k
+                cell = 2 * ((r >> shift) & 1) + ((c >> shift) & 1)
+                parts.append((f"a{k}", f"I{k}+", f"I{k}-", f"b{k}")[cell])
+            table.append("".join(parts))
+    return np.array(table, dtype=object)
 
 
 @dataclass

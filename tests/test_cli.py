@@ -213,6 +213,39 @@ def test_evolve_rejects_malformed_coupling_flag(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize(
+    "terms, times",
+    [
+        (["--model", "flipflop", "--coupling", "1,2,nan"], "0:1:3"),
+        (["--model", "dipolar_secular", "--coupling", "1,2,inf"], "0:1:3"),
+        (["--model", "offsets", "--offset", "1,nan"], "0:1:3"),
+        (["--model", "flipflop", "--coupling", "1,2,1.0"], "0,nan"),
+        (["--model", "flipflop", "--coupling", "1,2,1.0"], "0,inf"),
+        (["--model", "flipflop", "--coupling", "1,2,1.0"], "0:inf:3"),
+    ],
+)
+def test_evolve_rejects_non_finite_inputs(capsys, tmp_path, terms, times):
+    out = tmp_path / "out.json"
+    code, _, err = run_cli(
+        capsys, ["evolve", "--n", "2", *terms, "--times", times, "--out", str(out)]
+    )
+    assert code == EXIT_CONFIG
+    assert "finite" in err
+    assert not out.exists()
+
+
+def test_evolve_config_rejects_non_finite_times(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        '{"n": 2, "hamiltonian": {"model": "flipflop", "couplings": [[1, 2, 1.0]]},'
+        ' "times": [0.0, NaN]}'
+    )
+    code, out, err = run_cli(capsys, ["evolve", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "finite" in err
+
+
 def test_evolve_explicit_time_list_flag(capsys):
     code, out, _ = run_cli(
         capsys,

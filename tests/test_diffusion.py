@@ -5,11 +5,15 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from mqspace import (
+    CARTESIAN,
     ConfigurationError,
     DiffusionConfig,
     HamiltonianSpec,
+    OperatorExpansion,
     SpinSystem,
+    ToleranceError,
     channel_discrepancy,
     linear_times,
     purge,
@@ -38,6 +42,22 @@ def test_linear_times_validation():
         linear_times(1.0, 1.0, 4)
     with pytest.raises(ConfigurationError):
         linear_times(2.0, 1.0, 4)
+
+
+@pytest.mark.parametrize(
+    "start, end", [(0.0, math.inf), (0.0, math.nan), (math.nan, 1.0), (-math.inf, 1.0)]
+)
+def test_linear_times_rejects_non_finite_ends(start, end):
+    with pytest.raises(ConfigurationError):
+        linear_times(start, end, 3)
+
+
+@pytest.mark.parametrize(
+    "times", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0), (0.0, 0.5, math.inf)]
+)
+def test_config_rejects_non_finite_times(times):
+    with pytest.raises(ConfigurationError):
+        DiffusionConfig(SpinSystem(2), PAIR, times=times)
 
 
 def test_config_validates_time_grid():
@@ -181,6 +201,13 @@ def test_purged_run_reports_clean_channels():
     assert abs(trace.channels["I1z"][-1] - 1.0) > 1e-3
 
 
+def test_purged_run_profiles_equal_purged_profiles():
+    raw = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
+    purged = DiffusionConfig(SpinSystem(4), CHAIN4, raw.times, purge=True)
+    for run in (run_diffusion, run_blockwise):
+        assert run(purged).profiles == tuple(purge(p) for p in run(raw).profiles)
+
+
 def test_channel_discrepancy_validates_inputs():
     cfg_a = DiffusionConfig(SpinSystem(2), PAIR, (0.0, 1.0))
     cfg_b = DiffusionConfig(SpinSystem(2), PAIR, (0.0, 2.0))
@@ -199,3 +226,91 @@ def test_track_subset_limits_channels():
     assert trace.undesired == ("I1+I2-",)
     # coherence channels report magnitudes
     assert trace.channels["I1+I2-"][1] == pytest.approx(0.5 * np.sin(0.7))
+
+
+def _scrambled_couplings(n):
+    """A reversed nearest-neighbour chain plus non-adjacent pairs."""
+    rng = np.random.default_rng(10 + n)
+    pairs = [(k + 1, k) for k in range(1, n)]
+    if n >= 3:
+        pairs.append((1, n))
+    if n >= 4:
+        pairs.append((n, 2))
+    return tuple((k, l, float(rng.uniform(0.2, 1.0))) for k, l in pairs)
+
+
+def _spec(model, n):
+    if model == "offsets":
+        offsets = tuple((k, 0.4 * k - 1.1) for k in range(1, n + 1))
+        return HamiltonianSpec("offsets", offsets=offsets)
+    return HamiltonianSpec(model, couplings=_scrambled_couplings(n))
+
+
+def _assert_engines_agree(cfg):
+    full = run_diffusion(cfg)
+    block = run_blockwise(cfg)
+    assert list(block.channels) == list(full.channels) == list(cfg.tracked_labels())
+    assert block.undesired == full.undesired
+    assert float(channel_discrepancy(full, block).max(initial=0.0)) <= 1e-10
+    assert np.max(np.abs(full.conserved - block.conserved)) <= 1e-10
+    assert all(p.residual == 0.0 for p in block.profiles)
+    assert all(p.residual <= 1e-10 for p in full.profiles)
+    # channels hold coherence magnitudes; the profiles keep the phases
+    for f, b in zip(full.profiles, block.profiles):
+        for field in ("longitudinal", "spin_orders", "zqc"):
+            fa, ba = getattr(f, field), getattr(b, field)
+            assert list(fa) == list(ba)
+            gap = np.abs(np.array(list(fa.values())) - np.array(list(ba.values())))
+            assert float(gap.max(initial=0.0)) <= 1e-10
+
+
+ENGINE_CASES = [(1, "offsets")] + [
+    (n, model)
+    for n in range(2, 7)
+    for model in ("flipflop", "dipolar_secular", "isotropic_j", "offsets")
+]
+
+
+@pytest.mark.parametrize("purge_bins", [False, True])
+@pytest.mark.parametrize("n, model", ENGINE_CASES)
+def test_engines_agree_across_sizes_and_models(n, model, purge_bins):
+    cfg = DiffusionConfig(
+        SpinSystem(n), _spec(model, n), linear_times(0.0, 3.0, 7), purge=purge_bins
+    )
+    _assert_engines_agree(cfg)
+
+
+def test_engines_agree_on_a_track_subset():
+    n = 5
+    track = ("I5z", "2I1zI3z", "a1I2+a3I4-b5", "I1z", "I1-I2+a3a4a5")
+    cfg = DiffusionConfig(
+        SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5),
+        initial="2I2zI4z", track=track,
+    )
+    _assert_engines_agree(cfg)
+    assert run_blockwise(cfg).undesired == ("2I1zI3z", "a1I2+a3I4-b5", "I1-I2+a3a4a5")
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_engines_agree_on_a_degenerate_spectrum(n):
+    # equal couplings on a uniform flip-flop chain: many repeated eigenvalues
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    uniform = HamiltonianSpec("flipflop", couplings=chain)
+    cfg = DiffusionConfig(SpinSystem(n), uniform, linear_times(0.0, 5.0, 9))
+    _assert_engines_agree(cfg)
+    # and against a scipy exponential that shares no code with either engine
+    h = oracles.hamiltonian(n, "flipflop", chain)
+    start = oracles.single_spin(n, 1, "z")
+    for t, profile in zip(cfg.times, run_blockwise(cfg).profiles):
+        evolved = reconstruct_profile(SpinSystem(n), profile).entries
+        assert np.max(np.abs(evolved - oracles.evolve(h, start, t))) <= 1e-10
+
+
+def test_engines_reject_a_generator_outside_zero_quantum():
+    field = OperatorExpansion(CARTESIAN, {"I1x": 1.0}, 0.0)
+    transverse = HamiltonianSpec("custom", custom=field)
+    cfg = DiffusionConfig(SpinSystem(2), transverse, (0.0, 1.0))
+    with pytest.raises(ToleranceError):
+        run_blockwise(cfg)
+    with pytest.raises(ToleranceError):
+        run_diffusion(cfg)

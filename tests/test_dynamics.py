@@ -9,6 +9,7 @@ from mqspace import (
     SHIFT,
     ConfigurationError,
     HamiltonianSpec,
+    InvariantError,
     Operator,
     OperatorExpansion,
     SpinSystem,
@@ -30,7 +31,7 @@ from mqspace import (
     spin_operator,
     zq_propagator,
 )
-from mqspace.dynamics import _diagonal_labels, _walsh_matrix
+from mqspace.dynamics import _diagonal_labels, _walsh_bin, _walsh_matrix
 
 COUPLINGS = ((1, 2, 0.8), (2, 3, -0.5), (1, 3, 0.3))
 
@@ -100,6 +101,51 @@ def test_offsets_model_matches_oracle():
     mine = build_hamiltonian(system, HamiltonianSpec("offsets", offsets=offsets))
     ref = oracles.hamiltonian(3, "flipflop", (), offsets)
     assert np.array_equal(mine.entries, ref)
+
+
+def _scrambled_couplings(n):
+    """A reversed nearest-neighbour chain plus non-adjacent pairs."""
+    rng = np.random.default_rng(n)
+    pairs = [(k + 1, k) for k in range(1, n)]
+    if n >= 3:
+        pairs.append((1, n))
+    if n >= 4:
+        pairs.append((n, 2))
+    return tuple((k, l, float(rng.uniform(-1.0, 1.0))) for k, l in pairs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j"])
+def test_pairwise_models_match_oracle_across_sizes(model, n):
+    couplings = _scrambled_couplings(n)
+    mine = build_hamiltonian(SpinSystem(n), HamiltonianSpec(model, couplings=couplings))
+    ref = oracles.hamiltonian(n, model, couplings)
+    assert np.allclose(mine.entries, ref, rtol=0.0, atol=1e-14)
+    assert mine.hermitian_hint is True
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_offsets_model_matches_oracle_across_sizes(n):
+    offsets = tuple((k, 0.75 * k - 1.9) for k in range(n, 0, -1))
+    mine = build_hamiltonian(SpinSystem(n), HamiltonianSpec("offsets", offsets=offsets))
+    assert np.array_equal(mine.entries, oracles.hamiltonian(n, "flipflop", (), offsets))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_spec_rejects_non_finite_terms(value):
+    with pytest.raises(ConfigurationError):
+        HamiltonianSpec("dipolar_secular", couplings=((1, 2, value),))
+    with pytest.raises(ConfigurationError):
+        HamiltonianSpec("offsets", offsets=((1, 0.5), (2, value)))
+
+
+def test_walsh_bin_rejects_imaginary_longitudinal_parts():
+    # the diagonal of I1z, then with i * I2z added
+    i1z = np.array([0.5, 0.5, -0.5, -0.5], dtype=complex)
+    zqc = np.zeros(2, dtype=complex)
+    assert np.array_equal(_walsh_bin(2, i1z, zqc, 0.0), [0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(InvariantError):
+        _walsh_bin(2, i1z + 1j * np.array([0.5, -0.5, 0.5, -0.5]), zqc, 0.0)
 
 
 def test_flipflop_two_spin_matrix():

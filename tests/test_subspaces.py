@@ -212,6 +212,41 @@ def test_zq_offdiagonal_cells_are_labelled_matrix_units(n):
         assert spec.shift_order == 0
 
 
+def _cell_label(i, j, n):
+    """Shift label of the matrix unit at (i, j), one spin at a time."""
+    parts = []
+    for k in range(1, n + 1):
+        row_bit = (i >> (n - k)) & 1
+        col_bit = (j >> (n - k)) & 1
+        parts.append({(0, 0): f"a{k}", (1, 1): f"b{k}", (0, 1): f"I{k}+",
+                      (1, 0): f"I{k}-"}[(row_bit, col_bit)])
+    return "".join(parts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+def test_zq_offdiagonal_cells_match_per_cell_loop(n):
+    cells = [
+        (i, j)
+        for i in range(2**n)
+        for j in range(2**n)
+        if i != j and oracles.popcount(i) == oracles.popcount(j)
+    ]
+    rows, cols, labels = zq_offdiagonal_cells(n)
+    assert rows.tolist() == [i for i, _ in cells]
+    assert cols.tolist() == [j for _, j in cells]
+    assert labels == tuple(_cell_label(i, j, n) for i, j in cells)
+
+
+def test_zq_offdiagonal_cells_two_digit_spins():
+    n = 10
+    rows, cols, labels = zq_offdiagonal_cells(n)
+    assert len(labels) == math.comb(2 * n, n) - 2**n
+    for pos in list(range(0, len(labels), 997)) + [len(labels) - 1]:
+        i, j = int(rows[pos]), int(cols[pos])
+        assert labels[pos] == _cell_label(i, j, n)
+    assert labels[0] == "a1a2a3a4a5a6a7a8I9+I10-"
+
+
 def test_zq_offdiagonal_cell_labels_n2():
     rows, cols, labels = zq_offdiagonal_cells(2)
     cells = {(int(i), int(j)): lab for i, j, lab in zip(rows, cols, labels)}
