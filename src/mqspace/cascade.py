@@ -70,15 +70,13 @@ class StageReduction:
     fallback_used: bool
 
 
-def _coarse_cells(constraint: SubspaceTag, system: SpinSystem) -> list[np.ndarray]:
-    if constraint is SubspaceTag.FULL:
-        return [np.arange(system.dim)]
-    pc = _down_counts(system.n)
-    if constraint is SubspaceTag.EVEN_MQ:
-        return [np.nonzero(pc % 2 == par)[0] for par in (0, 1)]
-    if constraint is SubspaceTag.ZERO_QUANTUM:
-        return [np.nonzero(pc == k)[0] for k in range(system.n + 1)]
-    return [np.array([i]) for i in range(system.dim)]
+# the blocks of each constraint pattern, as index cells
+_CONSTRAINT_PARTITIONS = {
+    SubspaceTag.FULL: lambda system: [tuple(range(system.dim))],
+    SubspaceTag.EVEN_MQ: parity_partition,
+    SubspaceTag.ZERO_QUANTUM: popcount_partition,
+    SubspaceTag.LOMSO: singleton_partition,
+}
 
 
 def _align_cluster(cols: np.ndarray, local_cells: list[np.ndarray]) -> np.ndarray:
@@ -139,14 +137,13 @@ def stage_reduce(
         raise ConfigurationError("target cells do not cover every index")
 
     scale = max(h.norm(), 1.0)
-    coarse = _coarse_cells(unitary_constraint, system)
+    coarse = [
+        np.array(blk) for blk in _CONSTRAINT_PARTITIONS[unitary_constraint](system)
+    ]
     coarse_of = np.full(dim, -1, dtype=int)
     for b, blk in enumerate(coarse):
         coarse_of[blk] = b
-    off_coarse = np.where(
-        coarse_of[:, None] == coarse_of[None, :], 0.0, h.entries
-    )
-    off_norm = float(np.linalg.norm(off_coarse))
+    off_norm = is_member(h, unitary_constraint).residual
     if off_norm > tol * scale:
         raise ToleranceError(
             f"input carries weight {off_norm:.3e} outside the "

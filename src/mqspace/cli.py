@@ -11,13 +11,15 @@ conflict the config file wins and a warning goes to the error stream.
 Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
 produce byte-identical output. Exit codes: 0 success, 2 configuration
-or parse error, 3 numerical tolerance failure, 4 invariant breach.
+or parse error (malformed config values included), 3 numerical
+tolerance failure, 4 invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Any, Sequence
 
@@ -195,13 +197,15 @@ def _require_n(resolved: dict) -> SpinSystem:
     return SpinSystem(n)
 
 
-def _seed_of(resolved: dict) -> int:
-    seed = resolved.get("seed")
-    if seed is None:
-        return 0
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigurationError(f"seed must be an integer, got {seed!r}")
-    return seed
+def _int_of(resolved: dict, key: str, default: int, minimum: int | None = None) -> int:
+    value = resolved.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
+    return value
 
 
 def _format_of(resolved: dict) -> str:
@@ -290,6 +294,8 @@ def _parse_times(resolved: dict) -> tuple[float, ...]:
             )
         except KeyError as exc:
             raise ConfigurationError(f"times object misses key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed times object: {exc}") from exc
     if isinstance(times, (list, tuple)):
         try:
             return tuple(float(t) for t in times)
@@ -481,19 +487,20 @@ def _cmd_evolve(resolved: dict) -> int:
 
 def _cmd_cascade(resolved: dict) -> int:
     system = _require_n(resolved)
+    seed = _int_of(resolved, "seed", 0)
     has_model = isinstance(resolved.get("hamiltonian"), dict) or resolved.get("model")
     if has_model:
         target = build_hamiltonian(system, _hamiltonian_spec(resolved))
         source = "hamiltonian"
     else:
-        rng = np.random.default_rng(_seed_of(resolved))
+        rng = np.random.default_rng(seed)
         target = random_operator(system, rng, hermitian=True)
         source = "random"
     result = cascade(target)
     doc = {
         "n": system.n,
         "source": source,
-        "seed": _seed_of(resolved),
+        "seed": seed,
         "residuals": dict(result.residuals),
         "stage_memberships": {
             key: bool(member) for key, member in result.stage_classes.items()
@@ -562,13 +569,20 @@ def _cmd_perm(resolved: dict) -> int:
 
 def _cmd_verify(resolved: dict) -> int:
     system = _require_n(resolved)
-    seed = _seed_of(resolved)
-    trials = resolved.get("trials")
-    trials = 100 if trials is None else int(trials)
-    combos = resolved.get("combos")
-    combos = 50 if combos is None else int(combos)
+    seed = _int_of(resolved, "seed", 0)
+    trials = _int_of(resolved, "trials", 100, minimum=1)
+    combos = _int_of(resolved, "combos", 50, minimum=0)
     tolerances = resolved.get("tolerances") or {}
-    membership_tol = float(tolerances.get("membership", MEMBERSHIP_TOL))
+    membership_tol = tolerances.get("membership", MEMBERSHIP_TOL)
+    if (
+        not isinstance(membership_tol, (int, float))
+        or isinstance(membership_tol, bool)
+        or not math.isfinite(membership_tol)
+    ):
+        raise ConfigurationError(
+            f"tolerances.membership must be a finite number, got {membership_tol!r}"
+        )
+    membership_tol = float(membership_tol)
 
     order = verify_order_preservation(system, trials=trials, seed=seed)
     extreme = verify_extreme_states(system, combos=combos, seed=seed)

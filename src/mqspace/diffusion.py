@@ -64,13 +64,6 @@ def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
     return tuple(float(t) for t in np.linspace(start, end, points))
 
 
-def _channel_labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Label universe: longitudinal, spin-order, coherence channels."""
-    (_, longitudinal), (_, orders) = _diagonal_groups(n)
-    _, _, units = zq_offdiagonal_cells(n)
-    return longitudinal, orders, units
-
-
 @dataclass(frozen=True)
 class DiffusionConfig:
     """Frozen description of one transfer experiment.
@@ -115,7 +108,8 @@ class DiffusionConfig:
             track = tuple(str(lab) for lab in self.track)
             if not track:
                 raise ConfigurationError("track list is empty; use 'all' or labels")
-            longitudinal, orders, units = _channel_labels(self.system.n)
+            (_, longitudinal), (_, orders) = _diagonal_groups(self.system.n)
+            _, _, units = zq_offdiagonal_cells(self.system.n)
             known = set(longitudinal) | set(orders) | set(units)
             for lab in track:
                 if lab not in known:
@@ -127,10 +121,11 @@ class DiffusionConfig:
             object.__setattr__(self, "track", track)
 
     def tracked_labels(self) -> tuple[str, ...]:
-        longitudinal, orders, units = _channel_labels(self.system.n)
-        if self.track == "all":
-            return longitudinal + orders + units
-        return self.track
+        """Tracked channel labels: longitudinal, spin-order, then coherence."""
+        if self.track != "all":
+            return self.track
+        (_, longitudinal), (_, orders) = _diagonal_groups(self.system.n)
+        return longitudinal + orders + zq_offdiagonal_cells(self.system.n)[2]
 
 
 @dataclass(frozen=True)
@@ -184,8 +179,8 @@ def _assemble(
 ) -> DiffusionTrace:
     """Bin each time's ``(diag, zqc, residual)`` cells into the trace."""
     n = config.system.n
-    (long_idx, _), (order_idx, _) = _diagonal_groups(n)
-    longitudinal, orders, units = _channel_labels(n)
+    (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(n)
+    _, _, units = zq_offdiagonal_cells(n)
     n_long = len(longitudinal)
     n_diag = n_long + len(orders)
     # one row per channel in label-universe order, one column per time

@@ -21,23 +21,27 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, ToleranceError
 from .operators import (
+    CARTESIAN,
+    BaseOperatorSpec,
     Operator,
     OperatorExpansion,
     SpinSystem,
     _adopt,
     _down_counts,
     _ensure_hermitian,
+    _memoized,
     reconstruct,
 )
 from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
-    is_member,
+    _ensure_zero_quantum,
     selective_blocks,
     support_mask,
     zq_offdiagonal_cells,
@@ -157,13 +161,7 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
 
     if spec.model == "custom":
         realized = reconstruct(system, spec.custom)
-        defect = realized.hermiticity_defect()
-        scale = realized.norm()
-        if defect > HERMITICITY_TOL * max(scale, 1.0):
-            raise ToleranceError(
-                f"custom hamiltonian asymmetry {defect:.3e} exceeds "
-                f"{HERMITICITY_TOL:.0e} relative tolerance"
-            )
+        _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
         h = 0.5 * (realized.entries + realized.entries.conj().T)
         return Operator(system, h, True)
 
@@ -189,40 +187,19 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     return _adopt(system, h, True)
 
 
-def _checked_hermitian(h: Operator, what: str) -> None:
-    _ensure_hermitian(h, HERMITICITY_TOL, what)
-
-
-def _checked_zq(z: Operator, what: str, tol: float = MEMBERSHIP_TOL) -> None:
-    residual = z._memo.get("zq_residual")
-    if residual is None:
-        residual = is_member(z, SubspaceTag.ZERO_QUANTUM, tol).residual
-        z._memo["zq_residual"] = residual
-    if residual > tol * z.norm():
-        raise ToleranceError(
-            f"{what} is not zero-quantum: out-of-pattern residual "
-            f"{residual:.3e} exceeds {tol:.0e} * {z.norm():.3e}"
-        )
-
-
-def _eigh_cached(h: Operator):
-    if h._eig is None:
-        w, v = np.linalg.eigh(h.entries)
-        h._eig = (w, v)
-    return h._eig
-
-
 def _block_eigh_cached(z: Operator):
-    if z._block_eig is None:
+    """``(indices, eigenvalues, eigenvectors)`` of every selective block."""
+
+    def compute():
         decomps = []
         for block in selective_blocks(z.system):
             idx = np.array(block.state_indices)
             sub = z.entries[np.ix_(idx, idx)]
-            sub = 0.5 * (sub + sub.conj().T)
-            w, v = np.linalg.eigh(sub)
+            w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
             decomps.append((idx, w, v))
-        z._block_eig = decomps
-    return z._block_eig
+        return decomps
+
+    return _memoized(z, "block_eigh", compute)
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:
@@ -231,8 +208,8 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     The decomposition is cached on the operator instance, so sweeping
     many times over one generator pays the cubic cost once.
     """
-    _checked_hermitian(h, "exponential generator")
-    w, v = _eigh_cached(h)
+    _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
+    w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(h.entries))
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(h.system, u)
 
@@ -244,8 +221,8 @@ def zq_propagator(z: Operator, t: float) -> Operator:
     membership test; anything else is rejected. The result carries
     weight only inside the zero-quantum pattern.
     """
-    _checked_hermitian(z, "propagator generator")
-    _checked_zq(z, "propagator generator")
+    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
+    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     u = np.zeros((z.system.dim, z.system.dim), dtype=complex)
     for idx, w, v in _block_eigh_cached(z):
         u[np.ix_(idx, idx)] = (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -276,8 +253,8 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
     zero-quantum propagator never mixes blocks; input support outside
     block ``k`` is rejected at a relative 1e-12 tolerance.
     """
-    _checked_hermitian(z, "propagator generator")
-    _checked_zq(z, "propagator generator")
+    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
+    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     z._require_same_system(q_k)
     if not 0 <= k <= z.system.n:
         raise ConfigurationError(f"block index {k} outside 0..{z.system.n}")
@@ -288,10 +265,7 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
 
     # support check: when every stored nonzero sits inside the block the
     # out-of-block weight is exactly zero and no full-size pass is needed
-    nnz_total = q_k._memo.get("nnz")
-    if nnz_total is None:
-        nnz_total = int(np.count_nonzero(q_k.entries))
-        q_k._memo["nnz"] = nnz_total
+    nnz_total = _memoized(q_k, "nnz", lambda: int(np.count_nonzero(q_k.entries)))
     if int(np.count_nonzero(sub)) != nnz_total:
         outside = q_k.entries.copy()
         outside[np.ix_(idx, idx)] = 0.0
@@ -347,18 +321,12 @@ def _walsh_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _diagonal_labels(n: int) -> tuple[str, ...]:
-    """Label of the all-z Cartesian base operator for every spin subset."""
-    labels = []
-    for subset in range(1 << n):
-        spins = [k for k in range(1, n + 1) if (subset >> (n - k)) & 1]
-        if not spins:
-            labels.append("E/2")
-        elif len(spins) == 1:
-            labels.append(f"I{spins[0]}z")
-        else:
-            pref = str(2 ** (len(spins) - 1))
-            labels.append(pref + "".join(f"I{k}z" for k in spins))
-    return tuple(labels)
+    """Label of the all-z Cartesian base operator for every spin subset.
+
+    Subset bits follow the basis-state convention, spin 1 the most
+    significant, so the subsets come in :func:`itertools.product` order.
+    """
+    return tuple(BaseOperatorSpec(CARTESIAN, fs).label for fs in product("ez", repeat=n))
 
 
 @lru_cache(maxsize=16)
@@ -412,16 +380,11 @@ def _profile(
 
 
 def _checked_initial(q: Operator) -> None:
-    _checked_hermitian(q, "expanded operator")
+    _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
     tr = abs(q.trace())
     if tr > 1e-10 * max(q.norm(), 1.0):
         raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
-    report = is_member(q, SubspaceTag.ZERO_QUANTUM)
-    if not report:
-        raise ToleranceError(
-            "expanded operator is not zero-quantum: residual "
-            f"{report.residual:.3e} exceeds {report.tolerance:.0e} relative"
-        )
+    _ensure_zero_quantum(q, MEMBERSHIP_TOL, "expanded operator")
 
 
 def _dense_cells(z: Operator, q: Operator, t: float):
@@ -452,8 +415,8 @@ def _blockwise_cells(z: Operator, q: Operator, times):
     nothing of size ``4^n`` is formed, and the residual is exactly 0 by
     construction. Yields ``(diag, zqc, 0.0)`` per time.
     """
-    _checked_hermitian(z, "propagator generator")
-    _checked_zq(z, "propagator generator")
+    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
+    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     z._require_same_system(q)
     _checked_initial(q)
     decomps = _block_eigh_cached(z)

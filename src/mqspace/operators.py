@@ -172,7 +172,7 @@ class Operator(object):
     ``False`` means known non-Hermitian; neither is checked.
     """
 
-    __slots__ = ("system", "_entries", "hermitian_hint", "_eig", "_block_eig", "_memo")
+    __slots__ = ("system", "_entries", "hermitian_hint", "_memo")
 
     def __init__(self, system: SpinSystem, entries, hermitian_hint: bool | None = None):
         arr = np.array(entries, dtype=complex, copy=True)
@@ -192,9 +192,7 @@ class Operator(object):
         self.system = system
         self._entries = arr
         self.hermitian_hint = hermitian_hint
-        self._eig = None        # lazy (eigenvalues, eigenvectors) cache
-        self._block_eig = None  # lazy per-block eigendecomposition cache
-        self._memo = {}         # lazy residual checks, keyed by check name
+        self._memo = {}  # values derived from the entries, see _memoized
 
     @property
     def entries(self) -> np.ndarray:
@@ -209,11 +207,7 @@ class Operator(object):
 
     def norm(self) -> float:
         """Frobenius norm, computed once per instance."""
-        value = self._memo.get("norm")
-        if value is None:
-            value = float(np.linalg.norm(self._entries))
-            self._memo["norm"] = value
-        return value
+        return _memoized(self, "norm", lambda: float(np.linalg.norm(self._entries)))
 
     def hermiticity_defect(self) -> float:
         """Largest absolute difference between the entries and their adjoint."""
@@ -287,20 +281,29 @@ def _adopt(system: SpinSystem, arr: np.ndarray, hermitian_hint: bool | None = No
     op.system = system
     op._entries = arr
     op.hermitian_hint = hermitian_hint
-    op._eig = None
-    op._block_eig = None
     op._memo = {}
     return op
+
+
+def _memoized(op: Operator, key: str, compute):
+    """``compute()``, evaluated once per instance and kept under ``key``.
+
+    Safe because the entries never change: checks, norms and
+    eigendecompositions are reused by every later call on the same
+    operator.
+    """
+    try:
+        return op._memo[key]
+    except KeyError:
+        value = op._memo[key] = compute()
+        return value
 
 
 def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:
     """Accept a trusted hint or verify Hermiticity, memoized per instance."""
     if op.hermitian_hint is True:
         return
-    defect = op._memo.get("hermiticity_defect")
-    if defect is None:
-        defect = op.hermiticity_defect()
-        op._memo["hermiticity_defect"] = defect
+    defect = _memoized(op, "hermiticity_defect", op.hermiticity_defect)
     if defect > tol * max(op.norm(), 1.0):
         raise ToleranceError(
             f"{what} is not Hermitian: measured asymmetry {defect:.3e} "
@@ -312,6 +315,14 @@ _CART_LABEL = re.compile(r"^(\d*)((?:I\d+[xyz])+)$")
 _CART_TOKEN = re.compile(r"I(\d+)([xyz])")
 _SHIFT_LABEL = re.compile(r"^(?:[ab]\d+|I\d+[+-])+$")
 _SHIFT_TOKEN = re.compile(r"([ab])(\d+)|I(\d+)([+-])")
+
+
+def _shift_label(factors, first: int = 1) -> str:
+    """Shift-label text of ``factors``, the first of them on spin ``first``."""
+    return "".join(
+        f"{f}{k}" if f in ("a", "b") else f"I{k}{f}"
+        for k, f in enumerate(factors, first)
+    )
 
 
 @dataclass(frozen=True)
@@ -361,22 +372,14 @@ class BaseOperatorSpec:
 
     @property
     def label(self) -> str:
-        if self.kind == CARTESIAN:
-            tokens = [
-                f"I{k + 1}{f}" for k, f in enumerate(self.factors) if f != "e"
-            ]
-            if not tokens:
-                return "E/2"
-            if len(tokens) == 1:
-                return tokens[0]
-            return str(2 ** (len(tokens) - 1)) + "".join(tokens)
-        parts = []
-        for k, f in enumerate(self.factors):
-            if f in ("a", "b"):
-                parts.append(f"{f}{k + 1}")
-            else:
-                parts.append(f"I{k + 1}{f}")
-        return "".join(parts)
+        if self.kind == SHIFT:
+            return _shift_label(self.factors)
+        tokens = [f"I{k + 1}{f}" for k, f in enumerate(self.factors) if f != "e"]
+        if not tokens:
+            return "E/2"
+        if len(tokens) == 1:
+            return tokens[0]
+        return str(2 ** (len(tokens) - 1)) + "".join(tokens)
 
     @classmethod
     def from_label(cls, label: str, n: int) -> "BaseOperatorSpec":

@@ -59,15 +59,9 @@ class PropertyReport:
 def _unit_stack(n: int) -> tuple[np.ndarray, np.ndarray]:
     """All 4^n shift base operators as a dense stack plus their orders."""
     dim = 1 << n
-    rows, cols = np.divmod(np.arange(dim * dim), dim)
-    stack = np.zeros((dim * dim, dim, dim), dtype=complex)
-    stack[np.arange(dim * dim), rows, cols] = 1.0
-    # bitwise_count yields uint8; cast before subtracting or negative
-    # orders wrap around
-    orders = np.bitwise_count(cols).astype(np.int64) - np.bitwise_count(rows).astype(
-        np.int64
-    )
-    return stack, orders
+    # unit r * dim + c has its single 1 at (r, c), flat position r * dim + c
+    stack = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    return stack, _element_orders(n).reshape(-1)
 
 
 def verify_order_preservation(

@@ -28,6 +28,8 @@ from .operators import (
     Operator,
     SpinSystem,
     _down_counts,
+    _memoized,
+    _shift_label,
     identity_operator,
     random_operator,
 )
@@ -132,6 +134,22 @@ def is_member(q: Operator, tag: SubspaceTag, tol: float = MEMBERSHIP_TOL) -> Mem
     return Membership(tag, residual <= tol * norm, residual, norm, tol)
 
 
+def _ensure_zero_quantum(q: Operator, tol: float, what: str) -> None:
+    """Reject ``q`` unless it passes the zero-quantum membership test.
+
+    The out-of-pattern residual does not depend on ``tol`` and is
+    measured once per instance.
+    """
+    residual = _memoized(
+        q, "zq_residual", lambda: is_member(q, SubspaceTag.ZERO_QUANTUM).residual
+    )
+    if residual > tol * q.norm():
+        raise ToleranceError(
+            f"{what} is not zero-quantum: out-of-pattern residual "
+            f"{residual:.3e} exceeds {tol:.0e} * {q.norm():.3e}"
+        )
+
+
 def project(q: Operator, tag: SubspaceTag) -> Operator:
     """Zero every matrix element outside the subspace support pattern."""
     mask = _mask(tag, q.system.n)
@@ -172,12 +190,7 @@ def decompose_zq(
     onto the zero-quantum pattern. Operators failing the membership test
     are rejected.
     """
-    report = is_member(z, SubspaceTag.ZERO_QUANTUM, tol)
-    if not report:
-        raise ToleranceError(
-            "operator is not zero-quantum: out-of-pattern residual "
-            f"{report.residual:.3e} exceeds {tol:.0e} * {report.norm:.3e}"
-        )
+    _ensure_zero_quantum(z, tol, "operator")
     hint = True if z.hermitian_hint is True else None
     out = []
     for block in selective_blocks(z.system):
@@ -197,8 +210,7 @@ def zq_offdiagonal_cells(n: int):
     supported there. These are the coherence carriers of the
     zero-quantum space: everything zero-quantum that is not diagonal.
     """
-    pc = _down_counts(n)
-    mask = (pc[:, None] == pc[None, :]) & ~np.eye(1 << n, dtype=bool)
+    mask = _mask(SubspaceTag.ZERO_QUANTUM, n) & ~np.eye(1 << n, dtype=bool)
     rows, cols = np.nonzero(mask)
     # a label is the concatenation of its high-spin and low-spin halves,
     # each looked up in a table indexed by (row bits, col bits)
@@ -221,15 +233,15 @@ def _shift_label_table(first: int, count: int) -> np.ndarray:
     ``r`` to the column bits ``c`` of those spins, the first spin owning
     the most significant bit.
     """
-    table = []
-    for r in range(1 << count):
-        for c in range(1 << count):
-            parts = []
-            for k in range(first, first + count):
-                shift = first + count - 1 - k
-                cell = 2 * ((r >> shift) & 1) + ((c >> shift) & 1)
-                parts.append((f"a{k}", f"I{k}+", f"I{k}-", f"b{k}")[cell])
-            table.append("".join(parts))
+    shifts = range(count - 1, -1, -1)
+    table = [
+        _shift_label(
+            [("a", "+", "-", "b")[2 * ((r >> s) & 1) + ((c >> s) & 1)] for s in shifts],
+            first,
+        )
+        for r in range(1 << count)
+        for c in range(1 << count)
+    ]
     return np.array(table, dtype=object)
 
 

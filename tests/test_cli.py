@@ -13,12 +13,16 @@ import pytest
 
 import mqspace
 from mqspace import (
+    DiffusionConfig,
+    HamiltonianSpec,
     SpinSystem,
     SubspaceTag,
     build_operator,
     is_member,
     iz_sorted_encoding,
+    linear_times,
     order_components,
+    run_blockwise,
 )
 from mqspace.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from mqspace.operators import BaseOperatorSpec
@@ -485,3 +489,80 @@ def test_installed_console_script_matches_module_entry():
     module = _run_child([*MODULE_ENTRY, "dims", "--n", "2"])
     assert module.returncode == 0
     assert module.stdout == done.stdout
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"trials": "x"},
+        {"trials": 0},
+        {"combos": -1},
+        {"tolerances": {"membership": "x"}},
+        {"tolerances": {"membership": None}},
+        {"tolerances": {"membership": float("nan")}},
+    ],
+    ids=["trials-text", "trials-zero", "combos-negative", "tol-text", "tol-null", "tol-nan"],
+)
+def test_verify_config_values_of_the_wrong_kind_exit_config(capsys, tmp_path, doc):
+    cfg = tmp_path / "v.json"
+    cfg.write_text(json.dumps({"n": 2, **doc}))
+    code, out, err = run_cli(capsys, ["verify", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--combos", "-1")])
+def test_verify_flags_out_of_range_exit_config(capsys, flag, value):
+    code, out, err = run_cli(capsys, ["verify", "--n", "2", flag, value])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert flag[2:] in err
+
+
+def test_evolve_config_rejects_non_integer_points(capsys, tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "hamiltonian": {"model": "flipflop", "couplings": [[1, 2, 1.0]]},
+                "times": {"start": 0, "end": 1, "points": "x"},
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, ["evolve", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "times" in err
+
+
+def test_evolve_numbers_round_trip_at_17_digits(capsys):
+    couplings = ((1, 2, 1.0), (2, 3, 0.7))
+    config = DiffusionConfig(
+        SpinSystem(3),
+        HamiltonianSpec("dipolar_secular", couplings=couplings),
+        linear_times(0.0, 2.0, 7),
+    )
+    channels = run_blockwise(config).channels
+    times = [format(t, ".17g") for t in config.times]
+    argv = ["evolve", "--n", "3", "--model", "dipolar_secular", "--times", "0:2:7",
+            "--engine", "blockwise"]
+    argv += [x for k, l, j in couplings for x in ("--coupling", f"{k},{l},{j}")]
+
+    code, out, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    # keep every number's text as written
+    doc = json.loads(out, parse_float=str, parse_int=str)
+    assert doc["times"] == times
+    assert list(doc["channels"]) == list(channels)
+    for lab, values in doc["channels"].items():
+        assert [float(v) for v in values] == channels[lab].tolist(), lab
+
+    code, out, _ = run_cli(capsys, argv + ["--format", "csv"])
+    assert code == EXIT_OK
+    header, *rows = [line.split(",") for line in out.strip().split("\n")]
+    assert header == ["t", *channels]
+    assert [row[0] for row in rows] == times
+    for j, lab in enumerate(header[1:], start=1):
+        assert [float(row[j]) for row in rows] == channels[lab].tolist(), lab

@@ -386,3 +386,34 @@ def test_diagonal_label_order():
     assert labels3[0] == "E/2"
     assert labels3[7] == "4I1zI2zI3z"
     assert labels3[5] == "2I1zI3z"
+
+
+def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
+    n = 4
+    system = SpinSystem(n)
+    h = build_hamiltonian(
+        system,
+        HamiltonianSpec("dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))),
+    )
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    first = expm_hermitian(h, 0.3)
+    expm_hermitian(h, 0.9)
+    assert calls == [(16, 16)]
+
+    calls.clear()
+    zq_propagator(h, 0.3)
+    zq_propagator(h, 0.9)
+    q = np.zeros((16, 16), dtype=complex)
+    q[1, 2] = q[2, 1] = 1.0  # confined to the k = 1 block
+    blockwise_conjugate(h, Operator(system, q, True), 1, 0.5)
+    assert len(calls) == n + 1
+    # a cached decomposition gives the same propagator as a fresh one
+    assert np.array_equal(expm_hermitian(h, 0.3).entries, first.entries)
+    assert len(calls) == n + 1
