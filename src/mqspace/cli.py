@@ -31,9 +31,7 @@ from .operators import (
     SHIFT,
     BaseOperatorSpec,
     SpinSystem,
-    build_operator,
     enumerate_basis,
-    max_spins,
     random_operator,
 )
 from .subspaces import (
@@ -43,7 +41,7 @@ from .subspaces import (
     subspace_dims,
     verify_closure,
 )
-from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec
+from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
     channel_discrepancy,
@@ -53,7 +51,6 @@ from .diffusion import (
 )
 from .cascade import cascade
 from .encodings import iz_sorted_encoding, synthesize_permutation
-from .dynamics import build_hamiltonian
 from .properties import verify_extreme_states, verify_order_preservation
 
 __all__ = ["main", "run"]
@@ -79,13 +76,23 @@ _HAMILTONIAN_KEYS = {"model", "couplings", "offsets"}
 _TOLERANCE_KEYS = {"membership"}
 
 
+_DOUBLE = "%.17g"  # 17 significant digits, enough to reproduce any double exactly
+
+
 def _fmt(x: float) -> str:
-    """17 significant digits, enough to reproduce any double exactly."""
-    return format(float(x), ".17g")
+    """One double in the output's number format."""
+    return _DOUBLE % float(x)
+
+
+def _fmt_join(values: Sequence[float], sep: str) -> str:
+    """``sep.join(_fmt(v) for v in values)``, formatted in one pass."""
+    return sep.join([_DOUBLE] * len(values)) % tuple(values)
 
 
 def _json_text(value: Any, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        return "[" + _fmt_join(value.tolist(), ", ") + "]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -452,22 +459,21 @@ def _cmd_evolve(resolved: dict) -> int:
         header = ["t"] + list(labels)
         if discrepancy is not None:
             header.append("max_channel_discrepancy")
-        rows = []
-        for i, t in enumerate(trace.times):
-            row = [_fmt(t)] + [_fmt(trace.channels[lab][i]) for lab in labels]
-            if discrepancy is not None:
-                row.append(_fmt(discrepancy[i]))
-            rows.append(row)
-        text = _csv_text(header, rows)
+        columns = [trace.times] + [trace.channels[lab] for lab in labels]
+        if discrepancy is not None:
+            columns.append(discrepancy)
+        table = np.column_stack(columns).tolist()
+        # each row is formatted whole and handed over as one cell
+        text = _csv_text(header, [[_fmt_join(row, ",")] for row in table])
     else:
         doc = {
             "n": system.n,
             "engine": engine,
             "initial": config.initial,
             "purge": config.purge,
-            "times": list(trace.times),
-            "channels": {lab: list(trace.channels[lab]) for lab in labels},
-            "conserved": list(trace.conserved),
+            "times": np.asarray(trace.times),
+            "channels": {lab: trace.channels[lab] for lab in labels},
+            "conserved": trace.conserved,
             "undesired": list(trace.undesired),
             "block_sizes": (
                 None
@@ -476,7 +482,7 @@ def _cmd_evolve(resolved: dict) -> int:
             ),
         }
         if discrepancy is not None:
-            doc["max_channel_discrepancy"] = list(discrepancy)
+            doc["max_channel_discrepancy"] = discrepancy
         text = _json_text(doc) + "\n"
     _emit(text, resolved.get("out"))
     return EXIT_OK

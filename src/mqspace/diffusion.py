@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -132,6 +133,18 @@ class DiffusionConfig:
 class DiffusionTrace:
     """Time series produced by one run.
 
+    The binned amplitudes are held in three read-only arrays with one row
+    per grid point: ``coefficients`` is ``(T, 2**n)`` real, the
+    coefficient of the all-z base operator of every spin subset in
+    :func:`itertools.product` order over ``"ez"`` (spin 1 the most
+    significant bit, so column 0 is the identity); ``coherences`` is
+    ``(T, cells)`` complex, the off-diagonal zero-quantum entries in
+    :func:`~mqspace.subspaces.zq_offdiagonal_cells` order; ``residuals``
+    is ``(T,)``, the Frobenius weight outside the zero-quantum pattern.
+    ``profiles`` presents the same numbers as one
+    :class:`~mqspace.dynamics.AmplitudeProfile` per grid point; it is
+    built on first access and kept.
+
     ``channels`` maps each tracked label to a real array over the grid;
     coherence channels report magnitudes since their amplitudes are
     complex. ``conserved`` is the inner product of the total-z operator
@@ -141,12 +154,25 @@ class DiffusionTrace:
     """
 
     times: tuple[float, ...]
-    profiles: tuple[AmplitudeProfile, ...]
+    coefficients: np.ndarray
+    coherences: np.ndarray
+    residuals: np.ndarray
     channels: dict[str, np.ndarray]
     conserved: np.ndarray
     undesired: tuple[str, ...]
     engine: str
     block_sizes: dict[int, int] | None = None
+
+    @cached_property
+    def profiles(self) -> tuple[AmplitudeProfile, ...]:
+        """One amplitude profile per grid point, built on first access."""
+        n = self.coefficients.shape[1].bit_length() - 1
+        return tuple(
+            _profile(n, t, coeff, zqc, residual)
+            for t, coeff, zqc, residual in zip(
+                self.times, self.coefficients, self.coherences, self.residuals.tolist()
+            )
+        )
 
 
 def purge(profile: AmplitudeProfile) -> AmplitudeProfile:
@@ -181,20 +207,27 @@ def _assemble(
     n = config.system.n
     (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(n)
     _, _, units = zq_offdiagonal_cells(n)
+    points = len(config.times)
+    coefficients = np.empty((points, 1 << n))
+    coherences = np.empty((points, len(units)), dtype=complex)
+    residuals = np.empty(points)
+    for i, (diag, zqc, residual) in enumerate(cells):
+        coefficients[i] = _walsh_bin(n, diag, zqc, residual)
+        coherences[i] = zqc
+        residuals[i] = residual
+    if config.purge:
+        coefficients[:, order_idx] = 0.0
+        coherences[:] = 0.0
+    for arr in (coefficients, coherences, residuals):
+        arr.setflags(write=False)
+
     n_long = len(longitudinal)
     n_diag = n_long + len(orders)
     # one row per channel in label-universe order, one column per time
-    table = np.empty((n_diag + len(units), len(config.times)))
-    profiles = []
-    for i, (t, (diag, zqc, residual)) in enumerate(zip(config.times, cells)):
-        coeff = _walsh_bin(n, diag, zqc, residual)
-        if config.purge:
-            coeff[order_idx] = 0.0
-            zqc = np.zeros_like(zqc)
-        profiles.append(_profile(n, t, coeff, zqc, residual))
-        table[:n_long, i] = coeff[long_idx]
-        table[n_long:n_diag, i] = coeff[order_idx]
-        table[n_diag:, i] = np.abs(zqc)
+    table = np.empty((n_diag + len(units), points))
+    table[:n_long] = coefficients[:, long_idx].T
+    table[n_long:n_diag] = coefficients[:, order_idx].T
+    table[n_diag:] = np.abs(coherences).T
 
     # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2)
     conserved = 2.0 ** (n - 2) * table[:n_long].sum(axis=0)
@@ -207,7 +240,9 @@ def _assemble(
         undesired = tuple(lab for lab in tracked if row[lab] >= n_long)
     return DiffusionTrace(
         times=config.times,
-        profiles=tuple(profiles),
+        coefficients=coefficients,
+        coherences=coherences,
+        residuals=residuals,
         channels=dict(zip(tracked, table)),
         conserved=conserved,
         undesired=undesired,

@@ -42,8 +42,8 @@ from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
     _ensure_zero_quantum,
+    is_member,
     selective_blocks,
-    support_mask,
     zq_offdiagonal_cells,
 )
 
@@ -396,10 +396,8 @@ def _dense_cells(z: Operator, q: Operator, t: float):
     _checked_initial(q)
     qc = conjugate(zq_propagator(z, t), q)
     rows, cols, _ = zq_offdiagonal_cells(z.system.n)
-    outside = np.where(
-        support_mask(SubspaceTag.ZERO_QUANTUM, qc.system), 0.0, qc.entries
-    )
-    return np.diag(qc.entries), qc.entries[rows, cols], float(np.linalg.norm(outside))
+    residual = is_member(qc, SubspaceTag.ZERO_QUANTUM).residual
+    return np.diag(qc.entries), qc.entries[rows, cols], residual
 
 
 def _blockwise_cells(z: Operator, q: Operator, times):

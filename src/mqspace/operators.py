@@ -180,6 +180,7 @@ class Operator(object):
             raise ConfigurationError(
                 f"operator shape {arr.shape} does not match system dimension {system.dim}"
             )
+        self._memo = {}  # values derived from the entries, see _memoized
         if hermitian_hint is True:
             defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
             scale = float(np.linalg.norm(arr))
@@ -188,11 +189,11 @@ class Operator(object):
                     "hermitian_hint is set but max asymmetry "
                     f"{defect:.3e} exceeds {HERMITIAN_HINT_TOL:.0e} * {scale:.3e}"
                 )
+            self._memo.update(hermiticity_defect=defect, norm=scale)
         arr.setflags(write=False)
         self.system = system
         self._entries = arr
         self.hermitian_hint = hermitian_hint
-        self._memo = {}  # values derived from the entries, see _memoized
 
     @property
     def entries(self) -> np.ndarray:

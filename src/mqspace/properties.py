@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .operators import (
-    Operator,
     SpinSystem,
     _element_orders,
     random_operator,

@@ -5,6 +5,8 @@ and Kronecker products, deliberately avoiding the package's own code
 paths, so the tests compare two independently derived answers.
 """
 
+import json
+
 import numpy as np
 from scipy.linalg import expm
 
@@ -128,3 +130,61 @@ def hamiltonian(n, model, couplings=(), offsets=()):
     for k, w in offsets:
         h += w * single_spin(n, k, "z")
     return h
+
+
+def fmt_double(x):
+    """A double at 17 significant digits, as the CLI documents it."""
+    return format(float(x), ".17g")
+
+
+def json_text(value, indent=0):
+    """The CLI's JSON layout, written one value at a time.
+
+    Reference for the vectorized writer: nested containers are indented
+    two spaces per level, flat lists stay on one line, floats use
+    :func:`fmt_double` and complex numbers become ``[re, im]``.
+    """
+    pad = "  " * indent
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.dumps(str(k))}: {json_text(v, indent + 1)}"
+            for k, v in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        seq = list(value)
+        if not seq:
+            return "[]"
+        if all(not isinstance(v, (dict, list, tuple)) for v in seq):
+            return "[" + ", ".join(json_text(v) for v in seq) + "]"
+        inner = ",\n".join(f"{pad}  {json_text(v, indent + 1)}" for v in seq)
+        return "[\n" + inner + "\n" + pad + "]"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return fmt_double(value)
+    if isinstance(value, (complex, np.complexfloating)):
+        return "[" + fmt_double(value.real) + ", " + fmt_double(value.imag) + "]"
+    if isinstance(value, str):
+        return json.dumps(value)
+    raise TypeError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def evolve_csv(times, channels, discrepancy=None):
+    """The ``evolve`` CSV table, written one cell at a time."""
+    header = ["t"] + list(channels)
+    if discrepancy is not None:
+        header.append("max_channel_discrepancy")
+    lines = [",".join(header)]
+    for i, t in enumerate(times):
+        row = [fmt_double(t)] + [fmt_double(series[i]) for series in channels.values()]
+        if discrepancy is not None:
+            row.append(fmt_double(discrepancy[i]))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n"

@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -12,17 +13,20 @@ import numpy as np
 import pytest
 
 import mqspace
+import oracles
 from mqspace import (
     DiffusionConfig,
     HamiltonianSpec,
     SpinSystem,
     SubspaceTag,
     build_operator,
+    channel_discrepancy,
     is_member,
     iz_sorted_encoding,
     linear_times,
     order_components,
     run_blockwise,
+    run_diffusion,
 )
 from mqspace.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from mqspace.operators import BaseOperatorSpec
@@ -566,3 +570,114 @@ def test_evolve_numbers_round_trip_at_17_digits(capsys):
     assert [row[0] for row in rows] == times
     for j, lab in enumerate(header[1:], start=1):
         assert [float(row[j]) for row in rows] == channels[lab].tolist(), lab
+
+
+def _reference_evolve(n, engine, purge_bins, track):
+    """The ``evolve`` output of the per-value writers in ``oracles``."""
+    if n == 1:
+        spec = HamiltonianSpec("offsets", offsets=((1, 0.3),))
+    else:
+        spec = HamiltonianSpec(
+            "dipolar_secular",
+            couplings=tuple((k, k + 1, 0.3 + 0.1 * k) for k in range(1, n)),
+        )
+    config = DiffusionConfig(
+        SpinSystem(n), spec, linear_times(0.0, 2.0, 9), purge=purge_bins,
+        track=track or "all",
+    )
+    discrepancy = None
+    if engine == "blockwise":
+        trace = run_blockwise(config)
+    else:
+        trace = run_diffusion(config)
+        discrepancy = channel_discrepancy(trace, run_blockwise(config))
+    labels = config.tracked_labels()
+    channels = {lab: list(trace.channels[lab]) for lab in labels}
+    doc = {
+        "n": n,
+        "engine": engine,
+        "initial": config.initial,
+        "purge": config.purge,
+        "times": list(trace.times),
+        "channels": channels,
+        "conserved": list(trace.conserved),
+        "undesired": list(trace.undesired),
+        "block_sizes": (
+            None
+            if trace.block_sizes is None
+            else {str(k): v for k, v in sorted(trace.block_sizes.items())}
+        ),
+    }
+    if discrepancy is not None:
+        doc["max_channel_discrepancy"] = list(discrepancy)
+    argv = ["evolve", "--n", str(n), "--times", "0:2:9", "--engine", engine]
+    if n == 1:
+        argv += ["--model", "offsets", "--offset", "1,0.3"]
+    else:
+        argv += ["--model", "dipolar_secular"]
+        argv += [x for k, l, j in spec.couplings for x in ("--coupling", f"{k},{l},{j!r}")]
+    if purge_bins:
+        argv.append("--purge")
+    if track:
+        argv += ["--track", ",".join(track)]
+    return argv, {
+        "json": oracles.json_text(doc) + "\n",
+        "csv": oracles.evolve_csv(trace.times, channels, discrepancy),
+    }
+
+
+EVOLVE_WRITER_CASES = [
+    (n, "both", purge_bins, None) for n in range(1, 7) for purge_bins in (False, True)
+] + [
+    (3, "both", False, ("I3z", "2I1zI2z", "I1+I2-b3")),
+    (5, "both", True, ("I1-I2+a3a4a5", "I5z")),
+    (4, "blockwise", False, None),
+]
+
+
+def _mismatch(mine, reference):
+    """``None`` when equal, else the first differing offset with context.
+
+    Keeps a failing comparison of megabyte strings from a slow full diff.
+    """
+    if mine == reference:
+        return None
+    i = next((k for k, (a, b) in enumerate(zip(mine, reference)) if a != b),
+             min(len(mine), len(reference)))
+    return i, mine[max(i - 40, 0):i + 40], reference[max(i - 40, 0):i + 40]
+
+
+@pytest.mark.parametrize("n, engine, purge_bins, track", EVOLVE_WRITER_CASES)
+def test_evolve_writers_match_per_value_reference(capsys, n, engine, purge_bins, track):
+    argv, expected = _reference_evolve(n, engine, purge_bins, track)
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(capsys, argv + ["--format", fmt])
+        assert code == EXIT_OK, err
+        assert _mismatch(out, expected[fmt]) is None, fmt
+
+
+EDGE_DOUBLES = [
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+    1.7976931348623157e308, 2.2250738585072014e-308, 0.1, 1 / 3, 1e16, 1e17, -2.5,
+]
+
+
+def test_number_writers_match_per_value_reference():
+    from mqspace.cli import _fmt, _fmt_join, _json_text
+
+    rng = np.random.default_rng(5)
+    bits = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
+    values = np.concatenate([EDGE_DOUBLES, bits.view(np.float64)])
+    mixed = [np.float64(v) if i % 2 else float(v) for i, v in enumerate(values)]
+    reference = [oracles.fmt_double(v) for v in mixed]
+    assert [_fmt(v) for v in mixed] == reference
+    assert _mismatch(_json_text(values), oracles.json_text(mixed)) is None
+    assert _mismatch(_json_text(mixed), oracles.json_text(mixed)) is None
+    assert _mismatch(_fmt_join(mixed, ","), ",".join(reference)) is None
+    assert _mismatch(_fmt_join(values.tolist(), ", "), ", ".join(reference)) is None
+    for arr in (np.array([]), np.array([-0.0]), np.array([math.nan])):
+        assert _json_text(arr) == oracles.json_text(arr.tolist())
+        assert _fmt_join(arr.tolist(), ",") == ",".join(map(oracles.fmt_double, arr))
+    nested = {"a": values[:20], "b": [values[:3], {"c": values[3:4]}], "d": np.array([])}
+    listed = {"a": mixed[:20], "b": [mixed[:3], {"c": mixed[3:4]}], "d": []}
+    assert _json_text(nested) == oracles.json_text(listed)

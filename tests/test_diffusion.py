@@ -1,5 +1,6 @@
 """Transfer-run tests: config validation, engines, purging, discrepancy."""
 
+import importlib
 import math
 
 import numpy as np
@@ -8,19 +9,28 @@ import pytest
 import oracles
 from mqspace import (
     CARTESIAN,
+    BaseOperatorSpec,
     ConfigurationError,
     DiffusionConfig,
     HamiltonianSpec,
     OperatorExpansion,
     SpinSystem,
     ToleranceError,
+    build_hamiltonian,
+    build_operator,
     channel_discrepancy,
+    conjugate,
     linear_times,
     purge,
     reconstruct_profile,
     run_blockwise,
     run_diffusion,
+    zq_offdiagonal_cells,
+    zq_propagator,
 )
+from mqspace.dynamics import _blockwise_cells, _dense_cells, _profile, _walsh_bin
+
+diffusion = importlib.import_module("mqspace.diffusion")
 
 CHAIN4 = HamiltonianSpec(
     "dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))
@@ -314,3 +324,72 @@ def test_engines_reject_a_generator_outside_zero_quantum():
         run_blockwise(cfg)
     with pytest.raises(ToleranceError):
         run_diffusion(cfg)
+
+
+def _counted_profiles(monkeypatch):
+    """Record the grid time of every ``diffusion._profile`` call."""
+    calls = []
+    build = diffusion._profile
+
+    def counted(n, t, *rest):
+        calls.append(t)
+        return build(n, t, *rest)
+
+    monkeypatch.setattr(diffusion, "_profile", counted)
+    return calls
+
+
+@pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
+def test_profiles_are_built_on_first_read(monkeypatch, run):
+    calls = _counted_profiles(monkeypatch)
+    cfg = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
+    trace = run(cfg)
+    assert calls == []
+    profiles = trace.profiles
+    assert calls == list(cfg.times)
+    assert trace.profiles is profiles
+    assert calls == list(cfg.times)
+
+
+@pytest.mark.parametrize("purge_bins", [False, True])
+@pytest.mark.parametrize("engine", ["full", "blockwise"])
+def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
+    n = 4
+    system = SpinSystem(n)
+    cfg = DiffusionConfig(system, CHAIN4, linear_times(0.0, 2.0, 5), purge=purge_bins)
+    h = build_hamiltonian(system, CHAIN4)
+    q0 = build_operator(system, BaseOperatorSpec.from_label(cfg.initial, n))
+    if engine == "full":
+        trace = run_diffusion(cfg)
+        cells = [_dense_cells(h, q0, t) for t in cfg.times]
+    else:
+        trace = run_blockwise(cfg)
+        cells = list(_blockwise_cells(h, q0, cfg.times))
+    eager = []
+    for t, (diag, zqc, residual) in zip(cfg.times, cells):
+        profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
+        eager.append(purge(profile) if purge_bins else profile)
+
+    units = zq_offdiagonal_cells(n)[2]
+    assert trace.coefficients.shape == (5, 2**n)
+    assert trace.coherences.shape == (5, len(units))
+    assert trace.residuals.shape == (5,)
+    for arr in (trace.coefficients, trace.coherences, trace.residuals):
+        assert not arr.flags.writeable
+    assert trace.profiles == tuple(eager)
+    if engine == "blockwise":
+        assert not trace.residuals.any()
+
+
+def test_dense_engine_residuals_are_the_out_of_pattern_weight():
+    n = 5
+    system = SpinSystem(n)
+    spec = _spec("dipolar_secular", n)
+    cfg = DiffusionConfig(system, spec, linear_times(0.0, 3.0, 7))
+    trace = run_diffusion(cfg)
+    h = build_hamiltonian(system, spec)
+    q0 = build_operator(system, BaseOperatorSpec.from_label(cfg.initial, n))
+    outside = ~oracles.pattern_mask("ZeroQuantum", n)
+    for t, residual in zip(cfg.times, trace.residuals.tolist()):
+        evolved = conjugate(zq_propagator(h, t), q0).entries
+        assert abs(residual - np.linalg.norm(evolved[outside])) <= 1e-15

@@ -27,7 +27,7 @@ from mqspace import (
     spin_operator,
     total_z,
 )
-from mqspace.operators import reconstruct
+from mqspace.operators import _ensure_hermitian, _memoized, reconstruct
 
 
 def test_spin_system_validation():
@@ -323,3 +323,22 @@ def test_random_operator_hermitian_flag():
     assert np.allclose(h.entries, h.entries.conj().T)
     g = random_operator(system, rng)
     assert g.hermitian_hint is None
+
+
+def test_hinted_construction_seeds_norm_and_hermiticity_defect(monkeypatch):
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    op = Operator(SpinSystem(4), a + a.conj().T, hermitian_hint=True)
+    norm = np.linalg.norm
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    assert op.norm() == norm(op.entries)
+    _ensure_hermitian(op, 1e-10, "hinted operator")
+    defect = _memoized(op, "hermiticity_defect", op.hermiticity_defect)
+    assert defect == op.hermiticity_defect()
+    assert calls == []
