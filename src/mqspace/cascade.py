@@ -104,6 +104,24 @@ def _align_cluster(cols: np.ndarray, local_cells: list[np.ndarray]) -> np.ndarra
     return np.hstack(finished) if finished else cols
 
 
+def _assignment_order(
+    overlaps: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (eigenvector column, cell) pair in greedy assignment order.
+
+    ``overlaps[ci, col]`` is the weight of column ``col`` inside cell
+    ``ci`` and ``w`` the eigenvalues. Pairs are sorted by descending
+    overlap, then ascending eigenvalue, column and cell; the column and
+    cell indices are returned in that order.
+    """
+    cells, m = overlaps.shape
+    ci = np.repeat(np.arange(cells), m)
+    col = np.tile(np.arange(m), cells)
+    # lexsort's last key is the primary one
+    order = np.lexsort((ci, col, w[col], -overlaps.reshape(-1)))
+    return col[order], ci[order]
+
+
 def stage_reduce(
     h: Operator,
     target_partition,
@@ -187,17 +205,11 @@ def stage_reduce(
         overlaps = np.stack(
             [np.sum(np.abs(v[rows, :]) ** 2, axis=0) for rows in local_cells]
         )
-        candidates = sorted(
-            (
-                (-overlaps[ci, col], w[col], col, ci)
-                for ci in range(len(local_cells))
-                for col in range(m)
-            ),
-        )
+        cand_cols, cand_cells = _assignment_order(overlaps, w)
         capacity = [rows.size for rows in local_cells]
         assigned_cols: list[list[int]] = [[] for _ in local_cells]
         col_taken = [False] * m
-        for _neg, _w, col, ci in candidates:
+        for col, ci in zip(cand_cols.tolist(), cand_cells.tolist()):
             if col_taken[col] or capacity[ci] == 0:
                 continue
             col_taken[col] = True

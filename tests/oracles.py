@@ -92,6 +92,31 @@ def pattern_mask(tag, n):
     return mask
 
 
+def order_leaks_dense(zm, n):
+    """Out-of-order weight of Z E, E Z and [Z, E] for every shift unit E.
+
+    All 4**n units are built as one dense (4**n, 2**n, 2**n) stack,
+    16**n entries, and the products are batched matmuls, so keep n <= 4.
+    Entry [r, c] of each returned (2**n, 2**n) array is the Frobenius
+    norm of the product's elements whose order differs from that of the
+    unit with its 1 at (r, c).
+    """
+    dim = 2**n
+    orders = np.array(
+        [[element_order(r, c) for c in range(dim)] for r in range(dim)]
+    )
+    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
+    # unit r * dim + c has order orders[r, c]
+    off = orders[None, :, :] != orders.reshape(-1)[:, None, None]
+    left = np.matmul(zm[None, :, :], units)
+    right = np.matmul(units, zm[None, :, :])
+    leaks = []
+    for prod in (left, right, left - right):
+        leaked = np.where(off, prod, 0.0).reshape(dim * dim, -1)
+        leaks.append(np.linalg.norm(leaked, axis=1).reshape(dim, dim))
+    return tuple(leaks)
+
+
 def walsh(n):
     dim = 2**n
     w = np.zeros((dim, dim))

@@ -1,5 +1,7 @@
 """Staged reduction tests: partitions, single stages, full cascades."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -219,3 +221,54 @@ def test_longitudinal_input_is_fixed_by_every_stage():
     result = cascade(h)
     for reduced in (result.h1, result.h2, result.h3):
         assert is_member(reduced, SubspaceTag.LOMSO).residual <= 1e-12
+
+
+# the package's ``cascade`` attribute is the function, not the module
+cascade_module = importlib.import_module("mqspace.cascade")
+
+
+def _tuple_sort_order(overlaps, w):
+    reference = sorted(
+        (-overlaps[ci, col], w[col], col, ci)
+        for ci in range(overlaps.shape[0])
+        for col in range(overlaps.shape[1])
+    )
+    return [col for _, _, col, _ in reference], [ci for _, _, _, ci in reference]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_assignment_order_matches_tuple_sort_on_degenerate_input(n, monkeypatch):
+    # a uniform flip-flop chain has repeated eigenvalues and, after the
+    # cluster alignment, many exactly equal overlaps; every stage's
+    # candidate order must equal the sort over (-overlap, w, col, cell)
+    seen = []
+    order = cascade_module._assignment_order
+
+    def recording(overlaps, w):
+        cols, cells = order(overlaps, w)
+        seen.append((overlaps.copy(), w.copy(), cols, cells))
+        return cols, cells
+
+    monkeypatch.setattr(cascade_module, "_assignment_order", recording)
+    system = SpinSystem(n)
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    cascade(build_hamiltonian(system, HamiltonianSpec("flipflop", couplings=chain)))
+
+    assert seen
+    ties = 0
+    for overlaps, w, cols, cells in seen:
+        assert (cols.tolist(), cells.tolist()) == _tuple_sort_order(overlaps, w)
+        ties += len(w) - len(np.unique(w))
+    assert ties > 0
+
+
+def test_assignment_order_uses_every_tie_breaking_key():
+    # eigh returns ascending eigenvalues, so a cascade never shows the
+    # eigenvalue key apart from the column key; draw unsorted eigenvalues
+    # and overlaps from few values, signed zeros included, to tie all keys
+    rng = np.random.default_rng(11)
+    for cells, m in ((1, 1), (3, 8), (5, 5), (7, 20)):
+        overlaps = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(cells, m))
+        w = rng.choice([-1.0, 0.0, -0.0, 2.0], size=m)
+        cols, cell_ids = cascade_module._assignment_order(overlaps, w)
+        assert (cols.tolist(), cell_ids.tolist()) == _tuple_sort_order(overlaps, w)

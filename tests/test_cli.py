@@ -405,6 +405,23 @@ def test_verify_csv_summary(capsys):
     assert all(",true," in line for line in lines[1:])
 
 
+def test_verify_six_spins_runs_every_sweep(capsys):
+    code, out, _ = run_cli(
+        capsys, ["verify", "--n", "6", "--trials", "2", "--combos", "2"]
+    )
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    zq_cells = math.comb(12, 6) - 2**6
+    assert [c["checks_run"] for c in doc["checks"]] == [
+        3 * 2 * 4**6,
+        2 * zq_cells + 2 * 2,
+        6,
+        6,
+        6,
+    ]
+
+
 def test_cascade_subcommand_random_and_model(capsys):
     code, out, _ = run_cli(capsys, ["cascade", "--n", "3", "--seed", "5"])
     assert code == EXIT_OK

@@ -1,13 +1,20 @@
 """Structural verification sweeps and their reporting."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from mqspace import (
     SpinSystem,
+    SubspaceTag,
     build_operator,
     commutator,
     order_components,
+    project,
+    random_operator,
     spin_operator,
     verify_extreme_states,
     verify_order_preservation,
@@ -85,3 +92,58 @@ def test_extreme_states_are_exact_null_eigenvectors():
         e[state_index] = 1.0
         overlap = null_vectors.conj().T @ e
         assert np.linalg.norm(overlap) == pytest.approx(1.0, abs=1e-10)
+
+
+# the package exports functions that shadow some submodule names
+properties = importlib.import_module("mqspace.properties")
+
+
+def _planted_operators(n, rng):
+    """A projected order-0 Z, and two that leak: one planted element, and all orders."""
+    system = SpinSystem(n)
+    zq = project(random_operator(system, rng), SubspaceTag.ZERO_QUANTUM).entries
+    planted = zq.copy()
+    # element (0, 1) has order +1
+    planted[0, 1] += 0.3 - 0.2j
+    full = random_operator(system, rng).entries
+    return {"zero_quantum": zq, "planted": planted, "all_orders": full}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_order_leaks_match_dense_unit_stack(n):
+    rng = np.random.default_rng(40 + n)
+    for name, z in _planted_operators(n, rng).items():
+        zm = z / np.linalg.norm(z)
+        fast = properties._order_leaks(zm, n)
+        dense = oracles.order_leaks_dense(zm, n)
+        for key, got, want in zip(("left", "right", "commutator"), fast, dense):
+            assert got.shape == want.shape == (2**n, 2**n), (name, key)
+            assert np.abs(got - want).max() <= 1e-15, (name, key)
+            if name == "zero_quantum":
+                assert not got.any(), key
+            else:
+                assert want.max() > 1e-3, (name, key)
+
+
+def test_order_preservation_sweep_records_a_leaking_generator(monkeypatch):
+    # skip the zero-quantum projection so every trial's Z has all orders
+    monkeypatch.setattr(properties, "project", lambda q, tag: q)
+    report = verify_order_preservation(SpinSystem(3), trials=2, seed=0)
+    assert not report.passed
+    assert report.checks == 2 * 3 * 4**3
+    assert len(report.violations) == 2 * 3
+    assert all(value > 0.05 for value in report.max_residuals.values())
+    assert report.violations[0].startswith("trial 0: left residual")
+
+
+def test_order_preservation_memory_is_bounded_at_seven_spins():
+    # a dense unit stack would need 16**7 complex entries (over 4 GiB)
+    tracemalloc.start()
+    try:
+        report = verify_order_preservation(SpinSystem(7), trials=1, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert report.checks == 3 * 4**7
+    assert peak < 64 * 2**20
