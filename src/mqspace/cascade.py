@@ -12,10 +12,24 @@ progressively narrower support.
 Each stage works on the eigenvectors of its input. They are assigned to
 target cells greedily by descending subspace overlap under exact cell
 capacities, and the stage unitary is the unitary polar factor of the
-direct-rotation sum ``sum_c P_c Q_c`` (cell projector times assigned
-eigenprojector), which maps each assigned eigenspace exactly onto its
-cell. When that sum is close to singular the stage falls back to an
-explicit eigenvector-to-axis mapping, which is flagged in the result.
+direct-rotation sum ``D = sum_c P_c Q_c`` (cell projector times assigned
+eigenprojector; Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which
+maps each assigned eigenspace exactly onto its cell. Every eigenvector
+goes to exactly one cell and cell ``c`` receives ``|c|`` of them, so
+``D = Pi blockdiag(X_c) V_A^H`` with ``X_c = v[rows_c, cols_c]`` square,
+``Pi`` a row permutation and ``V_A`` the unitary of reordered
+eigenvectors. Its polar factor is therefore ``Pi blockdiag(polar(X_c))
+V_A^H`` (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)) and its
+smallest singular value the least ``sigma_min(X_c)``: one small SVD per
+cell replaces the SVD of the whole sum. When that sum is close to
+singular the stage falls back to an explicit eigenvector-to-axis
+mapping, which is flagged in the result.
+
+The stage unitary is block-diagonal over the constraint blocks, so the
+reduced operator ``U h U^H`` is formed block by block on ``h`` gathered
+into constraint-block order. Every off-block entry of ``h`` is carried
+through the product, so the stage residual still measures the full
+weight outside the target cells.
 """
 
 from __future__ import annotations
@@ -25,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, ToleranceError
-from .operators import Operator, SpinSystem, _down_counts, _ensure_hermitian
+from .operators import Operator, SpinSystem, _adopt, _down_counts, _ensure_hermitian
 from .subspaces import Membership, SubspaceTag, is_member, selective_blocks
 
 __all__ = [
@@ -62,12 +76,19 @@ def singleton_partition(system: SpinSystem) -> list[tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class StageReduction:
-    """One stage's unitary, its reduced operator and diagnostics."""
+    """One stage's unitary, its reduced operator and diagnostics.
+
+    ``smallest_sigma`` is the smallest singular value of the
+    direct-rotation sum over every constraint block; a block whose value
+    is at most ``FALLBACK_SIGMA`` took the axis mapping instead
+    (``fallback_used``).
+    """
 
     unitary: Operator
     reduced: Operator
     residual: float
     fallback_used: bool
+    smallest_sigma: float
 
 
 # the blocks of each constraint pattern, as index cells
@@ -122,6 +143,44 @@ def _assignment_order(
     return col[order], ci[order]
 
 
+def _direct_rotation_polar(
+    v: np.ndarray, local_cells: list[np.ndarray], assigned_cols: list[list[int]]
+) -> tuple[np.ndarray, float]:
+    """Polar factor and smallest singular value of a direct-rotation sum.
+
+    ``v`` holds one constraint block's eigenvectors, ``local_cells`` the
+    rows of each target cell and ``assigned_cols`` the columns assigned
+    to it, as many as it has rows. The sum ``sum_c P_c V_c V_c^H`` is a
+    row permutation of ``blockdiag(X_c)`` times a unitary, with
+    ``X_c = v[rows_c, cols_c]``, so its polar factor has rows
+    ``polar(X_c) V_c^H`` and its smallest singular value is the least
+    over cells of ``sigma_min(X_c)``.
+    """
+    m = v.shape[0]
+    u_block = np.empty((m, m), dtype=complex)
+    smallest = np.inf
+    for rows, cols in zip(local_cells, assigned_cols):
+        vc = v[:, cols]
+        uu, sigma, vvh = np.linalg.svd(vc[rows, :])
+        smallest = min(smallest, float(sigma[-1]))
+        u_block[rows, :] = (uu @ vvh) @ vc.conj().T
+    return u_block, smallest
+
+
+def _axis_mapping(
+    v: np.ndarray, local_cells: list[np.ndarray], assigned_cols: list[list[int]]
+) -> np.ndarray:
+    """Map each cell's assigned eigenvectors straight onto its axes.
+
+    Inside a cell, ascending columns (eigenvalues) go to ascending rows.
+    """
+    m = v.shape[0]
+    u_block = np.empty((m, m), dtype=complex)
+    for rows, cols in zip(local_cells, assigned_cols):
+        u_block[np.sort(rows), :] = v[:, sorted(cols)].conj().T
+    return u_block
+
+
 def stage_reduce(
     h: Operator,
     target_partition,
@@ -138,6 +197,15 @@ def stage_reduce(
     constraint hold exactly. Every target cell must lie inside a single
     constraint block. The reduced operator is ``V h adjoint(V)`` with
     the same spectrum as ``h``.
+
+    Each block's unitary is the polar factor of its direct-rotation sum,
+    taken one target cell at a time (see :func:`_direct_rotation_polar`).
+    ``V h adjoint(V)`` is applied in constraint-block order: ``h`` is
+    gathered once so each block is a contiguous slice, multiplied by the
+    block's unitary from the left on its rows and by its adjoint from
+    the right on its columns, and scattered back. That is the dense
+    product, off-block entries of ``h`` included, so ``residual`` counts
+    them too.
     """
     system = h.system
     dim = system.dim
@@ -175,15 +243,16 @@ def stage_reduce(
             )
 
     unitary = np.zeros((dim, dim), dtype=complex)
+    u_blocks = []
     fallback_used = False
+    smallest_sigma = np.inf
     for b, blk in enumerate(coarse):
         pos_of = {int(g): p for p, g in enumerate(blk)}
-        local_cells = []
-        local_cell_ids = []
-        for c, cell in enumerate(cells):
-            if coarse_of[cell[0]] == b:
-                local_cells.append(np.array([pos_of[int(g)] for g in cell]))
-                local_cell_ids.append(c)
+        local_cells = [
+            np.array([pos_of[int(g)] for g in cell])
+            for cell in cells
+            if coarse_of[cell[0]] == b
+        ]
 
         sub = h.entries[np.ix_(blk, blk)]
         sub = 0.5 * (sub + sub.conj().T)
@@ -216,34 +285,44 @@ def stage_reduce(
             capacity[ci] -= 1
             assigned_cols[ci].append(col)
 
-        direct = np.zeros((m, m), dtype=complex)
-        for rows, cols in zip(local_cells, assigned_cols):
-            vc = v[:, cols]
-            direct[rows, :] = vc[rows, :] @ vc.conj().T
-        uu, sigma, vvh = np.linalg.svd(direct)
-        if sigma.size and sigma[-1] > FALLBACK_SIGMA:
-            u_block = uu @ vvh
-        else:
+        u_block, sigma_min = _direct_rotation_polar(v, local_cells, assigned_cols)
+        smallest_sigma = min(smallest_sigma, sigma_min)
+        if not sigma_min > FALLBACK_SIGMA:
             # near-singular direct rotation: map eigenvectors straight
             # onto cell axes, eigenvalue order inside each cell
             fallback_used = True
-            u_block = np.zeros((m, m), dtype=complex)
-            for rows, cols in zip(local_cells, assigned_cols):
-                for row, col in zip(np.sort(rows), sorted(cols)):
-                    u_block += np.outer(
-                        np.eye(m)[row], v[:, col].conj()
-                    )
+            u_block = _axis_mapping(v, local_cells, assigned_cols)
         unitary[np.ix_(blk, blk)] = u_block
+        u_blocks.append(u_block)
 
-    reduced = unitary @ h.entries @ unitary.conj().T
-    reduced = 0.5 * (reduced + reduced.conj().T)
+    # U h U^H in constraint-block order, where U is block-diagonal; each
+    # full-size temporary is dropped once consumed to bound peak memory
+    order = np.concatenate(coarse)
+    bounds = np.cumsum([0] + [blk.size for blk in coarse])
+    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    hp = h.entries[np.ix_(order, order)]
+    left = np.empty_like(hp)
+    for u_block, sl in zip(u_blocks, slices):
+        left[sl] = u_block @ hp[sl]
+    del hp
+    product = np.empty_like(left)
+    for u_block, sl in zip(u_blocks, slices):
+        product[:, sl] = left[:, sl] @ u_block.conj().T
+    del left
+    product += product.conj().T
+    product *= 0.5
+    reduced = np.empty_like(product)
+    reduced[np.ix_(order, order)] = product
+    del product
+
     off_target = np.where(cell_of[:, None] == cell_of[None, :], 0.0, reduced)
     residual = float(np.linalg.norm(off_target))
     return StageReduction(
-        Operator(system, unitary),
-        Operator(system, reduced, True),
+        _adopt(system, unitary),
+        _adopt(system, reduced, True),
         residual,
         fallback_used,
+        smallest_sigma,
     )
 
 
@@ -256,8 +335,11 @@ class CascadeResult:
     zero-quantum, then diagonal). ``stage_classes`` records that the
     second unitary is an even-order member and the third a zero-quantum
     member; both hold exactly because each stage works inside the blocks
-    the previous one established. ``spectrum_error`` compares the sorted
-    input eigenvalues with the sorted diagonal of the final operator.
+    the previous one established. ``fallbacks`` flags the stages that
+    took the axis mapping and ``smallest_sigmas`` holds each stage's
+    smallest direct-rotation singular value. ``spectrum_error`` compares
+    the sorted input eigenvalues with the sorted diagonal of the final
+    operator.
     """
 
     v1: Operator
@@ -269,6 +351,7 @@ class CascadeResult:
     residuals: dict[str, float]
     stage_classes: dict[str, Membership]
     fallbacks: tuple[bool, bool, bool]
+    smallest_sigmas: tuple[float, float, float]
     spectrum_error: float
 
     @property
@@ -335,5 +418,6 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
         residuals,
         stage_classes,
         (s1.fallback_used, s2.fallback_used, s3.fallback_used),
+        (s1.smallest_sigma, s2.smallest_sigma, s3.smallest_sigma),
         spectrum_error,
     )

@@ -239,8 +239,8 @@ def conjugate(u: Operator, q: Operator) -> Operator:
     r = u.entries @ q.entries @ u.entries.conj().T
     if q.hermitian_hint is True:
         r = 0.5 * (r + r.conj().T)
-        return Operator(u.system, r, True)
-    return Operator(u.system, r)
+        return _adopt(u.system, r, True)
+    return _adopt(u.system, r)
 
 
 def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operator:

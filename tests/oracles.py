@@ -117,6 +117,32 @@ def order_leaks_dense(zm, n):
     return tuple(leaks)
 
 
+def direct_rotation_polar_dense(v, local_cells, assigned_cols):
+    """Polar factor and smallest singular value of the whole sum.
+
+    Builds the m x m direct-rotation sum ``sum_c P_c V_c V_c^H`` of one
+    constraint block (cell projector times assigned eigenprojector) and
+    takes one SVD of it.
+    """
+    m = v.shape[0]
+    direct = np.zeros((m, m), dtype=complex)
+    for rows, cols in zip(local_cells, assigned_cols):
+        vc = v[:, cols]
+        direct[rows, :] = vc[rows, :] @ vc.conj().T
+    uu, sigma, vvh = np.linalg.svd(direct)
+    return uu @ vvh, float(sigma[-1])
+
+
+def axis_mapping_loop(v, local_cells, assigned_cols):
+    """Eigenvector-to-axis map, one outer product per (row, column) pair."""
+    m = v.shape[0]
+    u_block = np.zeros((m, m), dtype=complex)
+    for rows, cols in zip(local_cells, assigned_cols):
+        for row, col in zip(np.sort(rows), sorted(cols)):
+            u_block += np.outer(np.eye(m)[row], v[:, col].conj())
+    return u_block
+
+
 def walsh(n):
     dim = 2**n
     w = np.zeros((dim, dim))

@@ -272,3 +272,163 @@ def test_assignment_order_uses_every_tie_breaking_key():
         w = rng.choice([-1.0, 0.0, -0.0, 2.0], size=m)
         cols, cell_ids = cascade_module._assignment_order(overlaps, w)
         assert (cols.tolist(), cell_ids.tolist()) == _tuple_sort_order(overlaps, w)
+
+
+def _record_polar_inputs(monkeypatch):
+    """Record each stage's ``_direct_rotation_polar`` inputs and outputs.
+
+    Returns a list with one entry per ``stage_reduce`` call, each a list
+    of ``(v, local_cells, assigned_cols, u_block, sigma_min)`` per
+    constraint block.
+    """
+    stages = []
+    polar = cascade_module._direct_rotation_polar
+    reduce = cascade_module.stage_reduce
+
+    def recording_polar(v, local_cells, assigned_cols):
+        u_block, sigma_min = polar(v, local_cells, assigned_cols)
+        stages[-1].append(
+            (v.copy(), [r.copy() for r in local_cells],
+             [list(c) for c in assigned_cols], u_block, sigma_min)
+        )
+        return u_block, sigma_min
+
+    def recording_reduce(*args, **kwargs):
+        stages.append([])
+        return reduce(*args, **kwargs)
+
+    monkeypatch.setattr(cascade_module, "_direct_rotation_polar", recording_polar)
+    monkeypatch.setattr(cascade_module, "stage_reduce", recording_reduce)
+    return stages
+
+
+def _random_hermitian(n, seed):
+    return random_operator(SpinSystem(n), np.random.default_rng(seed), hermitian=True)
+
+
+def _projector():
+    vec = np.ones(8) / np.sqrt(8.0)
+    return Operator(SpinSystem(3), np.outer(vec, vec), True)
+
+
+# random inputs and the degenerate inputs of the cascade tests above
+_POLAR_INPUTS = [
+    pytest.param(lambda n=n: _random_hermitian(n, 20 + n), id=f"random-n{n}")
+    for n in range(1, 7)
+] + [
+    pytest.param(
+        lambda: Operator(
+            SpinSystem(2), np.diag([3.0, 1.0, -1.0, 2.0]).astype(complex), True
+        ),
+        id="diagonal",
+    ),
+    pytest.param(_projector, id="projector"),
+    pytest.param(lambda: Operator(SpinSystem(2), np.zeros((4, 4)), True), id="zero"),
+    pytest.param(
+        lambda: build_hamiltonian(
+            SpinSystem(2), HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),))
+        ),
+        id="flipflop",
+    ),
+    pytest.param(lambda: total_z(SpinSystem(3)), id="total-z"),
+]
+
+
+@pytest.mark.parametrize("make_input", _POLAR_INPUTS)
+def test_per_cell_polar_factor_matches_dense_direct_rotation(make_input, monkeypatch):
+    # the polar factor taken one cell at a time equals the polar factor
+    # of the whole m x m direct-rotation sum, and so does sigma_min
+    stages = _record_polar_inputs(monkeypatch)
+    result = cascade(make_input())
+    assert len(stages) == 3
+    for stage, smallest in zip(stages, result.smallest_sigmas):
+        dense_sigmas = []
+        for v, local_cells, assigned_cols, u_block, sigma_min in stage:
+            u_dense, sigma_dense = oracles.direct_rotation_polar_dense(
+                v, local_cells, assigned_cols
+            )
+            assert abs(sigma_min - sigma_dense) <= 1e-12
+            assert np.max(np.abs(u_block - u_dense)) <= 1e-12
+            dense_sigmas.append(sigma_dense)
+        assert abs(smallest - min(dense_sigmas)) <= 1e-12
+
+
+@pytest.mark.parametrize("make_input", _POLAR_INPUTS)
+def test_axis_mapping_matches_outer_product_loop(make_input, monkeypatch):
+    stages = _record_polar_inputs(monkeypatch)
+    cascade(make_input())
+    for stage in stages:
+        for v, local_cells, assigned_cols, _, _ in stage:
+            assert np.array_equal(
+                cascade_module._axis_mapping(v, local_cells, assigned_cols),
+                oracles.axis_mapping_loop(v, local_cells, assigned_cols),
+            )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_forced_fallback_still_reduces(n, monkeypatch):
+    # no input reaches the near-singular branch on its own; a threshold
+    # above every singular value sends every block through it
+    monkeypatch.setattr(cascade_module, "FALLBACK_SIGMA", 10.0)
+    h = _random_hermitian(n, 40 + n)
+    result = cascade(h)
+    limit = cascade_module.STAGE_TOL * max(h.norm(), 1.0)
+    assert result.fallbacks == (True, True, True)
+    assert all(value <= limit for value in result.residuals.values())
+    assert all(result.stage_classes.values())
+    assert result.spectrum_error <= limit
+    assert all(0.0 < sigma <= 1.0 for sigma in result.smallest_sigmas)
+
+
+def _symmetrized_dense_product(stage, h):
+    u = stage.unitary.entries
+    r = u @ h.entries @ u.conj().T
+    return 0.5 * (r + r.conj().T)
+
+
+def test_block_order_conjugation_matches_dense_product():
+    system = SpinSystem(4)
+    h = random_operator(system, np.random.default_rng(31), hermitian=True)
+    # each input lies inside its constraint pattern
+    cases = [
+        (h, parity_partition(system), SubspaceTag.FULL),
+        (project(h, SubspaceTag.EVEN_MQ), popcount_partition(system), SubspaceTag.EVEN_MQ),
+        (
+            project(h, SubspaceTag.ZERO_QUANTUM),
+            singleton_partition(system),
+            SubspaceTag.ZERO_QUANTUM,
+        ),
+    ]
+    for source, partition, constraint in cases:
+        stage = stage_reduce(source, partition, constraint)
+        scale = max(source.norm(), 1.0)
+        dense = _symmetrized_dense_product(stage, source)
+        assert np.max(np.abs(stage.reduced.entries - dense)) <= 1e-12 * scale
+        assert stage.reduced.hermiticity_defect() == 0.0
+        assert not stage.reduced.entries.flags.writeable
+        assert not stage.unitary.entries.flags.writeable
+
+
+@pytest.mark.parametrize("constraint", [SubspaceTag.EVEN_MQ, SubspaceTag.ZERO_QUANTUM])
+def test_residual_counts_off_block_weight_below_tolerance(constraint):
+    # weight outside the constraint pattern, small enough to be accepted,
+    # stays in the product and therefore in the residual
+    system = SpinSystem(4)
+    rng = np.random.default_rng(32)
+    h = random_operator(system, rng, hermitian=True)
+    inside = project(h, constraint)
+    outside = h - inside
+    planted_norm = 1e-3 * cascade_module.STAGE_TOL * max(inside.norm(), 1.0)
+    noisy = inside + outside * (planted_norm / outside.norm())
+    planted = is_member(noisy, constraint).residual
+    assert 0.0 < planted <= cascade_module.STAGE_TOL * max(noisy.norm(), 1.0)
+    partition = (
+        popcount_partition(system)
+        if constraint is SubspaceTag.EVEN_MQ
+        else singleton_partition(system)
+    )
+    stage = stage_reduce(noisy, partition, constraint)
+    scale = max(noisy.norm(), 1.0)
+    dense = _symmetrized_dense_product(stage, noisy)
+    assert np.max(np.abs(stage.reduced.entries - dense)) <= 1e-12 * scale
+    assert abs(stage.residual - planted) <= 1e-3 * planted

@@ -417,3 +417,42 @@ def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
     # a cached decomposition gives the same propagator as a fresh one
     assert np.array_equal(expm_hermitian(h, 0.3).entries, first.entries)
     assert len(calls) == n + 1
+
+
+def test_conjugate_adopts_its_result_without_a_copy(monkeypatch):
+    # the product is freshly allocated, so it is wrapped as it is: no
+    # constructor copy, no second asymmetry or norm pass
+    rng = np.random.default_rng(17)
+    system = SpinSystem(3)
+    h = build_hamiltonian(system, HamiltonianSpec("flipflop", couplings=COUPLINGS))
+    u = expm_hermitian(h, 0.4)
+    hermitian = random_operator(system, rng, hermitian=True)
+    general = random_operator(system, rng)
+    constructed = []
+    init = Operator.__init__
+
+    def counting(self, *args, **kwargs):
+        constructed.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Operator, "__init__", counting)
+    norms = []
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(a))
+    moved = conjugate(u, hermitian)
+    moved_general = conjugate(u, general)
+    monkeypatch.undo()
+    assert constructed == [] and norms == []
+
+    assert moved.hermitian_hint is True
+    assert moved.hermiticity_defect() == 0.0
+    r = u.entries @ hermitian.entries @ u.entries.conj().T
+    assert np.array_equal(moved.entries, 0.5 * (r + r.conj().T))
+    assert moved_general.hermitian_hint is None
+    assert np.array_equal(
+        moved_general.entries, u.entries @ general.entries @ u.entries.conj().T
+    )
+    for op in (moved, moved_general):
+        assert op.entries.dtype == complex
+        assert not op.entries.flags.writeable
+        with pytest.raises(ValueError):
+            op.entries[0, 0] = 1.0
