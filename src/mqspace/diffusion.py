@@ -32,6 +32,7 @@ from .dynamics import (
     _blockwise_cells,
     _dense_cells,
     _diagonal_groups,
+    _label_cell,
     _profile,
     _walsh_bin,
     build_hamiltonian,
@@ -105,15 +106,19 @@ class DiffusionConfig:
                 "a traceless diagonal base operator"
             )
 
-        if self.track != "all":
+        if isinstance(self.track, str):
+            if self.track != "all":
+                raise ConfigurationError(
+                    f"track must be 'all' or a tuple of channel labels, got {self.track!r}"
+                )
+        else:
             track = tuple(str(lab) for lab in self.track)
             if not track:
                 raise ConfigurationError("track list is empty; use 'all' or labels")
-            (_, longitudinal), (_, orders) = _diagonal_groups(self.system.n)
-            _, _, units = zq_offdiagonal_cells(self.system.n)
-            known = set(longitudinal) | set(orders) | set(units)
             for lab in track:
-                if lab not in known:
+                cell = _label_cell(lab, self.system.n)
+                # subset 0 is the identity "E/2", which is no channel
+                if cell is None or cell == (True, 0):
                     raise ConfigurationError(
                         f"unknown channel label {lab!r} for n={self.system.n}"
                     )
@@ -141,34 +146,67 @@ class DiffusionTrace:
     ``(T, cells)`` complex, the off-diagonal zero-quantum entries in
     :func:`~mqspace.subspaces.zq_offdiagonal_cells` order; ``residuals``
     is ``(T,)``, the Frobenius weight outside the zero-quantum pattern.
-    ``profiles`` presents the same numbers as one
-    :class:`~mqspace.dynamics.AmplitudeProfile` per grid point; it is
-    built on first access and kept.
+    ``conserved`` is the inner product of the total-z operator with the
+    evolved state, constant whenever the Hamiltonian commutes with total
+    z. ``track`` is the run's :attr:`DiffusionConfig.track`.
+    ``block_sizes`` reports the d(k)^2 arithmetic cost per magnetization
+    block for the block-wise engine and is None otherwise.
 
-    ``channels`` maps each tracked label to a real array over the grid;
-    coherence channels report magnitudes since their amplitudes are
-    complex. ``conserved`` is the inner product of the total-z operator
-    with the evolved state, constant whenever the Hamiltonian commutes
-    with total z. ``block_sizes`` reports the d(k)^2 arithmetic cost per
-    magnetization block for the block-wise engine and is None otherwise.
+    The label-keyed views are built from these arrays on first read and
+    kept. ``channels`` maps each tracked label to a real array over the
+    grid; coherence channels report magnitudes since their amplitudes
+    are complex. Under ``track="all"`` it holds T floats for every
+    channel label, ``binomial(2n, n) - 1`` of them. ``undesired`` lists
+    the tracked labels other than the single-spin longitudinal ones, and
+    ``profiles`` presents the binned numbers as one
+    :class:`~mqspace.dynamics.AmplitudeProfile` per grid point.
     """
 
     times: tuple[float, ...]
     coefficients: np.ndarray
     coherences: np.ndarray
     residuals: np.ndarray
-    channels: dict[str, np.ndarray]
     conserved: np.ndarray
-    undesired: tuple[str, ...]
+    track: TrackSpec
     engine: str
     block_sizes: dict[int, int] | None = None
+
+    @property
+    def _n(self) -> int:
+        return self.coefficients.shape[1].bit_length() - 1
+
+    @cached_property
+    def channels(self) -> dict[str, np.ndarray]:
+        """Tracked label to channel series, built on first access."""
+        # one row per channel in label order, one column per time
+        if self.track == "all":
+            (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(self._n)
+            labels = longitudinal + orders + zq_offdiagonal_cells(self._n)[2]
+            n_diag = len(long_idx) + len(order_idx)
+            table = np.empty((len(labels), len(self.times)))
+            table[:n_diag] = self.coefficients[:, np.concatenate([long_idx, order_idx])].T
+            table[n_diag:] = np.abs(self.coherences).T
+        else:
+            labels = self.track
+            table = np.array([
+                self.coefficients[:, i] if diagonal else np.abs(self.coherences[:, i])
+                for diagonal, i in (_label_cell(lab, self._n) for lab in labels)
+            ])
+        return dict(zip(labels, table))
+
+    @cached_property
+    def undesired(self) -> tuple[str, ...]:
+        """Tracked labels other than single-spin longitudinal ones."""
+        (_, longitudinal), (_, orders) = _diagonal_groups(self._n)
+        if self.track == "all":
+            return orders + zq_offdiagonal_cells(self._n)[2]
+        return tuple(lab for lab in self.track if lab not in longitudinal)
 
     @cached_property
     def profiles(self) -> tuple[AmplitudeProfile, ...]:
         """One amplitude profile per grid point, built on first access."""
-        n = self.coefficients.shape[1].bit_length() - 1
         return tuple(
-            _profile(n, t, coeff, zqc, residual)
+            _profile(self._n, t, coeff, zqc, residual)
             for t, coeff, zqc, residual in zip(
                 self.times, self.coefficients, self.coherences, self.residuals.tolist()
             )
@@ -205,11 +243,11 @@ def _assemble(
 ) -> DiffusionTrace:
     """Bin each time's ``(diag, zqc, residual)`` cells into the trace."""
     n = config.system.n
-    (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(n)
-    _, _, units = zq_offdiagonal_cells(n)
+    (long_idx, _), (order_idx, _) = _diagonal_groups(n)
     points = len(config.times)
     coefficients = np.empty((points, 1 << n))
-    coherences = np.empty((points, len(units)), dtype=complex)
+    # every zero-quantum cell off the diagonal
+    coherences = np.empty((points, math.comb(2 * n, n) - (1 << n)), dtype=complex)
     residuals = np.empty(points)
     for i, (diag, zqc, residual) in enumerate(cells):
         coefficients[i] = _walsh_bin(n, diag, zqc, residual)
@@ -221,31 +259,16 @@ def _assemble(
     for arr in (coefficients, coherences, residuals):
         arr.setflags(write=False)
 
-    n_long = len(longitudinal)
-    n_diag = n_long + len(orders)
-    # one row per channel in label-universe order, one column per time
-    table = np.empty((n_diag + len(units), points))
-    table[:n_long] = coefficients[:, long_idx].T
-    table[n_long:n_diag] = coefficients[:, order_idx].T
-    table[n_diag:] = np.abs(coherences).T
-
-    # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2)
-    conserved = 2.0 ** (n - 2) * table[:n_long].sum(axis=0)
-    tracked = config.tracked_labels()
-    if config.track == "all":
-        undesired = orders + units
-    else:
-        row = {lab: j for j, lab in enumerate(longitudinal + orders + units)}
-        table = table[[row[lab] for lab in tracked]]
-        undesired = tuple(lab for lab in tracked if row[lab] >= n_long)
+    # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2); the
+    # rows are summed one after another, in label order
+    longitudinal = np.ascontiguousarray(coefficients[:, long_idx].T)
     return DiffusionTrace(
         times=config.times,
         coefficients=coefficients,
         coherences=coherences,
         residuals=residuals,
-        channels=dict(zip(tracked, table)),
-        conserved=conserved,
-        undesired=undesired,
+        conserved=2.0 ** (n - 2) * longitudinal.sum(axis=0),
+        track=config.track,
         engine=engine,
         block_sizes=block_sizes,
     )

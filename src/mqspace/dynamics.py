@@ -33,7 +33,6 @@ from .operators import (
     OperatorExpansion,
     SpinSystem,
     _adopt,
-    _down_counts,
     _ensure_hermitian,
     _memoized,
     reconstruct,
@@ -42,6 +41,7 @@ from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
     _ensure_zero_quantum,
+    _zq_cell_rank,
     is_member,
     selective_blocks,
     zq_offdiagonal_cells,
@@ -342,6 +342,33 @@ def _diagonal_groups(n: int):
     return tuple(groups)
 
 
+def _label_cell(label, n: int) -> tuple[bool, int] | None:
+    """Where the amplitude a channel label names is kept.
+
+    ``(True, s)`` for the all-z Cartesian operator of spin subset ``s``
+    (``s`` as in :func:`_diagonal_labels`, so ``"E/2"`` is 0);
+    ``(False, rank)`` for an off-diagonal zero-quantum unit, ``rank``
+    its position in :func:`zq_offdiagonal_cells` order; None for anything
+    else, a non-canonical spelling of a valid label included.
+    """
+    try:
+        spec = BaseOperatorSpec.from_label(label, n)
+    except ConfigurationError:
+        return None
+    if spec.label != label:
+        return None
+    if spec.kind == CARTESIAN:
+        if any(f not in ("e", "z") for f in spec.factors):
+            return None
+        return True, int("".join("1" if f == "z" else "0" for f in spec.factors), 2)
+    # a and + leave the row bit up, a and - the column bit
+    row = int("".join("0" if f in ("a", "+") else "1" for f in spec.factors), 2)
+    col = int("".join("0" if f in ("a", "-") else "1" for f in spec.factors), 2)
+    if row == col or row.bit_count() != col.bit_count():
+        return None
+    return False, int(_zq_cell_rank(n, row, col))
+
+
 def _walsh_bin(n: int, diag: np.ndarray, zqc: np.ndarray, residual: float) -> np.ndarray:
     """Real base-operator coefficients of an evolved operator's diagonal.
 
@@ -417,18 +444,13 @@ def _blockwise_cells(z: Operator, q: Operator, times):
     _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     z._require_same_system(q)
     _checked_initial(q)
-    decomps = _block_eigh_cached(z)
-    dims = np.array([len(idx) for idx, _, _ in decomps])
-    # row r's cells start after those of every earlier row r', each of
-    # which holds d(k') - 1 cells for its block k'
-    per_row = dims[_down_counts(z.system.n)] - 1
-    starts = np.cumsum(per_row) - per_row
-    n_cells = int(per_row.sum())
+    n = z.system.n
     blocks = []
-    for idx, w, v in decomps:
+    for idx, w, v in _block_eigh_cached(z):
         rotated = v.conj().T @ q.entries[np.ix_(idx, idx)] @ v
-        cells = (starts[idx][:, None] + np.arange(len(idx) - 1)).ravel()
-        blocks.append((idx, w, v, rotated, cells))
+        i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
+        blocks.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
+    n_cells = sum(len(cells) for *_, cells in blocks)
     for t in times:
         diag = np.empty(z.system.dim, dtype=complex)
         zqc = np.empty(n_cells, dtype=complex)
@@ -460,25 +482,22 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
 def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operator:
     """Dense operator described by the bins of an amplitude profile."""
     n = system.n
-    labels = _diagonal_labels(n)
     coeff = np.zeros(1 << n)
-    index = {lab: s for s, lab in enumerate(labels)}
     coeff[0] = profile.identity
     for source in (profile.longitudinal, profile.spin_orders):
         for lab, value in source.items():
-            if lab not in index:
+            cell = _label_cell(lab, n)
+            if cell is None or not cell[0]:
                 raise ConfigurationError(f"label {lab!r} is not diagonal for n={n}")
-            coeff[index[lab]] = value
+            coeff[cell[1]] = value
     diag = 0.5 * (_walsh_matrix(n) @ coeff)
     entries = np.diag(diag.astype(complex))
-    rows, cols, unit_labels = zq_offdiagonal_cells(n)
-    unit_index = {lab: pos for pos, lab in enumerate(unit_labels)}
+    rows, cols, _ = zq_offdiagonal_cells(n)
     for lab, value in profile.zqc.items():
-        try:
-            pos = unit_index[lab]
-        except KeyError:
+        cell = _label_cell(lab, n)
+        if cell is None or cell[0]:
             raise ConfigurationError(
                 f"label {lab!r} is not an off-diagonal zero-quantum unit for n={n}"
-            ) from None
-        entries[rows[pos], cols[pos]] = value
+            )
+        entries[rows[cell[1]], cols[cell[1]]] = value
     return Operator(system, entries)

@@ -593,7 +593,7 @@ def reconstruct(system: SpinSystem, expansion: OperatorExpansion) -> Operator:
     kind = expansion.basis_kind
     if kind not in (CARTESIAN, SHIFT):
         raise ConfigurationError(f"unknown basis kind {kind!r}")
-    label_index = {lab: i for i, lab in enumerate(_basis_labels(n, kind))}
+    alphabet = CARTESIAN_FACTORS if kind == CARTESIAN else SHIFT_FACTORS
     coeff = np.zeros((4,) * n, dtype=complex).reshape(-1)
     for label, value in expansion.coefficients.items():
         spec = BaseOperatorSpec.from_label(label, n)
@@ -601,7 +601,12 @@ def reconstruct(system: SpinSystem, expansion: OperatorExpansion) -> Operator:
             raise ConfigurationError(
                 f"label {label!r} does not belong to the {kind} basis"
             )
-        coeff[label_index[label]] = value
+        # the factors are base-4 digits, spin 1 the most significant, as
+        # in enumerate_basis
+        index = 0
+        for f in spec.factors:
+            index = 4 * index + alphabet.index(f)
+        coeff[index] = value
     coeff = coeff.reshape((4,) * n)
     if kind == CARTESIAN:
         coeff = coeff / _prefactor_scale(n)

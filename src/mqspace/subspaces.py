@@ -226,6 +226,40 @@ def zq_offdiagonal_cells(n: int):
     return rows, cols, labels
 
 
+@lru_cache(maxsize=16)
+def _zq_row_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(start, position)`` per basis state, for :func:`_zq_cell_rank`.
+
+    ``start[r]`` counts the off-diagonal zero-quantum cells of all rows
+    before ``r`` (row ``r'`` holds ``d(k') - 1``, ``k'`` its block) and
+    ``position[s]`` is the rank of state ``s`` among the states of its
+    block, ascending.
+    """
+    pc = _down_counts(n)
+    dims = np.bincount(pc)
+    position = np.empty_like(pc)
+    for k, d in enumerate(dims):
+        position[pc == k] = np.arange(d)
+    per_row = dims[pc] - 1
+    start = np.cumsum(per_row) - per_row
+    for arr in (start, position):
+        arr.setflags(write=False)
+    return start, position
+
+
+def _zq_cell_rank(n: int, rows, cols):
+    """Positions of off-diagonal zero-quantum cells in :func:`zq_offdiagonal_cells` order.
+
+    Row ``r``'s cells follow those of every earlier row and run through
+    the other states of ``r``'s block in ascending order, so the rank of
+    ``(r, c)`` is the row's start plus the rank of ``c`` in the block,
+    less one when ``c`` lies past the skipped diagonal. The cells must be
+    zero-quantum and off the diagonal; that is not checked here.
+    """
+    start, position = _zq_row_layout(n)
+    return start[rows] + position[cols] - (cols > rows)
+
+
 def _shift_label_table(first: int, count: int) -> np.ndarray:
     """Shift-label fragments of spins ``first .. first + count - 1``.
 

@@ -541,6 +541,16 @@ def test_verify_flags_out_of_range_exit_config(capsys, flag, value):
     assert flag[2:] in err
 
 
+@pytest.mark.parametrize("n", [True, 2.5], ids=["bool", "float"])
+def test_config_spin_count_of_the_wrong_kind_exits_config(capsys, tmp_path, n):
+    cfg = tmp_path / "d.json"
+    cfg.write_text(json.dumps({"n": n}))
+    code, out, err = run_cli(capsys, ["dims", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: spin count must be an integer, got {n!r}\n"
+
+
 def test_evolve_config_rejects_non_integer_points(capsys, tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(

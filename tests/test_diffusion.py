@@ -31,6 +31,7 @@ from mqspace import (
 from mqspace.dynamics import _blockwise_cells, _dense_cells, _profile, _walsh_bin
 
 diffusion = importlib.import_module("mqspace.diffusion")
+dynamics = importlib.import_module("mqspace.dynamics")
 
 CHAIN4 = HamiltonianSpec(
     "dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))
@@ -107,6 +108,21 @@ def test_config_validates_track_list():
         DiffusionConfig(system, PAIR, times, track=())
     with pytest.raises(ConfigurationError):
         DiffusionConfig(system, PAIR, times, track=("I1z", "I1z"))
+
+
+@pytest.mark.parametrize("label", ["E/2", "I1x", "a1b2", "I1+a2", "I9z", "I1zI2z"])
+def test_config_names_an_unknown_channel_label(label):
+    with pytest.raises(ConfigurationError) as info:
+        DiffusionConfig(SpinSystem(2), PAIR, (0.0, 1.0), track=("I1z", label))
+    assert str(info.value) == f"unknown channel label {label!r} for n=2"
+
+
+def test_config_rejects_a_bare_label_string_as_track():
+    with pytest.raises(ConfigurationError) as info:
+        DiffusionConfig(SpinSystem(2), PAIR, (0.0, 1.0), track="I1z")
+    assert str(info.value) == (
+        "track must be 'all' or a tuple of channel labels, got 'I1z'"
+    )
 
 
 def test_tracked_labels_all_covers_every_channel():
@@ -349,6 +365,42 @@ def test_profiles_are_built_on_first_read(monkeypatch, run):
     assert calls == list(cfg.times)
     assert trace.profiles is profiles
     assert calls == list(cfg.times)
+
+
+@pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
+def test_label_views_are_built_on_first_read(run):
+    cfg = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
+    trace = run(cfg)
+    for view in ("channels", "undesired"):
+        assert view not in trace.__dict__
+        first = getattr(trace, view)
+        assert trace.__dict__[view] is first
+        assert getattr(trace, view) is first
+
+
+def test_tracked_block_run_never_builds_the_label_universe(monkeypatch):
+    n = 6
+    track = ("I2z", "4I1zI3zI6z", "I1+I2-a3a4a5a6", "I1z", "b1I2-a3I4+b5a6")
+    cfg = DiffusionConfig(
+        SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5), track=track
+    )
+    reference = run_diffusion(cfg)
+
+    def refuse(n):
+        raise AssertionError("the label universe was built")
+
+    for module in (diffusion, dynamics):
+        monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
+    trace = run_blockwise(
+        DiffusionConfig(
+            SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5),
+            track=track,
+        )
+    )
+    assert list(trace.channels) == list(track)
+    assert trace.undesired == ("4I1zI3zI6z", "I1+I2-a3a4a5a6", "b1I2-a3I4+b5a6")
+    assert float(channel_discrepancy(reference, trace).max()) <= 1e-10
+    assert np.max(np.abs(trace.conserved - reference.conserved)) <= 1e-10
 
 
 @pytest.mark.parametrize("purge_bins", [False, True])

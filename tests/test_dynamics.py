@@ -7,6 +7,7 @@ import oracles
 from mqspace import (
     CARTESIAN,
     SHIFT,
+    AmplitudeProfile,
     ConfigurationError,
     HamiltonianSpec,
     InvariantError,
@@ -31,7 +32,14 @@ from mqspace import (
     spin_operator,
     zq_propagator,
 )
-from mqspace.dynamics import _diagonal_labels, _walsh_bin, _walsh_matrix
+from mqspace.dynamics import (
+    _diagonal_groups,
+    _diagonal_labels,
+    _label_cell,
+    _walsh_bin,
+    _walsh_matrix,
+)
+from mqspace.subspaces import zq_offdiagonal_cells
 
 COUPLINGS = ((1, 2, 0.8), (2, 3, -0.5), (1, 3, 0.3))
 
@@ -386,6 +394,45 @@ def test_diagonal_label_order():
     assert labels3[0] == "E/2"
     assert labels3[7] == "4I1zI2zI3z"
     assert labels3[5] == "2I1zI3z"
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_label_cell_places_every_channel_label(n):
+    for s, label in enumerate(_diagonal_labels(n)):
+        assert _label_cell(label, n) == (True, s), label
+    for group in _diagonal_groups(n):
+        for s, label in zip(group[0].tolist(), group[1]):
+            assert _label_cell(label, n) == (True, s), label
+    for rank, label in enumerate(zq_offdiagonal_cells(n)[2]):
+        assert _label_cell(label, n) == (False, rank), label
+
+
+@pytest.mark.parametrize("label", ["I1x", "a1b2", "I1+a2", "I9z", "I1zI2z", "I01z", 3])
+def test_label_cell_rejects_other_labels(label):
+    assert _label_cell(label, 2) is None
+
+
+def _profile_with(field, label):
+    bins = {"longitudinal": {}, "spin_orders": {}, "zqc": {}}
+    bins[field] = {label: 1.0}
+    return AmplitudeProfile(0.0, 0.0, residual=0.0, **bins)
+
+
+@pytest.mark.parametrize("label", ["I1x", "a1b2", "I1+a2", "I9z", "I1zI2z"])
+@pytest.mark.parametrize("field", ["longitudinal", "spin_orders"])
+def test_reconstruct_profile_names_a_foreign_diagonal_label(field, label):
+    with pytest.raises(ConfigurationError) as info:
+        reconstruct_profile(SpinSystem(2), _profile_with(field, label))
+    assert str(info.value) == f"label {label!r} is not diagonal for n=2"
+
+
+@pytest.mark.parametrize("label", ["E/2", "I1x", "a1b2", "I1+a2", "I9z", "I1zI2z"])
+def test_reconstruct_profile_names_a_foreign_unit_label(label):
+    with pytest.raises(ConfigurationError) as info:
+        reconstruct_profile(SpinSystem(2), _profile_with("zqc", label))
+    assert str(info.value) == (
+        f"label {label!r} is not an off-diagonal zero-quantum unit for n=2"
+    )
 
 
 def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):

@@ -12,6 +12,7 @@ from mqspace import (
     BaseOperatorSpec,
     ConfigurationError,
     Operator,
+    OperatorExpansion,
     SpinSystem,
     ToleranceError,
     build_operator,
@@ -270,6 +271,40 @@ def test_expand_reconstruct_round_trip(kind):
     back = reconstruct(system, result)
     assert np.allclose(back.entries, q.entries, atol=1e-12)
     assert result.residual <= 1e-12 * q.norm()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("kind", [CARTESIAN, SHIFT])
+def test_reconstruct_agrees_with_expand_on_full_and_sparse_expansions(kind, n):
+    rng = np.random.default_rng(n)
+    system = SpinSystem(n)
+    q = random_operator(system, rng)
+    full = expand(q, kind)
+    assert len(full.coefficients) == 4**n
+    assert np.allclose(reconstruct(system, full).entries, q.entries, atol=1e-12)
+    specs = enumerate_basis(system, kind)
+    picked = rng.choice(len(specs), size=min(3, len(specs)), replace=False)
+    sparse = {specs[i].label: complex(rng.standard_normal()) for i in picked}
+    back = reconstruct(system, OperatorExpansion(kind, sparse, 0.0))
+    direct = sum(
+        (c * build_operator(system, BaseOperatorSpec.from_label(lab, n))
+         for lab, c in sparse.items()),
+        Operator(system, np.zeros((2**n, 2**n))),
+    )
+    assert np.allclose(back.entries, direct.entries, atol=1e-12)
+    again = expand(back, kind).coefficients
+    assert set(again) == set(sparse)
+    for lab, c in sparse.items():
+        assert again[lab] == pytest.approx(c, abs=1e-12), lab
+
+
+@pytest.mark.parametrize(
+    "kind, label", [(CARTESIAN, "I1+I2-"), (SHIFT, "I1z"), (SHIFT, "E/2")]
+)
+def test_reconstruct_rejects_a_label_of_the_other_kind(kind, label):
+    with pytest.raises(ConfigurationError) as info:
+        reconstruct(SpinSystem(2), OperatorExpansion(kind, {label: 1.0}, 0.0))
+    assert str(info.value) == f"label {label!r} does not belong to the {kind} basis"
 
 
 def test_expand_drops_exact_zeros():

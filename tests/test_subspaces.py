@@ -27,6 +27,7 @@ from mqspace import (
     zq_offdiagonal_cells,
 )
 from mqspace.operators import BaseOperatorSpec
+from mqspace.subspaces import _zq_cell_rank
 
 TAGS = list(SubspaceTag)
 
@@ -235,6 +236,12 @@ def test_zq_offdiagonal_cells_match_per_cell_loop(n):
     assert rows.tolist() == [i for i, _ in cells]
     assert cols.tolist() == [j for _, j in cells]
     assert labels == tuple(_cell_label(i, j, n) for i, j in cells)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_zq_cell_rank_reproduces_cell_order(n):
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    assert np.array_equal(_zq_cell_rank(n, rows, cols), np.arange(len(rows)))
 
 
 def test_zq_offdiagonal_cells_two_digit_spins():
