@@ -18,13 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import (
-    CARTESIAN,
-    BaseOperatorSpec,
-    Operator,
-    SpinSystem,
-    build_operator,
-)
+from .operators import CARTESIAN, BaseOperatorSpec, Operator, SpinSystem
 from .subspaces import selective_blocks, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
@@ -230,9 +224,14 @@ def purge(profile: AmplitudeProfile) -> AmplitudeProfile:
     )
 
 
-def _initial_operator(config: DiffusionConfig) -> Operator:
-    spec = BaseOperatorSpec.from_label(config.initial, config.system.n)
-    return build_operator(config.system, spec)
+def _initial_diagonal(config: DiffusionConfig) -> np.ndarray:
+    """Initial operator's diagonal, ``0.5 * (-1)**popcount(S & i)`` exactly.
+
+    ``S`` is the spin subset of the config's all-z label.
+    """
+    n = config.system.n
+    _, subset = _label_cell(config.initial, n)
+    return 0.5 - (np.bitwise_count(subset & np.arange(1 << n)) & 1)
 
 
 def _assemble(
@@ -282,7 +281,7 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
     weight left outside the zero-quantum pattern.
     """
     h = build_hamiltonian(config.system, config.hamiltonian)
-    q0 = _initial_operator(config)
+    q0 = Operator(config.system, np.diag(_initial_diagonal(config)), True)
     cells = (_dense_cells(h, q0, t) for t in config.times)
     return _assemble(config, cells, "full", None)
 
@@ -290,15 +289,14 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     """Block-wise engine: each magnetization block evolves on its own.
 
-    Every block is diagonalized once and the initial operator's part of
-    it rotated into that eigenbasis once; each grid point then costs two
-    ``d(k) x d(k)`` products per block, and the block's entries go
-    straight into the amplitude bins. No ``2^n x 2^n`` matrix is formed
-    per block or per time.
+    The initial operator is its ``2^n`` diagonal of signs. Every block is
+    diagonalized once and that vector's part rotated into its eigenbasis
+    once; each grid point then costs two ``d(k) x d(k)`` products per
+    block, whose entries go straight into the amplitude bins, binned by
+    one fast Walsh-Hadamard transform. Only the Hamiltonian is ``2^n x 2^n``.
     """
     h = build_hamiltonian(config.system, config.hamiltonian)
-    q0 = _initial_operator(config)
-    cells = _blockwise_cells(h, q0, config.times)
+    cells = _blockwise_cells(h, _initial_diagonal(config), config.times)
     sizes = {b.k: b.dimension**2 for b in selective_blocks(config.system)}
     return _assemble(config, cells, "blockwise", sizes)
 

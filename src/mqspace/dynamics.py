@@ -310,16 +310,6 @@ class AmplitudeProfile:
 
 
 @lru_cache(maxsize=16)
-def _walsh_matrix(n: int) -> np.ndarray:
-    """Signs (-1)**popcount(S & i) for subset rows and state columns."""
-    idx = np.arange(1 << n, dtype=np.uint32)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    signs = 1.0 - 2.0 * parity
-    signs.setflags(write=False)
-    return signs
-
-
-@lru_cache(maxsize=16)
 def _diagonal_labels(n: int) -> tuple[str, ...]:
     """Label of the all-z Cartesian base operator for every spin subset.
 
@@ -349,13 +339,11 @@ def _label_cell(label, n: int) -> tuple[bool, int] | None:
     (``s`` as in :func:`_diagonal_labels`, so ``"E/2"`` is 0);
     ``(False, rank)`` for an off-diagonal zero-quantum unit, ``rank``
     its position in :func:`zq_offdiagonal_cells` order; None for anything
-    else, a non-canonical spelling of a valid label included.
+    else. Only canonical spellings parse, so each cell has one label.
     """
     try:
         spec = BaseOperatorSpec.from_label(label, n)
     except ConfigurationError:
-        return None
-    if spec.label != label:
         return None
     if spec.kind == CARTESIAN:
         if any(f not in ("e", "z") for f in spec.factors):
@@ -369,6 +357,22 @@ def _label_cell(label, n: int) -> tuple[bool, int] | None:
     return False, int(_zq_cell_rank(n, row, col))
 
 
+def _walsh(x: np.ndarray) -> np.ndarray:
+    """``out[s] = sum_i (-1)**popcount(s & i) * x[i]``, spin 1 the top bit.
+
+    The unnormalized fast Walsh-Hadamard transform of a ``2^n`` vector, one
+    butterfly pass per bit (Fino & Algazi, IEEE Trans. Comput. C-25, 1142
+    (1976)); the rows come in :func:`_diagonal_labels` order.
+    """
+    out = np.array(x)
+    for bit in range(out.size.bit_length() - 1):
+        pairs = out.reshape(-1, 2, 1 << bit)
+        top, bottom = pairs[:, 0].copy(), pairs[:, 1]
+        pairs[:, 0] += bottom
+        pairs[:, 1] = top - bottom
+    return out
+
+
 def _walsh_bin(n: int, diag: np.ndarray, zqc: np.ndarray, residual: float) -> np.ndarray:
     """Real base-operator coefficients of an evolved operator's diagonal.
 
@@ -378,7 +382,7 @@ def _walsh_bin(n: int, diag: np.ndarray, zqc: np.ndarray, residual: float) -> np
     Imaginary coefficient parts above 1e-10 of its norm are an
     :class:`InvariantError`.
     """
-    coeff = _walsh_matrix(n) @ diag / float(2 ** (n - 1))
+    coeff = _walsh(diag) / float(2 ** (n - 1))
     norm = math.sqrt(
         np.vdot(diag, diag).real + np.vdot(zqc, zqc).real + residual**2
     )
@@ -406,48 +410,42 @@ def _profile(
     )
 
 
-def _checked_initial(q: Operator) -> None:
+def _dense_cells(z: Operator, q: Operator, t: float):
+    """Cells of ``q`` conjugated by the full propagator of ``z`` at ``t``.
+
+    Returns ``(diag, zqc, residual)`` as :func:`_walsh_bin` takes them,
+    with the out-of-pattern residual measured on the dense result. ``q``
+    must be Hermitian, traceless and a zero-quantum member.
+    """
     _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
     tr = abs(q.trace())
     if tr > 1e-10 * max(q.norm(), 1.0):
         raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
     _ensure_zero_quantum(q, MEMBERSHIP_TOL, "expanded operator")
-
-
-def _dense_cells(z: Operator, q: Operator, t: float):
-    """Cells of ``q`` conjugated by the full propagator of ``z`` at ``t``.
-
-    Returns ``(diag, zqc, residual)`` as :func:`_walsh_bin` takes them,
-    with the out-of-pattern residual measured on the dense result.
-    """
-    _checked_initial(q)
     qc = conjugate(zq_propagator(z, t), q)
     rows, cols, _ = zq_offdiagonal_cells(z.system.n)
     residual = is_member(qc, SubspaceTag.ZERO_QUANTUM).residual
     return np.diag(qc.entries), qc.entries[rows, cols], residual
 
 
-def _blockwise_cells(z: Operator, q: Operator, times):
-    """Cells of ``q`` evolved under ``z`` at each time, block by block.
+def _blockwise_cells(z: Operator, q: np.ndarray, times):
+    """Cells of the diagonal operator ``diag(q)`` evolved under ``z``, per time.
 
-    Checks ``z`` as :func:`blockwise_conjugate` does and ``q`` as
-    :func:`amplitude_profile` does, once. Each block ``k`` is diagonalized
-    once, ``H_k = V diag(w) V^H``, and its part of ``q`` rotated once into
-    that eigenbasis, ``Q = V^H q_k V``. At time ``t`` the block evolves as
-    ``W Q W^H`` with ``W = V diag(exp(-i w t))``; its diagonal is scattered
-    into one ``2^n`` vector and its off-diagonal entries are gathered
-    straight into :func:`zq_offdiagonal_cells` order. After the checks
-    nothing of size ``4^n`` is formed, and the residual is exactly 0 by
-    construction. Yields ``(diag, zqc, 0.0)`` per time.
+    ``z`` is checked as :func:`blockwise_conjugate` checks it; ``q`` is
+    not, since a transfer config admits only traceless diagonals. Each
+    block ``k`` is diagonalized once, ``H_k = V diag(w) V^H``, and ``q``'s
+    part rotated once into that eigenbasis, ``Q = (V^H * q[idx]) V``.
+    At time ``t`` the block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``;
+    its diagonal is scattered into one ``2^n`` vector and its off-diagonal
+    entries gathered straight into :func:`zq_offdiagonal_cells` order. Nothing but ``z`` has ``4^n`` entries, and the residual is
+    exactly 0 by construction. Yields ``(diag, zqc, 0.0)`` per time.
     """
     _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
     _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
-    z._require_same_system(q)
-    _checked_initial(q)
     n = z.system.n
     blocks = []
     for idx, w, v in _block_eigh_cached(z):
-        rotated = v.conj().T @ q.entries[np.ix_(idx, idx)] @ v
+        rotated = (v.conj().T * q[idx]) @ v
         i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
         blocks.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
     n_cells = sum(len(cells) for *_, cells in blocks)
@@ -490,7 +488,7 @@ def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operat
             if cell is None or not cell[0]:
                 raise ConfigurationError(f"label {lab!r} is not diagonal for n={n}")
             coeff[cell[1]] = value
-    diag = 0.5 * (_walsh_matrix(n) @ coeff)
+    diag = 0.5 * _walsh(coeff)
     entries = np.diag(diag.astype(complex))
     rows, cols, _ = zq_offdiagonal_cells(n)
     for lab, value in profile.zqc.items():

@@ -312,10 +312,10 @@ def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:
         )
 
 
-_CART_LABEL = re.compile(r"^(\d*)((?:I\d+[xyz])+)$")
-_CART_TOKEN = re.compile(r"I(\d+)([xyz])")
-_SHIFT_LABEL = re.compile(r"^(?:[ab]\d+|I\d+[+-])+$")
-_SHIFT_TOKEN = re.compile(r"([ab])(\d+)|I(\d+)([+-])")
+_CART_LABEL = re.compile(r"([0-9]*)((?:I[1-9][0-9]*[xyz])+)")
+_CART_TOKEN = re.compile(r"I([0-9]+)([xyz])")
+_SHIFT_LABEL = re.compile(r"(?:[ab][1-9][0-9]*|I[1-9][0-9]*[+-])+")
+_SHIFT_TOKEN = re.compile(r"([ab])([0-9]+)|I([0-9]+)([+-])")
 
 
 def _shift_label(factors, first: int = 1) -> str:
@@ -386,8 +386,9 @@ class BaseOperatorSpec:
     def from_label(cls, label: str, n: int) -> "BaseOperatorSpec":
         """Parse a canonical label back into a spec for an ``n``-spin system.
 
-        Parsing is case sensitive, spins are 1-indexed and must appear
-        in strictly ascending order. Cartesian labels must carry the
+        Parsing is case sensitive and takes the whole string (a trailing
+        newline too). Spins are 1-indexed ASCII numbers without leading
+        zeros, in strictly ascending order. Cartesian labels must carry the
         exact ``2**(q-1)`` prefactor (omitted when it equals one) and
         shift labels must mention every spin exactly once.
         """
@@ -396,7 +397,7 @@ class BaseOperatorSpec:
         if label == "E/2":
             return cls(CARTESIAN, ("e",) * n)
 
-        m = _CART_LABEL.match(label)
+        m = _CART_LABEL.fullmatch(label)
         if m:
             prefix, body = m.groups()
             tokens = _CART_TOKEN.findall(body)
@@ -423,7 +424,7 @@ class BaseOperatorSpec:
                 )
             return cls(CARTESIAN, tuple(factors))
 
-        if _SHIFT_LABEL.match(label):
+        if _SHIFT_LABEL.fullmatch(label):
             factors: list[str | None] = [None] * n
             last = 0
             for proj, pspin, sspin, updown in _SHIFT_TOKEN.findall(label):

@@ -264,6 +264,13 @@ def test_evolve_explicit_time_list_flag(capsys):
     assert json.loads(out)["times"] == [0.0, 0.25, 1.5]
 
 
+def test_evolve_rejects_a_zero_padded_initial_label(capsys):
+    code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--initial", "I01z"])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert "I01z" in err
+
+
 def test_evolve_model_mix_is_rejected(capsys):
     # offsets cannot ride on a coupling model from the command line
     code, _, err = run_cli(

@@ -1,6 +1,7 @@
 """Transfer-run tests: config validation, engines, purging, discrepancy."""
 
 import importlib
+import itertools
 import math
 
 import numpy as np
@@ -416,7 +417,7 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
         cells = [_dense_cells(h, q0, t) for t in cfg.times]
     else:
         trace = run_blockwise(cfg)
-        cells = list(_blockwise_cells(h, q0, cfg.times))
+        cells = list(_blockwise_cells(h, np.diag(q0.entries).real, cfg.times))
     eager = []
     for t, (diag, zqc, residual) in zip(cfg.times, cells):
         profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
@@ -445,3 +446,32 @@ def test_dense_engine_residuals_are_the_out_of_pattern_weight():
     for t, residual in zip(cfg.times, trace.residuals.tolist()):
         evolved = conjugate(zq_propagator(h, t), q0).entries
         assert abs(residual - np.linalg.norm(evolved[outside])) <= 1e-15
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_initial_diagonal_is_the_dense_base_operator_diagonal(n):
+    system = SpinSystem(n)
+    for factors in itertools.product("ez", repeat=n):
+        if "z" not in factors:
+            continue
+        label = BaseOperatorSpec(CARTESIAN, factors).label
+        cfg = DiffusionConfig(system, _spec("flipflop", n), (0.0, 1.0), initial=label)
+        diagonal = diffusion._initial_diagonal(cfg)
+        assert diagonal.shape == (2**n,)
+        assert np.array_equal(diagonal, np.diag(oracles.cartesian_base(factors))), label
+
+
+def test_block_run_builds_no_kronecker_product(monkeypatch):
+    n = 6
+    cfg = DiffusionConfig(
+        SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5),
+        initial="2I2zI5z",
+    )
+
+    def refuse(*args):
+        raise AssertionError("a dense operator was built with np.kron")
+
+    monkeypatch.setattr(np, "kron", refuse)
+    trace = run_blockwise(cfg)
+    monkeypatch.undo()
+    assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10

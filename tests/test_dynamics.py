@@ -36,8 +36,8 @@ from mqspace.dynamics import (
     _diagonal_groups,
     _diagonal_labels,
     _label_cell,
+    _walsh,
     _walsh_bin,
-    _walsh_matrix,
 )
 from mqspace.subspaces import zq_offdiagonal_cells
 
@@ -384,8 +384,23 @@ def test_blockwise_conjugate_rejections():
 
 
 def test_walsh_matrix_matches_oracle():
-    for n in (1, 2, 3, 4):
-        assert np.array_equal(_walsh_matrix(n), oracles.walsh(n))
+    for n in (1, 2, 3, 4, 5, 6):
+        # the oracle is symmetric: unit vector i transforms to its row i
+        rows = [_walsh(unit) for unit in np.eye(2**n)]
+        assert np.array_equal(np.array(rows), oracles.walsh(n))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_agrees_with_the_oracle_product(n):
+    rng = np.random.default_rng(n)
+    w = oracles.walsh(n)
+    real = rng.standard_normal(2**n)
+    for x in (real, real + 1j * rng.standard_normal(2**n)):
+        saved = x.copy()
+        out = _walsh(x)
+        assert np.array_equal(x, saved)
+        assert out.dtype == x.dtype
+        assert np.max(np.abs(out - w @ x)) <= 1e-15 * np.sum(np.abs(x))
 
 
 def test_diagonal_label_order():

@@ -1,5 +1,7 @@
 """Core operator tests: base operators, labels, expansions, orders."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,6 +131,31 @@ def test_labels_of_known_operators():
 def test_label_parse_rejections(label):
     with pytest.raises(ConfigurationError):
         BaseOperatorSpec.from_label(label, 2)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["I01z", "2I01zI2z", "a01b2", "I1+I02-", "I\u0661z", "I1z\n", "E/2\n", "I0z"],
+)
+def test_non_canonical_spellings_are_rejected(label):
+    with pytest.raises(ConfigurationError):
+        BaseOperatorSpec.from_label(label, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("kind", [CARTESIAN, SHIFT])
+def test_every_canonical_label_round_trips(kind, n):
+    alphabet = "exyz" if kind == CARTESIAN else "ab+-"
+    for factors in itertools.product(alphabet, repeat=n):
+        spec = BaseOperatorSpec(kind, factors)
+        assert BaseOperatorSpec.from_label(spec.label, n) == spec
+
+
+def test_two_digit_spin_numbers_parse():
+    assert BaseOperatorSpec.from_label("I10z", 10).factors == ("e",) * 9 + ("z",)
+    spec = BaseOperatorSpec(SHIFT, ("a",) * 9 + ("+", "-"))
+    assert spec.label.endswith("a9I10+I11-")
+    assert BaseOperatorSpec.from_label(spec.label, 11) == spec
 
 
 @given(
