@@ -41,7 +41,7 @@ from .subspaces import (
     subspace_dims,
     verify_closure,
 )
-from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
+from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, _integer, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
     channel_discrepancy,
@@ -206,8 +206,7 @@ def _int_of(resolved: dict, key: str, default: int, minimum: int | None = None) 
     value = resolved.get(key)
     if value is None:
         return default
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    value = _integer(value, key)
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
     return value
@@ -262,13 +261,6 @@ def _hamiltonian_spec(resolved: dict) -> HamiltonianSpec:
         raise ConfigurationError(
             f"model {model!r} is not usable here; choose one of {', '.join(usable)}"
         )
-    try:
-        couplings = tuple(
-            (int(k), int(l), float(j)) for (k, l, j) in couplings
-        )
-        offsets = tuple((int(k), float(w)) for (k, w) in offsets)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed hamiltonian terms: {exc}") from exc
     return HamiltonianSpec(model=model, couplings=couplings, offsets=offsets)
 
 
@@ -294,9 +286,7 @@ def _parse_times(resolved: dict) -> tuple[float, ...]:
     if isinstance(times, dict):
         _check_keys(times, {"start", "end", "points"}, "times")
         try:
-            return linear_times(
-                float(times["start"]), float(times["end"]), int(times["points"])
-            )
+            return linear_times(float(times["start"]), float(times["end"]), times["points"])
         except KeyError as exc:
             raise ConfigurationError(f"times object misses key {exc}") from exc
         except (TypeError, ValueError) as exc:

@@ -19,13 +19,15 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .operators import CARTESIAN, BaseOperatorSpec, Operator, SpinSystem
-from .subspaces import selective_blocks, zq_offdiagonal_cells
+from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
     _blockwise_cells,
     _dense_cells,
     _diagonal_groups,
+    _hamiltonian_blocks,
+    _integer,
     _label_cell,
     _profile,
     _walsh_bin,
@@ -47,6 +49,7 @@ TrackSpec = Union[str, tuple]
 
 def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
     """Uniform grid of ``points`` times from ``start`` to ``end`` inclusive."""
+    points = _integer(points, "the number of grid times")
     if points < 2:
         raise ConfigurationError(f"a time grid needs at least 2 points, got {points}")
     if not (math.isfinite(start) and math.isfinite(end)):
@@ -289,15 +292,18 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     """Block-wise engine: each magnetization block evolves on its own.
 
-    The initial operator is its ``2^n`` diagonal of signs. Every block is
+    The Hamiltonian is built as its ``n + 1`` magnetization blocks and the
+    initial operator as its ``2^n`` diagonal of signs. Every block is
     diagonalized once and that vector's part rotated into its eigenbasis
     once; each grid point then costs two ``d(k) x d(k)`` products per
     block, whose entries go straight into the amplitude bins, binned by
-    one fast Walsh-Hadamard transform. Only the Hamiltonian is ``2^n x 2^n``.
+    one fast Walsh-Hadamard transform. A named model never exists as a
+    ``2^n x 2^n`` matrix; a custom one is realized densely once, to be
+    checked and split.
     """
-    h = build_hamiltonian(config.system, config.hamiltonian)
-    cells = _blockwise_cells(h, _initial_diagonal(config), config.times)
-    sizes = {b.k: b.dimension**2 for b in selective_blocks(config.system)}
+    blocks = _hamiltonian_blocks(config.system, config.hamiltonian)
+    cells = _blockwise_cells(blocks, _initial_diagonal(config), config.times)
+    sizes = {k: len(idx) ** 2 for k, (idx, _) in enumerate(blocks)}
     return _assemble(config, cells, "blockwise", sizes)
 
 

@@ -40,10 +40,11 @@ from .operators import (
 from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
+    _block_states,
     _ensure_zero_quantum,
     _zq_cell_rank,
+    _zq_row_layout,
     is_member,
-    selective_blocks,
     zq_offdiagonal_cells,
 )
 
@@ -73,6 +74,13 @@ _PAIR_WEIGHTS = {
 }
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; it must be a Python or numpy integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Declarative description of a coupling Hamiltonian.
@@ -81,7 +89,9 @@ class HamiltonianSpec:
     and is used by the pairwise models; ``offsets`` holds ``(k, value)``
     pairs for the longitudinal model; ``custom`` supplies an explicit
     operator expansion. Fields not used by the chosen model must stay
-    empty, and each spin pair or spin may appear only once.
+    empty, and each spin pair or spin may appear only once. Spin indices
+    must be integers (bools and floats are refused, never truncated) and
+    values finite reals; malformed terms are a :class:`ConfigurationError`.
     """
 
     model: str
@@ -95,10 +105,16 @@ class HamiltonianSpec:
                 f"unknown hamiltonian model {self.model!r}; "
                 f"expected one of {', '.join(HAMILTONIAN_MODELS)}"
             )
+        try:
+            couplings = tuple((k, l, float(j)) for (k, l, j) in self.couplings)
+            offsets = tuple((k, float(w)) for (k, w) in self.offsets)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"malformed hamiltonian terms: {exc}") from exc
         couplings = tuple(
-            (int(k), int(l), float(j)) for (k, l, j) in self.couplings
+            (_integer(k, "spin index"), _integer(l, "spin index"), j)
+            for k, l, j in couplings
         )
-        offsets = tuple((int(k), float(w)) for (k, w) in self.offsets)
+        offsets = tuple((_integer(k, "spin index"), w) for k, w in offsets)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "offsets", offsets)
         for value in [j for _, _, j in couplings] + [w for _, w in offsets]:
@@ -147,9 +163,31 @@ class HamiltonianSpec:
 def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     """Realize a Hamiltonian spec as a dense Hermitian operator.
 
-    The named pairwise models are exactly zero-quantum by construction;
-    a custom expansion is rebuilt from its coefficients, verified to be
-    Hermitian within 1e-10 and then symmetrized.
+    A custom expansion is rebuilt from its coefficients, verified to be
+    Hermitian within 1e-10 and then symmetrized. A named model is the
+    scatter of its :func:`_hamiltonian_blocks` into zeros, so the dense
+    and the block form agree entry for entry.
+    """
+    if spec.model == "custom":
+        realized = reconstruct(system, spec.custom)
+        _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
+        h = 0.5 * (realized.entries + realized.entries.conj().T)
+        return Operator(system, h, True)
+    h = np.zeros((system.dim, system.dim), dtype=complex)
+    for idx, block in _hamiltonian_blocks(system, spec):
+        h[np.ix_(idx, idx)] = block
+    return _adopt(system, h, True)
+
+
+def _hamiltonian_blocks(system: SpinSystem, spec: HamiltonianSpec):
+    """``(state indices, block)`` of each selective block of the Hamiltonian.
+
+    One pair per ``k``, ascending. A named model is built inside each
+    block from bit operations and is exactly Hermitian and zero-quantum
+    by construction: z terms are sign diagonals, and a flip-flop pair
+    links each state ``s`` whose two bits differ to ``s ^ pair``, which
+    sits in the same block. A custom expansion is realized densely and
+    goes through :func:`_zq_blocks`.
     """
     n = system.n
     for k, l, _ in spec.couplings:
@@ -158,48 +196,46 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     for k, _ in spec.offsets:
         if k > n:
             raise ConfigurationError(f"offset spin {k} exceeds system size {n}")
-
     if spec.model == "custom":
-        realized = reconstruct(system, spec.custom)
-        _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
-        h = 0.5 * (realized.entries + realized.entries.conj().T)
-        return Operator(system, h, True)
+        return _zq_blocks(build_hamiltonian(system, spec))
 
-    # named models straight from the computational basis: z terms are
-    # sign diagonals and a flip-flop pair links each state whose two bits
-    # differ to the state with both bits swapped
-    dim = system.dim
-    states = np.arange(dim)
-    diag = np.zeros(dim)
-    h = np.zeros((dim, dim), dtype=complex)
-    flat = h.reshape(-1)
-    for k, w in spec.offsets:
-        diag += w * (0.5 - ((states >> (n - k)) & 1))
-    for k, l, j in spec.couplings:
-        zz_weight, flip_weight = _PAIR_WEIGHTS[spec.model]
-        pair = (1 << (n - k)) | (1 << (n - l))
-        differ = np.bitwise_count(states & pair) == 1
-        if zz_weight:
-            diag += (j * zz_weight) * np.where(differ, -0.25, 0.25)
-        s = states[differ]
-        flat[s * dim + (s ^ pair)] = j * flip_weight
-    flat[:: dim + 1] = diag
-    return _adopt(system, h, True)
+    _, position = _zq_row_layout(n)
+    blocks = []
+    for idx in _block_states(n):
+        diag = np.zeros(len(idx))
+        h = np.zeros((len(idx), len(idx)), dtype=complex)
+        for k, w in spec.offsets:
+            diag += w * (0.5 - ((idx >> (n - k)) & 1))
+        for k, l, j in spec.couplings:
+            zz_weight, flip_weight = _PAIR_WEIGHTS[spec.model]
+            pair = (1 << (n - k)) | (1 << (n - l))
+            differ = np.bitwise_count(idx & pair) == 1
+            if zz_weight:
+                diag += (j * zz_weight) * np.where(differ, -0.25, 0.25)
+            h[differ, position[idx[differ] ^ pair]] = j * flip_weight
+        np.fill_diagonal(h, diag)
+        blocks.append((idx, h))
+    return blocks
+
+
+def _zq_blocks(z: Operator):
+    """``(state indices, block)`` of each selective block of a dense generator.
+
+    ``z`` must be Hermitian within 1e-10 and pass the zero-quantum
+    membership test, both measured once per instance; the blocks are
+    gathered and symmetrized.
+    """
+    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
+    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
+    subs = [(idx, z.entries[np.ix_(idx, idx)]) for idx in _block_states(z.system.n)]
+    return [(idx, 0.5 * (sub + sub.conj().T)) for idx, sub in subs]
 
 
 def _block_eigh_cached(z: Operator):
-    """``(indices, eigenvalues, eigenvectors)`` of every selective block."""
-
-    def compute():
-        decomps = []
-        for block in selective_blocks(z.system):
-            idx = np.array(block.state_indices)
-            sub = z.entries[np.ix_(idx, idx)]
-            w, v = np.linalg.eigh(0.5 * (sub + sub.conj().T))
-            decomps.append((idx, w, v))
-        return decomps
-
-    return _memoized(z, "block_eigh", compute)
+    """``(indices, eigenvalues, eigenvectors)`` of every block of :func:`_zq_blocks`."""
+    return _memoized(
+        z, "block_eigh", lambda: [(idx, *np.linalg.eigh(b)) for idx, b in _zq_blocks(z)]
+    )
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:
@@ -221,8 +257,6 @@ def zq_propagator(z: Operator, t: float) -> Operator:
     membership test; anything else is rejected. The result carries
     weight only inside the zero-quantum pattern.
     """
-    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
-    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     u = np.zeros((z.system.dim, z.system.dim), dtype=complex)
     for idx, w, v in _block_eigh_cached(z):
         u[np.ix_(idx, idx)] = (v * np.exp(-1j * w * t)) @ v.conj().T
@@ -253,14 +287,11 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
     zero-quantum propagator never mixes blocks; input support outside
     block ``k`` is rejected at a relative 1e-12 tolerance.
     """
-    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
-    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     z._require_same_system(q_k)
     if not 0 <= k <= z.system.n:
         raise ConfigurationError(f"block index {k} outside 0..{z.system.n}")
 
-    decomps = _block_eigh_cached(z)
-    idx, w, v = decomps[k]
+    idx, w, v = _block_eigh_cached(z)[k]
     sub = q_k.entries[np.ix_(idx, idx)]
 
     # support check: when every stored nonzero sits inside the block the
@@ -428,31 +459,33 @@ def _dense_cells(z: Operator, q: Operator, t: float):
     return np.diag(qc.entries), qc.entries[rows, cols], residual
 
 
-def _blockwise_cells(z: Operator, q: np.ndarray, times):
-    """Cells of the diagonal operator ``diag(q)`` evolved under ``z``, per time.
+def _blockwise_cells(blocks, q: np.ndarray, times):
+    """Cells of the diagonal operator ``diag(q)`` evolved block by block, per time.
 
-    ``z`` is checked as :func:`blockwise_conjugate` checks it; ``q`` is
-    not, since a transfer config admits only traceless diagonals. Each
-    block ``k`` is diagonalized once, ``H_k = V diag(w) V^H``, and ``q``'s
-    part rotated once into that eigenbasis, ``Q = (V^H * q[idx]) V``.
-    At time ``t`` the block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``;
-    its diagonal is scattered into one ``2^n`` vector and its off-diagonal
-    entries gathered straight into :func:`zq_offdiagonal_cells` order. Nothing but ``z`` has ``4^n`` entries, and the residual is
-    exactly 0 by construction. Yields ``(diag, zqc, 0.0)`` per time.
+    ``blocks`` are a Hamiltonian's ``(state indices, block)`` pairs, as
+    :func:`_hamiltonian_blocks` gives them; ``q`` is not checked, since a
+    transfer config admits only traceless diagonals. Each block is
+    diagonalized once, ``H_k = V diag(w) V^H``, and ``q``'s part rotated
+    once into that eigenbasis, ``Q = (V^H * q[idx]) V``. At time ``t`` the
+    block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``; its diagonal
+    is scattered into one ``2^n`` vector and its off-diagonal entries
+    gathered straight into :func:`zq_offdiagonal_cells` order. No array
+    is larger than a block or the ``2^n`` diagonal apart from the cells
+    themselves, and the residual is exactly 0 by construction. Yields
+    ``(diag, zqc, 0.0)`` per time.
     """
-    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
-    _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
-    n = z.system.n
-    blocks = []
-    for idx, w, v in _block_eigh_cached(z):
+    n = q.size.bit_length() - 1
+    spectra = []
+    for idx, h in blocks:
+        w, v = np.linalg.eigh(h)
         rotated = (v.conj().T * q[idx]) @ v
         i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-        blocks.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
-    n_cells = sum(len(cells) for *_, cells in blocks)
+        spectra.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
+    n_cells = sum(len(cells) for *_, cells in spectra)
     for t in times:
-        diag = np.empty(z.system.dim, dtype=complex)
+        diag = np.empty(q.size, dtype=complex)
         zqc = np.empty(n_cells, dtype=complex)
-        for idx, w, v, rotated, cells in blocks:
+        for idx, w, v, rotated, cells in spectra:
             d = len(idx)
             u = v * np.exp(-1j * w * t)
             r = u @ rotated @ u.conj().T
@@ -478,24 +511,27 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
 
 
 def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operator:
-    """Dense operator described by the bins of an amplitude profile."""
+    """Dense operator described by the bins of an amplitude profile.
+
+    Labels are looked up in tables over the diagonal and the coherence
+    labels of ``n`` spins, built once per call.
+    """
     n = system.n
+    subsets = dict(zip(_diagonal_labels(n), range(1 << n)))
+    rows, cols, units = zq_offdiagonal_cells(n)
+    ranks = dict(zip(units, range(len(units))))
     coeff = np.zeros(1 << n)
     coeff[0] = profile.identity
-    for source in (profile.longitudinal, profile.spin_orders):
-        for lab, value in source.items():
-            cell = _label_cell(lab, n)
-            if cell is None or not cell[0]:
-                raise ConfigurationError(f"label {lab!r} is not diagonal for n={n}")
-            coeff[cell[1]] = value
-    diag = 0.5 * _walsh(coeff)
-    entries = np.diag(diag.astype(complex))
-    rows, cols, _ = zq_offdiagonal_cells(n)
-    for lab, value in profile.zqc.items():
-        cell = _label_cell(lab, n)
-        if cell is None or cell[0]:
+    for lab, value in (profile.longitudinal | profile.spin_orders).items():
+        if lab not in subsets:
+            raise ConfigurationError(f"label {lab!r} is not diagonal for n={n}")
+        coeff[subsets[lab]] = value
+    for lab in profile.zqc:
+        if lab not in ranks:
             raise ConfigurationError(
                 f"label {lab!r} is not an off-diagonal zero-quantum unit for n={n}"
             )
-        entries[rows[cell[1]], cols[cell[1]]] = value
+    entries = np.diag((0.5 * _walsh(coeff)).astype(complex))
+    cells = [ranks[lab] for lab in profile.zqc]
+    entries[rows[cells], cols[cells]] = list(profile.zqc.values())
     return Operator(system, entries)

@@ -169,14 +169,24 @@ class SelectiveBlock:
         return len(self.state_indices)
 
 
+@lru_cache(maxsize=16)
+def _block_states(n: int) -> tuple[np.ndarray, ...]:
+    """Basis states of each selective block, ``k`` ascending, indices ascending.
+
+    The arrays are read only and shared by every caller for this ``n``.
+    """
+    states = tuple(np.flatnonzero(_down_counts(n) == k) for k in range(n + 1))
+    for idx in states:
+        idx.setflags(write=False)
+    return states
+
+
 def selective_blocks(system: SpinSystem) -> list[SelectiveBlock]:
     """The ``n + 1`` selective blocks, ``k`` ascending, indices ascending."""
-    pc = _down_counts(system.n)
-    blocks = []
-    for k in range(system.n + 1):
-        idx = tuple(int(i) for i in np.nonzero(pc == k)[0])
-        blocks.append(SelectiveBlock(k, idx))
-    return blocks
+    return [
+        SelectiveBlock(k, tuple(idx.tolist()))
+        for k, idx in enumerate(_block_states(system.n))
+    ]
 
 
 def decompose_zq(
@@ -193,11 +203,10 @@ def decompose_zq(
     _ensure_zero_quantum(z, tol, "operator")
     hint = True if z.hermitian_hint is True else None
     out = []
-    for block in selective_blocks(z.system):
+    for k, idx in enumerate(_block_states(z.system.n)):
         comp = np.zeros_like(z.entries)
-        idx = np.array(block.state_indices)
         comp[np.ix_(idx, idx)] = z.entries[np.ix_(idx, idx)]
-        out.append((block.k, Operator(z.system, comp, hint)))
+        out.append((k, Operator(z.system, comp, hint)))
     return out
 
 
@@ -236,11 +245,10 @@ def _zq_row_layout(n: int) -> tuple[np.ndarray, np.ndarray]:
     block, ascending.
     """
     pc = _down_counts(n)
-    dims = np.bincount(pc)
     position = np.empty_like(pc)
-    for k, d in enumerate(dims):
-        position[pc == k] = np.arange(d)
-    per_row = dims[pc] - 1
+    for idx in _block_states(n):
+        position[idx] = np.arange(len(idx))
+    per_row = np.bincount(pc)[pc] - 1
     start = np.cumsum(per_row) - per_row
     for arr in (start, position):
         arr.setflags(write=False)

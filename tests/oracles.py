@@ -183,6 +183,40 @@ def hamiltonian(n, model, couplings=(), offsets=()):
     return h
 
 
+# (zz, flip) weight of one coupling, as in hamiltonian() above
+PAIR_WEIGHTS = {
+    "flipflop": (0.0, 0.5),
+    "dipolar_secular": (2.0, -0.5),
+    "isotropic_j": (1.0, 0.5),
+}
+
+
+def hamiltonian_flat(n, model, couplings=(), offsets=()):
+    """Named-model Hamiltonian written entry by entry into a flat view.
+
+    z terms are sign diagonals, and a flip-flop pair sets entry
+    ``s * dim + (s ^ pair)`` of every state ``s`` whose two coupled bits
+    differ. Models with no pair term (``offsets``) ignore ``couplings``.
+    """
+    dim = 2**n
+    states = np.arange(dim)
+    diag = np.zeros(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    flat = h.reshape(-1)
+    for k, w in offsets:
+        diag += w * (0.5 - ((states >> (n - k)) & 1))
+    for k, l, j in couplings:
+        zz_weight, flip_weight = PAIR_WEIGHTS[model]
+        pair = (1 << (n - k)) | (1 << (n - l))
+        differ = np.bitwise_count(states & pair) == 1
+        if zz_weight:
+            diag += (j * zz_weight) * np.where(differ, -0.25, 0.25)
+        s = states[differ]
+        flat[s * dim + (s ^ pair)] = j * flip_weight
+    flat[:: dim + 1] = diag
+    return h
+
+
 def fmt_double(x):
     """A double at 17 significant digits, as the CLI documents it."""
     return format(float(x), ".17g")

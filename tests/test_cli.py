@@ -575,6 +575,53 @@ def test_evolve_config_rejects_non_integer_points(capsys, tmp_path):
     assert "times" in err
 
 
+@pytest.mark.parametrize(
+    "hamiltonian, times, message",
+    [
+        (
+            {"model": "flipflop", "couplings": [[1, 2.9, 1.0]]},
+            {"start": 0, "end": 1, "points": 3},
+            "spin index must be an integer, got 2.9",
+        ),
+        (
+            {"model": "offsets", "offsets": [[True, 1.0]]},
+            {"start": 0, "end": 1, "points": 3},
+            "spin index must be an integer, got True",
+        ),
+        (
+            {"model": "flipflop", "couplings": [[1, 2]]},
+            {"start": 0, "end": 1, "points": 3},
+            "malformed hamiltonian terms",
+        ),
+        (
+            {"model": "flipflop", "couplings": [[1, 2, 1.0]]},
+            {"start": 0, "end": 1, "points": 2.7},
+            "number of grid times must be an integer, got 2.7",
+        ),
+    ],
+)
+def test_evolve_config_refuses_truncated_numbers(capsys, tmp_path, hamiltonian, times, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"n": 2, "hamiltonian": hamiltonian, "times": times}))
+    code, out, err = run_cli(capsys, ["evolve", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "coupling, times", [("1,2.9,1", "0:1:3"), ("1,2,1", "0:1:2.7")]
+)
+def test_evolve_flags_refuse_truncated_numbers(capsys, coupling, times):
+    code, out, err = run_cli(
+        capsys,
+        ["evolve", "--n", "2", "--model", "flipflop", "--coupling", coupling,
+         "--times", times],
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+
+
 def test_evolve_numbers_round_trip_at_17_digits(capsys):
     couplings = ((1, 2, 1.0), (2, 3, 0.7))
     config = DiffusionConfig(

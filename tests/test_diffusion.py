@@ -14,6 +14,7 @@ from mqspace import (
     ConfigurationError,
     DiffusionConfig,
     HamiltonianSpec,
+    Operator,
     OperatorExpansion,
     SpinSystem,
     ToleranceError,
@@ -33,6 +34,7 @@ from mqspace.dynamics import _blockwise_cells, _dense_cells, _profile, _walsh_bi
 
 diffusion = importlib.import_module("mqspace.diffusion")
 dynamics = importlib.import_module("mqspace.dynamics")
+subspaces = importlib.import_module("mqspace.subspaces")
 
 CHAIN4 = HamiltonianSpec(
     "dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))
@@ -54,6 +56,16 @@ def test_linear_times_validation():
         linear_times(1.0, 1.0, 4)
     with pytest.raises(ConfigurationError):
         linear_times(2.0, 1.0, 4)
+
+
+@pytest.mark.parametrize("points", [2.5, 3.0, "3", True, None])
+def test_linear_times_refuses_a_non_integer_point_count(points):
+    with pytest.raises(ConfigurationError, match="number of grid times must be an integer"):
+        linear_times(0.0, 1.0, points)
+
+
+def test_linear_times_accepts_a_numpy_integer_point_count():
+    assert linear_times(0.0, 1.0, np.int64(3)) == (0.0, 0.5, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -333,6 +345,54 @@ def test_engines_agree_on_a_degenerate_spectrum(n):
         assert np.max(np.abs(evolved - oracles.evolve(h, start, t))) <= 1e-10
 
 
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_block_run_forms_no_dense_generator(monkeypatch, model):
+    n = 6
+    cfg = DiffusionConfig(SpinSystem(n), _spec(model, n), linear_times(0.0, 2.0, 5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the block engine formed a dense operator or check")
+
+    for module, name in [
+        (diffusion, "build_hamiltonian"),
+        (dynamics, "build_hamiltonian"),
+        (dynamics, "is_member"),
+        (subspaces, "is_member"),
+        (dynamics, "_block_eigh_cached"),
+        (dynamics, "_adopt"),
+        (Operator, "__init__"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    trace = run_blockwise(cfg)
+    monkeypatch.undo()
+    assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
+
+
+def test_engines_agree_on_a_custom_zero_quantum_hamiltonian():
+    n = 4
+    terms = {
+        ("x", "x", "e", "e"): 0.6,
+        ("y", "y", "e", "e"): 0.6,
+        ("e", "x", "e", "y"): 0.35,
+        ("e", "y", "e", "x"): -0.35,
+        ("e", "e", "z", "e"): -0.8,
+        ("z", "e", "z", "e"): 0.25,
+        ("x", "x", "z", "e"): 0.2,
+        ("y", "y", "z", "e"): 0.2,
+    }
+    expansion = OperatorExpansion(
+        CARTESIAN,
+        {BaseOperatorSpec(CARTESIAN, fs).label: c for fs, c in terms.items()},
+        0.0,
+    )
+    spec = HamiltonianSpec("custom", custom=expansion)
+    for initial in ("I1z", "2I2zI4z"):
+        cfg = DiffusionConfig(
+            SpinSystem(n), spec, linear_times(0.0, 3.0, 7), initial=initial
+        )
+        _assert_engines_agree(cfg)
+
+
 def test_engines_reject_a_generator_outside_zero_quantum():
     field = OperatorExpansion(CARTESIAN, {"I1x": 1.0}, 0.0)
     transverse = HamiltonianSpec("custom", custom=field)
@@ -417,7 +477,8 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
         cells = [_dense_cells(h, q0, t) for t in cfg.times]
     else:
         trace = run_blockwise(cfg)
-        cells = list(_blockwise_cells(h, np.diag(q0.entries).real, cfg.times))
+        blocks = dynamics._hamiltonian_blocks(system, CHAIN4)
+        cells = list(_blockwise_cells(blocks, np.diag(q0.entries).real, cfg.times))
     eager = []
     for t, (diag, zqc, residual) in zip(cfg.times, cells):
         profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)

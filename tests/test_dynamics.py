@@ -1,5 +1,7 @@
 """Hamiltonian construction, exact propagators and amplitude profiles."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from mqspace import (
     CARTESIAN,
     SHIFT,
     AmplitudeProfile,
+    BaseOperatorSpec,
     ConfigurationError,
     HamiltonianSpec,
     InvariantError,
@@ -40,6 +43,8 @@ from mqspace.dynamics import (
     _walsh_bin,
 )
 from mqspace.subspaces import zq_offdiagonal_cells
+
+dynamics = importlib.import_module("mqspace.dynamics")
 
 COUPLINGS = ((1, 2, 0.8), (2, 3, -0.5), (1, 3, 0.3))
 
@@ -130,6 +135,86 @@ def test_pairwise_models_match_oracle_across_sizes(model, n):
     ref = oracles.hamiltonian(n, model, couplings)
     assert np.allclose(mine.entries, ref, rtol=0.0, atol=1e-14)
     assert mine.hermitian_hint is True
+
+
+def _named_spec(model, n):
+    if model == "offsets":
+        offsets = tuple((k, 0.75 * k - 1.9) for k in range(n, 0, -1))
+        return HamiltonianSpec("offsets", offsets=offsets)
+    return HamiltonianSpec(model, couplings=_scrambled_couplings(n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_named_models_equal_the_flat_index_builder(model, n):
+    spec = _named_spec(model, n)
+    flat = oracles.hamiltonian_flat(n, model, spec.couplings, spec.offsets)
+    dense = build_hamiltonian(SpinSystem(n), spec)
+    assert np.array_equal(dense.entries, flat)
+    assert dense.hermitian_hint is True
+    blocks = dynamics._hamiltonian_blocks(SpinSystem(n), spec)
+    assert len(blocks) == n + 1
+    for k, (idx, block) in enumerate(blocks):
+        states = [s for s in range(2**n) if oracles.popcount(s) == k]
+        assert idx.tolist() == states
+        assert np.array_equal(block, flat[np.ix_(states, states)]), k
+
+
+def test_custom_model_blocks_are_checked_and_split():
+    system = SpinSystem(3)
+    direct = build_hamiltonian(system, HamiltonianSpec("isotropic_j", couplings=COUPLINGS))
+    spec = HamiltonianSpec("custom", custom=expand(direct, CARTESIAN))
+    rebuilt = build_hamiltonian(system, spec).entries
+    for idx, block in dynamics._hamiltonian_blocks(system, spec):
+        assert np.array_equal(block, rebuilt[np.ix_(idx, idx)])
+    transverse = HamiltonianSpec("custom", custom=OperatorExpansion(CARTESIAN, {"I2x": 1.0}, 0.0))
+    with pytest.raises(ToleranceError, match="not zero-quantum"):
+        dynamics._hamiltonian_blocks(system, transverse)
+
+
+@pytest.mark.parametrize(
+    "couplings, offsets",
+    [
+        (((1, 2.9, 1.0),), ()),
+        (((1.0, 2, 1.0),), ()),
+        (((True, 2, 1.0),), ()),
+        (((np.bool_(True), 2, 1.0),), ()),
+        (((1, "2", 1.0),), ()),
+        ((), ((True, 1.0),)),
+        ((), ((2.5, 1.0),)),
+    ],
+)
+def test_spec_refuses_non_integer_spin_indices(couplings, offsets):
+    model = "offsets" if offsets else "flipflop"
+    with pytest.raises(ConfigurationError, match="spin index must be an integer"):
+        HamiltonianSpec(model, couplings=couplings, offsets=offsets)
+
+
+@pytest.mark.parametrize(
+    "couplings, offsets",
+    [
+        (((1, 2),), ()),
+        (((1, 2, 1.0, 4),), ()),
+        (((1, 2, "x"),), ()),
+        (((1, 2, None),), ()),
+        (((1, 2, 1j),), ()),
+        ((3,), ()),
+        ((), ((1,),)),
+        ((), ((1, "x"),)),
+    ],
+)
+def test_spec_turns_malformed_terms_into_configuration_errors(couplings, offsets):
+    model = "offsets" if offsets else "flipflop"
+    with pytest.raises(ConfigurationError, match="malformed hamiltonian terms"):
+        HamiltonianSpec(model, couplings=couplings, offsets=offsets)
+
+
+def test_spec_accepts_numpy_integer_spin_indices():
+    spec = HamiltonianSpec("flipflop", couplings=((np.int64(1), np.int32(2), 1.0),))
+    assert spec.couplings == ((1, 2, 1.0),)
+    assert all(type(k) is int for k in spec.couplings[0][:2])
+    offsets = HamiltonianSpec("offsets", offsets=((np.int64(2), 0.5),)).offsets
+    assert offsets == ((2, 0.5),) and type(offsets[0][0]) is int
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -448,6 +533,20 @@ def test_reconstruct_profile_names_a_foreign_unit_label(label):
     assert str(info.value) == (
         f"label {label!r} is not an off-diagonal zero-quantum unit for n=2"
     )
+
+
+def test_reconstruct_profile_parses_no_label(monkeypatch):
+    n = 6
+    system = SpinSystem(n)
+    h = build_hamiltonian(system, _named_spec("dipolar_secular", n))
+    profile = amplitude_profile(h, spin_operator(system, 2, "z"), 0.8)
+    expected = reconstruct_profile(system, profile).entries
+
+    def refuse(*args):
+        raise AssertionError("a label was parsed")
+
+    monkeypatch.setattr(BaseOperatorSpec, "from_label", refuse)
+    assert np.array_equal(reconstruct_profile(system, profile).entries, expected)
 
 
 def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
