@@ -107,14 +107,17 @@ def _align_cluster(cols: np.ndarray, local_cells: list[np.ndarray]) -> np.ndarra
     the basis is rotated, cell by cell, onto directions of maximal cell
     overlap; directions carrying a majority of their weight inside one
     cell are peeled off. Right-multiplications by unitaries keep the
-    columns orthonormal.
+    columns orthonormal. Only ``s`` and the square ``vh`` of each cell's
+    SVD are read, so the left factor is computed thin whenever the cell
+    has at least as many rows as the cluster has columns.
     """
     remaining = cols
     finished = []
     for rows in local_cells:
         if remaining.shape[1] == 0:
             break
-        _, s, vh = np.linalg.svd(remaining[rows, :])
+        block = remaining[rows, :]
+        _, s, vh = np.linalg.svd(block, full_matrices=block.shape[0] < block.shape[1])
         remaining = remaining @ vh.conj().T
         keep = int(np.sum(s ** 2 >= 0.5))
         if keep:

@@ -10,9 +10,12 @@ Every subcommand accepts inline flags or a JSON config file; on
 conflict the config file wins and a warning goes to the error stream.
 Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
-produce byte-identical output. Exit codes: 0 success, 2 configuration
-or parse error (malformed config values included), 3 numerical
-tolerance failure, 4 invariant breach.
+produce byte-identical output. A document is built as a list of
+string pieces and written, to the ``--out`` file or standard output,
+only once every piece exists, so a serialization error leaves no
+partial output; in JSON, equal float series share one formatted text.
+Exit codes: 0 success, 2 configuration or parse error (malformed config
+values included), 3 numerical tolerance failure, 4 invariant breach.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .operators import (
     SHIFT,
     BaseOperatorSpec,
     SpinSystem,
+    _integer,
     enumerate_basis,
     random_operator,
 )
@@ -41,7 +45,7 @@ from .subspaces import (
     subspace_dims,
     verify_closure,
 )
-from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, _integer, build_hamiltonian
+from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
     channel_discrepancy,
@@ -89,27 +93,58 @@ def _fmt_join(values: Sequence[float], sep: str) -> str:
     return sep.join([_DOUBLE] * len(values)) % tuple(values)
 
 
-def _json_text(value: Any, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-        return "[" + _fmt_join(value.tolist(), ", ") + "]"
+def _json_pieces(value: Any) -> list[str]:
+    """The JSON document of ``value`` as string pieces, to be written in order.
+
+    Nested containers are indented two spaces per level, flat lists stay
+    on one line and complex numbers become ``[re, im]``. Each 1-D float64
+    array is formatted once per document: arrays with the same bytes share
+    one text, which enters the list by reference. The document ends with
+    a newline.
+    """
+    pieces: list[str] = []
+    formatted: dict[bytes, str] = {}
+
+    def write(value: Any, indent: int) -> None:
+        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+            key = value.tobytes()
+            text = formatted.get(key)
+            if text is None:
+                text = formatted[key] = "[" + _fmt_join(value.tolist(), ", ") + "]"
+            pieces.append(text)
+        elif isinstance(value, dict) and value:
+            pad = "  " * indent
+            lead = "{\n"
+            for k, v in value.items():
+                pieces.append(f"{lead}{pad}  {json.dumps(str(k))}: ")
+                write(v, indent + 1)
+                lead = ",\n"
+            pieces.append(f"\n{pad}}}")
+        elif isinstance(value, (list, tuple)) and value:
+            if all(not isinstance(v, (dict, list, tuple)) for v in value):
+                lead, sep, end = "[", ", ", "]"
+            else:
+                pad = "  " * indent
+                lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+            for v in value:
+                pieces.append(lead)
+                write(v, indent + 1)
+                lead = sep
+            pieces.append(end)
+        else:
+            pieces.append(_json_leaf(value))
+
+    write(value, 0)
+    pieces.append("\n")
+    return pieces
+
+
+def _json_leaf(value: Any) -> str:
+    """The JSON text of a value written as one piece: a scalar or an empty container."""
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {_json_text(v, indent + 1)}'
-            for k, v in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        return "{}"
     if isinstance(value, (list, tuple)):
-        seq = list(value)
-        if not seq:
-            return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(_json_text(v) for v in seq) + "]"
-        inner = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in seq)
-        return "[\n" + inner + "\n" + pad + "]"
+        return "[]"
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -125,18 +160,21 @@ def _json_text(value: Any, indent: int = 0) -> str:
     raise InvariantError(f"cannot serialize {type(value).__name__} to JSON")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> list[str]:
+    """The CSV table as string pieces: the header, then one line per row."""
+    pieces = [",".join(header), "\n"]
+    for row in rows:
+        pieces += (",".join(row), "\n")
+    return pieces
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: list[str], out: str | None) -> None:
+    """Write a finished document; nothing is written before it is complete."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _load_config(path: str) -> dict:
@@ -268,6 +306,8 @@ def _parse_times(resolved: dict) -> tuple[float, ...]:
     times = resolved.get("times")
     if times is None:
         raise ConfigurationError("a time grid is required; pass --times or config")
+    # linear_times raises ConfigurationError (a ValueError) itself, so it is
+    # called outside the handlers that reword malformed values
     if isinstance(times, str):
         if ":" in times:
             parts = times.split(":")
@@ -276,9 +316,10 @@ def _parse_times(resolved: dict) -> tuple[float, ...]:
                     f"times {times!r} must be t1,t2,... or start:end:points"
                 )
             try:
-                return linear_times(float(parts[0]), float(parts[1]), int(parts[2]))
+                start, end, points = float(parts[0]), float(parts[1]), int(parts[2])
             except ValueError as exc:
                 raise ConfigurationError(f"times {times!r}: {exc}") from exc
+            return linear_times(start, end, points)
         try:
             return tuple(float(p) for p in times.split(","))
         except ValueError as exc:
@@ -286,11 +327,12 @@ def _parse_times(resolved: dict) -> tuple[float, ...]:
     if isinstance(times, dict):
         _check_keys(times, {"start", "end", "points"}, "times")
         try:
-            return linear_times(float(times["start"]), float(times["end"]), times["points"])
+            start, end, points = float(times["start"]), float(times["end"]), times["points"]
         except KeyError as exc:
             raise ConfigurationError(f"times object misses key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed times object: {exc}") from exc
+        return linear_times(start, end, points)
     if isinstance(times, (list, tuple)):
         try:
             return tuple(float(t) for t in times)
@@ -355,7 +397,7 @@ def _cmd_basis(resolved: dict) -> int:
             }
         )
     if _format_of(resolved) == "json":
-        text = _json_text({"n": system.n, "kind": kind, "operators": records}) + "\n"
+        pieces = _json_pieces({"n": system.n, "kind": kind, "operators": records})
     else:
         rows = [
             [
@@ -366,8 +408,8 @@ def _cmd_basis(resolved: dict) -> int:
             ]
             for r in records
         ]
-        text = _csv_text(["label", "kind", "orders", "tags"], rows)
-    _emit(text, resolved.get("out"))
+        pieces = _csv_pieces(["label", "kind", "orders", "tags"], rows)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK
 
 
@@ -392,7 +434,7 @@ def _cmd_dims(resolved: dict) -> int:
         "block_cost_ratio": total / full,
     }
     if _format_of(resolved) == "json":
-        text = _json_text(doc) + "\n"
+        pieces = _json_pieces(doc)
     else:
         header = ["quantity", "value"]
         rows = [
@@ -407,8 +449,8 @@ def _cmd_dims(resolved: dict) -> int:
             ["full_cells", str(full)],
             ["block_cost_ratio", _fmt(total / full)],
         ]
-        text = _csv_text(header, rows)
-    _emit(text, resolved.get("out"))
+        pieces = _csv_pieces(header, rows)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK
 
 
@@ -449,9 +491,9 @@ def _cmd_evolve(resolved: dict) -> int:
         columns = [trace.times] + list(trace.channels.values())
         if discrepancy is not None:
             columns.append(discrepancy)
-        table = np.column_stack(columns).tolist()
-        # each row is formatted whole and handed over as one cell
-        text = _csv_text(header, [[_fmt_join(row, ",")] for row in table])
+        table = np.column_stack(columns)
+        # each row is formatted whole, one at a time, and handed over as one cell
+        pieces = _csv_pieces(header, ([_fmt_join(row.tolist(), ",")] for row in table))
     else:
         doc = {
             "n": system.n,
@@ -470,8 +512,8 @@ def _cmd_evolve(resolved: dict) -> int:
         }
         if discrepancy is not None:
             doc["max_channel_discrepancy"] = discrepancy
-        text = _json_text(doc) + "\n"
-    _emit(text, resolved.get("out"))
+        pieces = _json_pieces(doc)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK
 
 
@@ -502,7 +544,7 @@ def _cmd_cascade(resolved: dict) -> int:
         "spectrum_error": result.spectrum_error,
     }
     if _format_of(resolved) == "json":
-        text = _json_text(doc) + "\n"
+        pieces = _json_pieces(doc)
     else:
         rows = [["n", str(system.n)], ["source", source]]
         rows += [[f"residual_{k}", _fmt(v)] for k, v in result.residuals.items()]
@@ -512,8 +554,8 @@ def _cmd_cascade(resolved: dict) -> int:
         ]
         rows.append(["fallbacks", ";".join(str(f).lower() for f in result.fallbacks)])
         rows.append(["spectrum_error", _fmt(result.spectrum_error)])
-        text = _csv_text(["quantity", "value"], rows)
-    _emit(text, resolved.get("out"))
+        pieces = _csv_pieces(["quantity", "value"], rows)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK
 
 
@@ -545,15 +587,15 @@ def _cmd_perm(resolved: dict) -> int:
             )
         doc["generators"] = generators
     if _format_of(resolved) == "json":
-        text = _json_text(doc) + "\n"
+        pieces = _json_pieces(doc)
     else:
         if want_generators:
             raise ConfigurationError("generator matrices are JSON-only output")
         rows = [
             [str(pos), str(idx)] for pos, idx in enumerate(enc.permutation)
         ]
-        text = _csv_text(["position", "computational_index"], rows)
-    _emit(text, resolved.get("out"))
+        pieces = _csv_pieces(["position", "computational_index"], rows)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK
 
 
@@ -615,7 +657,7 @@ def _cmd_verify(resolved: dict) -> int:
         "checks": checks,
     }
     if _format_of(resolved) == "json":
-        text = _json_text(doc) + "\n"
+        pieces = _json_pieces(doc)
     else:
         rows = [
             [
@@ -626,8 +668,8 @@ def _cmd_verify(resolved: dict) -> int:
             ]
             for c in checks
         ]
-        text = _csv_text(["check", "passed", "checks_run", "max_residual"], rows)
-    _emit(text, resolved.get("out"))
+        pieces = _csv_pieces(["check", "passed", "checks_run", "max_residual"], rows)
+    _emit(pieces, resolved.get("out"))
     return EXIT_OK if all_passed else EXIT_NUMERICAL
 
 

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import CARTESIAN, BaseOperatorSpec, Operator, SpinSystem
+from .operators import CARTESIAN, BaseOperatorSpec, Operator, SpinSystem, _integer
 from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
@@ -27,7 +27,6 @@ from .dynamics import (
     _dense_cells,
     _diagonal_groups,
     _hamiltonian_blocks,
-    _integer,
     _label_cell,
     _profile,
     _walsh_bin,

@@ -34,6 +34,7 @@ from .operators import (
     SpinSystem,
     _adopt,
     _ensure_hermitian,
+    _integer,
     _memoized,
     reconstruct,
 )
@@ -72,13 +73,6 @@ _PAIR_WEIGHTS = {
     "dipolar_secular": (2.0, -0.5),
     "isotropic_j": (1.0, 0.5),
 }
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an ``int``; it must be a Python or numpy integer, not a bool."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
-        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

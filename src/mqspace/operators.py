@@ -97,6 +97,13 @@ def max_spins() -> int:
     return value
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an ``int``; it must be a Python or numpy integer, not a bool."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def single_spin_matrix(factor: str) -> np.ndarray:
     """Return the 2x2 matrix for one single-spin factor.
 
@@ -118,15 +125,15 @@ class SpinSystem:
     Parameters
     ----------
     n : int
-        Number of spins, between 1 and :func:`max_spins`.
+        Number of spins, between 1 and :func:`max_spins`. A numpy integer
+        is stored as the equal ``int``; a bool is refused.
     """
 
     n: int
 
     def __post_init__(self):
         ceiling = max_spins()
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ConfigurationError(f"spin count must be an integer, got {self.n!r}")
+        object.__setattr__(self, "n", _integer(self.n, "spin count"))
         if not 1 <= self.n <= ceiling:
             raise ConfigurationError(
                 f"spin count {self.n} outside the supported range 1..{ceiling}"

@@ -133,6 +133,28 @@ def direct_rotation_polar_dense(v, local_cells, assigned_cols):
     return uu @ vvh, float(sigma[-1])
 
 
+def align_cluster_full(cols, local_cells):
+    """Degenerate-cluster alignment with every SVD's full left factor.
+
+    The same cell-by-cell rotation as the cascade's cluster alignment,
+    written with ``np.linalg.svd``'s default ``full_matrices=True``.
+    """
+    remaining = cols
+    finished = []
+    for rows in local_cells:
+        if remaining.shape[1] == 0:
+            break
+        _, s, vh = np.linalg.svd(remaining[rows, :], full_matrices=True)
+        remaining = remaining @ vh.conj().T
+        keep = int(np.sum(s**2 >= 0.5))
+        if keep:
+            finished.append(remaining[:, :keep])
+            remaining = remaining[:, keep:]
+    if remaining.shape[1]:
+        finished.append(remaining)
+    return np.hstack(finished) if finished else cols
+
+
 def axis_mapping_loop(v, local_cells, assigned_cols):
     """Eigenvector-to-axis map, one outer product per (row, column) pair."""
     m = v.shape[0]

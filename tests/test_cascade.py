@@ -262,6 +262,34 @@ def test_assignment_order_matches_tuple_sort_on_degenerate_input(n, monkeypatch)
     assert ties > 0
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_thin_cluster_alignment_matches_full_left_factor(n, monkeypatch):
+    # a uniform dipolar chain has degenerate clusters in every stage; the
+    # alignment reads only s and the square vh of each SVD, so taking the
+    # left factor thin must leave the whole cascade where the full one puts it
+    system = SpinSystem(n)
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    h = build_hamiltonian(system, HamiltonianSpec("dipolar_secular", couplings=chain))
+    align = cascade_module._align_cluster
+    calls = []
+
+    def counting(cols, local_cells):
+        calls.append(cols.shape[1])
+        return align(cols, local_cells)
+
+    monkeypatch.setattr(cascade_module, "_align_cluster", counting)
+    thin = cascade(h)
+    monkeypatch.setattr(cascade_module, "_align_cluster", oracles.align_cluster_full)
+    full = cascade(h)
+
+    assert calls
+    assert thin.fallbacks == full.fallbacks
+    scale = max(h.norm(), 1.0)
+    for name in ("v1", "v2", "v3", "h1", "h2", "h3"):
+        gap = np.max(np.abs(getattr(thin, name).entries - getattr(full, name).entries))
+        assert gap <= 1e-10 * scale, name
+
+
 def test_assignment_order_uses_every_tie_breaking_key():
     # eigh returns ascending eigenvalues, so a cascade never shows the
     # eigenvalue key apart from the column key; draw unsorted eigenvalues

@@ -29,6 +29,7 @@ from mqspace import (
     run_diffusion,
 )
 from mqspace.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
+from mqspace.errors import InvariantError
 from mqspace.operators import BaseOperatorSpec
 
 # directory holding the ``mqspace`` package under test (``src`` in a checkout)
@@ -743,8 +744,17 @@ EDGE_DOUBLES = [
 ]
 
 
+def _json_text(value):
+    """The JSON text of ``value`` without the document's final newline."""
+    from mqspace.cli import _json_pieces
+
+    text = "".join(_json_pieces(value))
+    assert text.endswith("\n")
+    return text[:-1]
+
+
 def test_number_writers_match_per_value_reference():
-    from mqspace.cli import _fmt, _fmt_join, _json_text
+    from mqspace.cli import _fmt, _fmt_join
 
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
@@ -762,3 +772,133 @@ def test_number_writers_match_per_value_reference():
     nested = {"a": values[:20], "b": [values[:3], {"c": values[3:4]}], "d": np.array([])}
     listed = {"a": mixed[:20], "b": [mixed[:3], {"c": mixed[3:4]}], "d": []}
     assert _json_text(nested) == oracles.json_text(listed)
+
+
+def _counting_fmt_join(monkeypatch):
+    """Record the values of every ``cli._fmt_join`` call."""
+    from mqspace import cli
+
+    calls = []
+    fmt_join = cli._fmt_join
+
+    def counting(values, sep):
+        calls.append(list(values))
+        return fmt_join(values, sep)
+
+    monkeypatch.setattr(cli, "_fmt_join", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_evolve_json_formats_each_distinct_series_once(capsys, monkeypatch, n):
+    couplings = tuple((k, k + 1, 0.3 + 0.1 * k) for k in range(1, n))
+    config = DiffusionConfig(
+        SpinSystem(n),
+        HamiltonianSpec("dipolar_secular", couplings=couplings),
+        linear_times(0.0, 2.0, 9),
+    )
+    trace = run_blockwise(config)
+    series = {a.tobytes() for a in trace.channels.values()}
+    # a Hermitian evolved operator has equal magnitudes in cells (i, j) and
+    # (j, i), so every mirror pair of coherence channels shares one series
+    diagonal = 2**n - 1
+    assert len(series) == diagonal + (math.comb(2 * n, n) - 2**n) // 2
+    assert len(series) < len(trace.channels)
+    others = {np.asarray(trace.times).tobytes(), trace.conserved.tobytes()} - series
+
+    calls = _counting_fmt_join(monkeypatch)
+    argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", "--times", "0:2:9",
+            "--engine", "blockwise", "--track", "all"]
+    argv += [x for k, l, j in couplings for x in ("--coupling", f"{k},{l},{j!r}")]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_OK, err
+    assert len(calls) == len(series) + len(others)
+    doc = json.loads(out)
+    assert len(doc["channels"]) == len(trace.channels)
+    for lab, values in doc["channels"].items():
+        assert values == trace.channels[lab].tolist(), lab
+
+
+def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch):
+    from mqspace.cli import _json_pieces
+
+    payload = np.array([0x7FF8000000000001, 0x7FF8000000000002, 0xFFF8000000000000],
+                       dtype=np.uint64).view(np.float64)
+    shared = np.array([0.1, 1 / 3, -2.5])
+    doc = {
+        "first": shared,
+        "again": shared.copy(),
+        "zeros": np.array([0.0, 0.0]),
+        "negative_zeros": np.array([-0.0, 0.0]),
+        "nans": [payload[:1], {"other": payload[1:2], "negative": payload[2:]}],
+        "empty": np.array([]),
+        "empty_again": np.array([]),
+        "nested": [[shared, {"deep": [shared[::-1], []]}], [], {}],
+        "complex": [1 + 2j, np.complex128(-0.0 - 1e-300j)],
+        "scalars": [np.float64(0.5), np.int64(-3), True, None, "x"],
+    }
+
+    def listed(value):
+        if isinstance(value, np.ndarray):
+            return value.tolist()
+        if isinstance(value, dict):
+            return {k: listed(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [listed(v) for v in value]
+        return value
+
+    calls = _counting_fmt_join(monkeypatch)
+    pieces = _json_pieces(doc)
+    assert "".join(pieces) == oracles.json_text(listed(doc)) + "\n"
+    # equal bytes share one text; -0.0 against 0.0 and different NaN
+    # payloads are different bytes, so each is formatted on its own
+    arrays = [shared, doc["zeros"], doc["negative_zeros"], *payload.reshape(3, 1),
+              doc["empty"], shared[::-1]]
+    assert len(calls) == len({a.tobytes() for a in arrays}) == 8
+    first = pieces.index("[0.10000000000000001, 0.33333333333333331, -2.5]")
+    assert sum(p is pieces[first] for p in pieces) == 3
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_serialization_error_leaves_no_output(capsys, monkeypatch, tmp_path, fmt):
+    from mqspace import cli
+
+    calls = _counting_fmt_join(monkeypatch)
+    counting = cli._fmt_join
+
+    def failing(values, sep):
+        if len(calls) == 3:
+            raise InvariantError("synthetic serializer failure")
+        return counting(values, sep)
+
+    monkeypatch.setattr(cli, "_fmt_join", failing)
+    target = tmp_path / "trace.out"
+    for out in ([], ["--out", str(target)]):
+        calls.clear()
+        code, stdout, err = run_cli(capsys, EVOLVE_ARGS + ["--format", fmt] + out)
+        assert code == EXIT_INVARIANT
+        assert "synthetic serializer failure" in err
+        assert len(calls) == 3
+        assert stdout == ""
+        assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "times", [{"start": 0, "end": 1, "points": 1}, "0:1:1"], ids=["object", "string"]
+)
+def test_short_time_grid_reports_the_point_minimum(capsys, tmp_path, times):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "n": 2,
+                "hamiltonian": {"model": "flipflop", "couplings": [[1, 2, 1.0]]},
+                "times": times,
+            }
+        )
+    )
+    code, out, err = run_cli(capsys, ["evolve", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: a time grid needs at least 2 points, got 1\n"
+    assert "malformed" not in err

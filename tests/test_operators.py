@@ -45,6 +45,20 @@ def test_spin_system_validation():
     assert SpinSystem(3).dim == 8
 
 
+@pytest.mark.parametrize("n", [np.int64(3), np.int32(3)], ids=["int64", "int32"])
+def test_spin_system_accepts_numpy_integers(n):
+    system = SpinSystem(n)
+    assert type(system.n) is int
+    assert system == SpinSystem(3)
+    assert system.dim == 8
+
+
+@pytest.mark.parametrize("n", [True, 3.0, np.float64(3.0)], ids=["bool", "float", "float64"])
+def test_spin_system_refuses_non_integers(n):
+    with pytest.raises(ConfigurationError, match="spin count must be an integer"):
+        SpinSystem(n)
+
+
 def test_max_spins_env_override(monkeypatch):
     monkeypatch.setenv("MQSPACE_MAX_N", "2")
     assert max_spins() == 2
