@@ -8,6 +8,11 @@ magnetization-sorted encoding and ``verify`` runs the property suites.
 
 Every subcommand accepts inline flags or a JSON config file; on
 conflict the config file wins and a warning goes to the error stream.
+:func:`main` resolves the spin count and the output format, and each
+handler its own inputs, before any computation, so a malformed input
+costs no run. A handler returns its document's pieces and exit code,
+and :func:`main` writes them.
+
 Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
 produce byte-identical output. A document is built as a list of
@@ -15,7 +20,8 @@ string pieces and written, to the ``--out`` file or standard output,
 only once every piece exists, so a serialization error leaves no
 partial output; in JSON, equal float series share one formatted text.
 Exit codes: 0 success, 2 configuration or parse error (malformed config
-values included), 3 numerical tolerance failure, 4 invariant breach.
+values and an unwritable ``--out`` file included), 3 numerical tolerance
+failure, 4 invariant breach.
 """
 
 from __future__ import annotations
@@ -96,11 +102,11 @@ def _fmt_join(values: Sequence[float], sep: str) -> str:
 def _json_pieces(value: Any) -> list[str]:
     """The JSON document of ``value`` as string pieces, to be written in order.
 
-    Nested containers are indented two spaces per level, flat lists stay
-    on one line and complex numbers become ``[re, im]``. Each 1-D float64
-    array is formatted once per document: arrays with the same bytes share
-    one text, which enters the list by reference. The document ends with
-    a newline.
+    Nested containers are indented two spaces per level, flat lists (no
+    dict, list, tuple or array items) stay on one line and complex numbers
+    become ``[re, im]``. Each 1-D float64 array is formatted once per
+    document: arrays with the same bytes share one text, which enters the
+    list by reference. The document ends with a newline.
     """
     pieces: list[str] = []
     formatted: dict[bytes, str] = {}
@@ -121,7 +127,7 @@ def _json_pieces(value: Any) -> list[str]:
                 lead = ",\n"
             pieces.append(f"\n{pad}}}")
         elif isinstance(value, (list, tuple)) and value:
-            if all(not isinstance(v, (dict, list, tuple)) for v in value):
+            if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
                 lead, sep, end = "[", ", ", "]"
             else:
                 pad = "  " * indent
@@ -172,9 +178,12 @@ def _emit(pieces: list[str], out: str | None) -> None:
     """Write a finished document; nothing is written before it is complete."""
     if out is None:
         sys.stdout.writelines(pieces)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write output {out!r}: {exc}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -381,8 +390,7 @@ def _structural_tags(spec: BaseOperatorSpec) -> list[str]:
     return tags
 
 
-def _cmd_basis(resolved: dict) -> int:
-    system = _require_n(resolved)
+def _cmd_basis(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
     kind = resolved.get("kind") or CARTESIAN
     if kind not in (CARTESIAN, SHIFT):
         raise ConfigurationError(f"kind must be cartesian or shift, got {kind!r}")
@@ -396,28 +404,24 @@ def _cmd_basis(resolved: dict) -> int:
                 "tags": _structural_tags(spec),
             }
         )
-    if _format_of(resolved) == "json":
-        pieces = _json_pieces({"n": system.n, "kind": kind, "operators": records})
-    else:
-        rows = [
-            [
-                r["label"],
-                r["kind"],
-                ";".join(str(p) for p in r["orders"]),
-                ";".join(r["tags"]),
-            ]
-            for r in records
+    if not csv:
+        return _json_pieces({"n": system.n, "kind": kind, "operators": records}), EXIT_OK
+    rows = [
+        [
+            r["label"],
+            r["kind"],
+            ";".join(str(p) for p in r["orders"]),
+            ";".join(r["tags"]),
         ]
-        pieces = _csv_pieces(["label", "kind", "orders", "tags"], rows)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK
+        for r in records
+    ]
+    return _csv_pieces(["label", "kind", "orders", "tags"], rows), EXIT_OK
 
 
 # ----------------------------------------------------------------- dims
 
 
-def _cmd_dims(resolved: dict) -> int:
-    system = _require_n(resolved)
+def _cmd_dims(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
     n = system.n
     dims = subspace_dims(n)
     block_dims = [block_dimension(n, k) for k in range(n + 1)]
@@ -433,32 +437,24 @@ def _cmd_dims(resolved: dict) -> int:
         "full_cells": full,
         "block_cost_ratio": total / full,
     }
-    if _format_of(resolved) == "json":
-        pieces = _json_pieces(doc)
-    else:
-        header = ["quantity", "value"]
-        rows = [
-            ["n", str(n)],
-            *[
-                [f"dim_{tag.value}", str(dims[tag])]
-                for tag in SubspaceTag
-            ],
-            ["block_dims", ";".join(str(d) for d in block_dims)],
-            ["block_cells", ";".join(str(c) for c in block_cells)],
-            ["block_cells_total", str(total)],
-            ["full_cells", str(full)],
-            ["block_cost_ratio", _fmt(total / full)],
-        ]
-        pieces = _csv_pieces(header, rows)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK
+    if not csv:
+        return _json_pieces(doc), EXIT_OK
+    rows = [
+        ["n", str(n)],
+        *[[f"dim_{tag.value}", str(dims[tag])] for tag in SubspaceTag],
+        ["block_dims", ";".join(str(d) for d in block_dims)],
+        ["block_cells", ";".join(str(c) for c in block_cells)],
+        ["block_cells_total", str(total)],
+        ["full_cells", str(full)],
+        ["block_cost_ratio", _fmt(total / full)],
+    ]
+    return _csv_pieces(["quantity", "value"], rows), EXIT_OK
 
 
 # --------------------------------------------------------------- evolve
 
 
-def _cmd_evolve(resolved: dict) -> int:
-    system = _require_n(resolved)
+def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
     spec = _hamiltonian_spec(resolved)
     config = DiffusionConfig(
         system=system,
@@ -484,7 +480,7 @@ def _cmd_evolve(resolved: dict) -> int:
         other = run_blockwise(config)
         discrepancy = channel_discrepancy(trace, other)
 
-    if _format_of(resolved) == "csv":
+    if csv:
         header = ["t"] + list(trace.channels)
         if discrepancy is not None:
             header.append("max_channel_discrepancy")
@@ -493,37 +489,37 @@ def _cmd_evolve(resolved: dict) -> int:
             columns.append(discrepancy)
         table = np.column_stack(columns)
         # each row is formatted whole, one at a time, and handed over as one cell
-        pieces = _csv_pieces(header, ([_fmt_join(row.tolist(), ",")] for row in table))
-    else:
-        doc = {
-            "n": system.n,
-            "engine": engine,
-            "initial": config.initial,
-            "purge": config.purge,
-            "times": np.asarray(trace.times),
-            "channels": trace.channels,
-            "conserved": trace.conserved,
-            "undesired": list(trace.undesired),
-            "block_sizes": (
-                None
-                if trace.block_sizes is None
-                else {str(k): v for k, v in sorted(trace.block_sizes.items())}
-            ),
-        }
-        if discrepancy is not None:
-            doc["max_channel_discrepancy"] = discrepancy
-        pieces = _json_pieces(doc)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK
+        rows = ([_fmt_join(row.tolist(), ",")] for row in table)
+        return _csv_pieces(header, rows), EXIT_OK
+    doc = {
+        "n": system.n,
+        "engine": engine,
+        "initial": config.initial,
+        "purge": config.purge,
+        "times": np.asarray(trace.times),
+        "channels": trace.channels,
+        "conserved": trace.conserved,
+        "undesired": list(trace.undesired),
+        "block_sizes": (
+            None
+            if trace.block_sizes is None
+            else {str(k): v for k, v in sorted(trace.block_sizes.items())}
+        ),
+    }
+    if discrepancy is not None:
+        doc["max_channel_discrepancy"] = discrepancy
+    return _json_pieces(doc), EXIT_OK
 
 
 # -------------------------------------------------------------- cascade
 
 
-def _cmd_cascade(resolved: dict) -> int:
-    system = _require_n(resolved)
-    seed = _int_of(resolved, "seed", 0)
-    has_model = isinstance(resolved.get("hamiltonian"), dict) or resolved.get("model")
+def _cmd_cascade(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+    seed = _int_of(resolved, "seed", 0, minimum=0)
+    # hamiltonian terms without a model are refused, never silently dropped
+    has_model = isinstance(resolved.get("hamiltonian"), dict) or any(
+        resolved.get(key) for key in ("model", "coupling", "offset")
+    )
     if has_model:
         target = build_hamiltonian(system, _hamiltonian_spec(resolved))
         source = "hamiltonian"
@@ -543,40 +539,35 @@ def _cmd_cascade(resolved: dict) -> int:
         "fallbacks": list(result.fallbacks),
         "spectrum_error": result.spectrum_error,
     }
-    if _format_of(resolved) == "json":
-        pieces = _json_pieces(doc)
-    else:
-        rows = [["n", str(system.n)], ["source", source]]
-        rows += [[f"residual_{k}", _fmt(v)] for k, v in result.residuals.items()]
-        rows += [
-            [key, str(bool(member)).lower()]
-            for key, member in result.stage_classes.items()
-        ]
-        rows.append(["fallbacks", ";".join(str(f).lower() for f in result.fallbacks)])
-        rows.append(["spectrum_error", _fmt(result.spectrum_error)])
-        pieces = _csv_pieces(["quantity", "value"], rows)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK
+    if not csv:
+        return _json_pieces(doc), EXIT_OK
+    rows = [["n", str(system.n)], ["source", source]]
+    rows += [[f"residual_{k}", _fmt(v)] for k, v in result.residuals.items()]
+    rows += [[key, str(bool(member)).lower()] for key, member in result.stage_classes.items()]
+    rows.append(["fallbacks", ";".join(str(f).lower() for f in result.fallbacks)])
+    rows.append(["spectrum_error", _fmt(result.spectrum_error)])
+    return _csv_pieces(["quantity", "value"], rows), EXIT_OK
 
 
 # ----------------------------------------------------------------- perm
 
 
-def _cmd_perm(resolved: dict) -> int:
-    system = _require_n(resolved)
-    enc = iz_sorted_encoding(system)
+def _cmd_perm(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
     want_generators = bool(resolved.get("generators") or False)
+    if want_generators and system.n > GENERATOR_EMIT_MAX_N:
+        raise ConfigurationError(
+            f"generator matrices are emitted only for n <= "
+            f"{GENERATOR_EMIT_MAX_N}; n={system.n} would be enormous"
+        )
+    if want_generators and csv:
+        raise ConfigurationError("generator matrices are JSON-only output")
+    enc = iz_sorted_encoding(system)
     doc: dict[str, Any] = {
         "n": system.n,
         "permutation": list(enc.permutation),
         "cycles": [list(c) for c in enc.cycles()],
     }
     if want_generators:
-        if system.n > GENERATOR_EMIT_MAX_N:
-            raise ConfigurationError(
-                f"generator matrices are emitted only for n <= "
-                f"{GENERATOR_EMIT_MAX_N}; n={system.n} would be enormous"
-            )
         generators = []
         for gen, angle in synthesize_permutation(enc, system):
             generators.append(
@@ -586,25 +577,17 @@ def _cmd_perm(resolved: dict) -> int:
                 }
             )
         doc["generators"] = generators
-    if _format_of(resolved) == "json":
-        pieces = _json_pieces(doc)
-    else:
-        if want_generators:
-            raise ConfigurationError("generator matrices are JSON-only output")
-        rows = [
-            [str(pos), str(idx)] for pos, idx in enumerate(enc.permutation)
-        ]
-        pieces = _csv_pieces(["position", "computational_index"], rows)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK
+    if not csv:
+        return _json_pieces(doc), EXIT_OK
+    rows = [[str(pos), str(idx)] for pos, idx in enumerate(enc.permutation)]
+    return _csv_pieces(["position", "computational_index"], rows), EXIT_OK
 
 
 # --------------------------------------------------------------- verify
 
 
-def _cmd_verify(resolved: dict) -> int:
-    system = _require_n(resolved)
-    seed = _int_of(resolved, "seed", 0)
+def _cmd_verify(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+    seed = _int_of(resolved, "seed", 0, minimum=0)
     trials = _int_of(resolved, "trials", 100, minimum=1)
     combos = _int_of(resolved, "combos", 50, minimum=0)
     tolerances = resolved.get("tolerances") or {}
@@ -648,6 +631,7 @@ def _cmd_verify(resolved: dict) -> int:
             }
         )
     all_passed = all(c["passed"] for c in checks)
+    code = EXIT_OK if all_passed else EXIT_NUMERICAL
     doc = {
         "n": system.n,
         "seed": seed,
@@ -656,21 +640,18 @@ def _cmd_verify(resolved: dict) -> int:
         "passed": all_passed,
         "checks": checks,
     }
-    if _format_of(resolved) == "json":
-        pieces = _json_pieces(doc)
-    else:
-        rows = [
-            [
-                c["check"],
-                str(c["passed"]).lower(),
-                str(c["checks_run"]),
-                _fmt(max(c["max_residuals"].values(), default=0.0)),
-            ]
-            for c in checks
+    if not csv:
+        return _json_pieces(doc), code
+    rows = [
+        [
+            c["check"],
+            str(c["passed"]).lower(),
+            str(c["checks_run"]),
+            _fmt(max(c["max_residuals"].values(), default=0.0)),
         ]
-        pieces = _csv_pieces(["check", "passed", "checks_run", "max_residual"], rows)
-    _emit(pieces, resolved.get("out"))
-    return EXIT_OK if all_passed else EXIT_NUMERICAL
+        for c in checks
+    ]
+    return _csv_pieces(["check", "passed", "checks_run", "max_residual"], rows), code
 
 
 # ------------------------------------------------------------- dispatch
@@ -757,7 +738,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         resolved = _merge(args, args.command)
-        return _HANDLERS[args.command](resolved)
+        system = _require_n(resolved)
+        csv = _format_of(resolved) == "csv"
+        pieces, code = _HANDLERS[args.command](system, resolved, csv)
+        _emit(pieces, resolved.get("out"))
+        return code
     except ConfigurationError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_CONFIG

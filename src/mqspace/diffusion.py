@@ -23,6 +23,7 @@ from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
+    _block_spectra,
     _blockwise_cells,
     _dense_cells,
     _diagonal_groups,
@@ -300,9 +301,9 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     ``2^n x 2^n`` matrix; a custom one is realized densely once, to be
     checked and split.
     """
-    blocks = _hamiltonian_blocks(config.system, config.hamiltonian)
-    cells = _blockwise_cells(blocks, _initial_diagonal(config), config.times)
-    sizes = {k: len(idx) ** 2 for k, (idx, _) in enumerate(blocks)}
+    spectra = _block_spectra(_hamiltonian_blocks(config.system, config.hamiltonian))
+    cells = _blockwise_cells(spectra, _initial_diagonal(config), config.times)
+    sizes = {k: len(idx) ** 2 for k, (idx, *_) in enumerate(spectra)}
     return _assemble(config, cells, "blockwise", sizes)
 
 

@@ -6,7 +6,10 @@ and lets every requested time reuse one cached decomposition. For
 zero-quantum generators the exponential factorizes over the selective
 blocks, so the propagator is assembled block by block and an operator
 confined to a single block can be evolved while touching only that
-block's entries.
+block's entries. Every block's spectrum comes from one function,
+:func:`_block_spectra`, as read-only arrays: the block engine builds it
+once from the Hamiltonian's blocks, and :func:`zq_propagator` and
+:func:`blockwise_conjugate` share one copy memoized on the generator.
 
 Conjugating a diagonal operator by a zero-quantum propagator scatters
 its weight over three kinds of terms: single-spin longitudinal
@@ -225,11 +228,24 @@ def _zq_blocks(z: Operator):
     return [(idx, 0.5 * (sub + sub.conj().T)) for idx, sub in subs]
 
 
+def _block_spectra(blocks):
+    """``(state indices, eigenvalues, eigenvectors)`` of each selective block.
+
+    ``blocks`` are ``(state indices, block)`` pairs as :func:`_hamiltonian_blocks`
+    or :func:`_zq_blocks` give them, ``block = v @ diag(w) @ v^H``. This is
+    the one place a selective block is diagonalized; the result is a tuple
+    of read-only arrays, safe to share between callers.
+    """
+    spectra = tuple((idx, *np.linalg.eigh(block)) for idx, block in blocks)
+    for _, w, v in spectra:
+        w.setflags(write=False)
+        v.setflags(write=False)
+    return spectra
+
+
 def _block_eigh_cached(z: Operator):
-    """``(indices, eigenvalues, eigenvectors)`` of every block of :func:`_zq_blocks`."""
-    return _memoized(
-        z, "block_eigh", lambda: [(idx, *np.linalg.eigh(b)) for idx, b in _zq_blocks(z)]
-    )
+    """:func:`_block_spectra` of :func:`_zq_blocks`, built once per instance of ``z``."""
+    return _memoized(z, "block_eigh", lambda: _block_spectra(_zq_blocks(z)))
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:
@@ -453,33 +469,31 @@ def _dense_cells(z: Operator, q: Operator, t: float):
     return np.diag(qc.entries), qc.entries[rows, cols], residual
 
 
-def _blockwise_cells(blocks, q: np.ndarray, times):
+def _blockwise_cells(spectra, q: np.ndarray, times):
     """Cells of the diagonal operator ``diag(q)`` evolved block by block, per time.
 
-    ``blocks`` are a Hamiltonian's ``(state indices, block)`` pairs, as
-    :func:`_hamiltonian_blocks` gives them; ``q`` is not checked, since a
-    transfer config admits only traceless diagonals. Each block is
-    diagonalized once, ``H_k = V diag(w) V^H``, and ``q``'s part rotated
-    once into that eigenbasis, ``Q = (V^H * q[idx]) V``. At time ``t`` the
-    block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``; its diagonal
-    is scattered into one ``2^n`` vector and its off-diagonal entries
-    gathered straight into :func:`zq_offdiagonal_cells` order. No array
-    is larger than a block or the ``2^n`` diagonal apart from the cells
-    themselves, and the residual is exactly 0 by construction. Yields
-    ``(diag, zqc, 0.0)`` per time.
+    ``spectra`` are a Hamiltonian's ``(state indices, w, V)`` block spectra,
+    as :func:`_block_spectra` gives them, ``H_k = V diag(w) V^H``; ``q`` is
+    not checked, since a transfer config admits only traceless diagonals.
+    ``q``'s part is rotated once into each eigenbasis, ``Q = (V^H * q[idx]) V``.
+    At time ``t`` the block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``;
+    its diagonal is scattered into one ``2^n`` vector and its off-diagonal
+    entries gathered straight into :func:`zq_offdiagonal_cells` order. No
+    array is larger than a block or the ``2^n`` diagonal apart from the
+    cells themselves, and the residual is exactly 0 by construction.
+    Yields ``(diag, zqc, 0.0)`` per time.
     """
     n = q.size.bit_length() - 1
-    spectra = []
-    for idx, h in blocks:
-        w, v = np.linalg.eigh(h)
+    prepared = []
+    for idx, w, v in spectra:
         rotated = (v.conj().T * q[idx]) @ v
         i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-        spectra.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
-    n_cells = sum(len(cells) for *_, cells in spectra)
+        prepared.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
+    n_cells = sum(len(cells) for *_, cells in prepared)
     for t in times:
         diag = np.empty(q.size, dtype=complex)
         zqc = np.empty(n_cells, dtype=complex)
-        for idx, w, v, rotated, cells in spectra:
+        for idx, w, v, rotated, cells in prepared:
             d = len(idx)
             u = v * np.exp(-1j * w * t)
             r = u @ rotated @ u.conj().T

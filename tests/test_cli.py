@@ -104,7 +104,7 @@ def test_invariant_failures_exit_four(capsys, monkeypatch):
     from mqspace import cli
     from mqspace.errors import InvariantError
 
-    def boom(resolved):
+    def boom(system, resolved, csv):
         raise InvariantError("synthetic breach")
 
     monkeypatch.setitem(cli._HANDLERS, "dims", boom)
@@ -834,6 +834,7 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
         "empty": np.array([]),
         "empty_again": np.array([]),
         "nested": [[shared, {"deep": [shared[::-1], []]}], [], {}],
+        "arrays": [np.array([0.0, 0.0]), shared[::-1].copy()],
         "complex": [1 + 2j, np.complex128(-0.0 - 1e-300j)],
         "scalars": [np.float64(0.5), np.int64(-3), True, None, "x"],
     }
@@ -902,3 +903,59 @@ def test_short_time_grid_reports_the_point_minimum(capsys, tmp_path, times):
     assert out == ""
     assert err == "error: a time grid needs at least 2 points, got 1\n"
     assert "malformed" not in err
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a computation started")
+
+
+def test_bad_format_is_reported_before_any_run(capsys, monkeypatch, tmp_path):
+    from mqspace import cli
+
+    monkeypatch.setattr(cli, "run_diffusion", _refuse)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    for argv in (EVOLVE_ARGS, ["evolve", "--n", "2"]):
+        # the second input also lacks a model and a time grid
+        code, out, err = run_cli(capsys, argv + ["--config", str(cfg)])
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert err == "error: format must be csv or json, got 'xml'\n"
+
+
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", ["cascade", "verify"])
+def test_negative_seed_exits_config(capsys, tmp_path, command, via_config):
+    if via_config:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"n": 2, "seed": -1}))
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--n", "2", "--seed", "-1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == "error: seed must be at least 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "terms", [["--coupling", "1,2,1.0"], ["--offset", "1,0.5"]], ids=["coupling", "offset"]
+)
+def test_cascade_terms_without_a_model_exit_config(capsys, monkeypatch, terms):
+    from mqspace import cli
+
+    monkeypatch.setattr(cli, "cascade", _refuse)
+    code, out, err = run_cli(capsys, ["cascade", "--n", "3", *terms])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: hamiltonian model is required")
+
+
+def test_unwritable_out_path_exits_config(capsys, tmp_path):
+    target = tmp_path / "missing" / "dims.json"
+    code, out, err = run_cli(capsys, ["dims", "--n", "2", "--out", str(target)])
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()

@@ -22,6 +22,7 @@ from mqspace import (
     build_operator,
     channel_discrepancy,
     conjugate,
+    expand,
     linear_times,
     purge,
     reconstruct_profile,
@@ -368,6 +369,28 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
     assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
 
 
+@pytest.mark.parametrize("custom", [False, True])
+@pytest.mark.parametrize("n", [1, 6])
+def test_block_run_diagonalizes_each_block_once(monkeypatch, n, custom):
+    system = SpinSystem(n)
+    spec = _spec("dipolar_secular", n)
+    if custom:
+        spec = HamiltonianSpec("custom", custom=expand(build_hamiltonian(system, spec), CARTESIAN))
+    cfg = DiffusionConfig(system, spec, linear_times(0.0, 2.0, 5))
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    trace = run_blockwise(cfg)
+    dims = [math.comb(n, k) for k in range(n + 1)]
+    assert shapes == [(d, d) for d in dims]
+    assert trace.block_sizes == {k: d * d for k, d in enumerate(dims)}
+
+
 def test_engines_agree_on_a_custom_zero_quantum_hamiltonian():
     n = 4
     terms = {
@@ -477,8 +500,8 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
         cells = [_dense_cells(h, q0, t) for t in cfg.times]
     else:
         trace = run_blockwise(cfg)
-        blocks = dynamics._hamiltonian_blocks(system, CHAIN4)
-        cells = list(_blockwise_cells(blocks, np.diag(q0.entries).real, cfg.times))
+        spectra = dynamics._block_spectra(dynamics._hamiltonian_blocks(system, CHAIN4))
+        cells = list(_blockwise_cells(spectra, np.diag(q0.entries).real, cfg.times))
     eager = []
     for t, (diag, zqc, residual) in zip(cfg.times, cells):
         profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)

@@ -549,6 +549,31 @@ def test_reconstruct_profile_parses_no_label(monkeypatch):
     assert np.array_equal(reconstruct_profile(system, profile).entries, expected)
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_block_spectra_equal_the_memoized_generator_spectra(model, n):
+    system = SpinSystem(n)
+    spec = _named_spec(model, n)
+    direct = dynamics._block_spectra(dynamics._hamiltonian_blocks(system, spec))
+    memoized = dynamics._block_eigh_cached(build_hamiltonian(system, spec))
+    assert len(direct) == len(memoized) == n + 1
+    for mine, theirs in zip(direct, memoized):
+        for a, b in zip(mine, theirs, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_memoized_block_spectra_are_read_only():
+    system = SpinSystem(4)
+    h = build_hamiltonian(system, _named_spec("isotropic_j", 4))
+    spectra = dynamics._block_eigh_cached(h)
+    assert dynamics._block_eigh_cached(h) is spectra
+    for idx, w, v in spectra:
+        for arr in (idx, w, v):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
+
 def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
     n = 4
     system = SpinSystem(n)
