@@ -72,15 +72,15 @@ EXIT_INVARIANT = 4
 
 GENERATOR_EMIT_MAX_N = 6
 
-_COMMON_KEYS = {"n", "seed", "format", "out"}
+_COMMON_KEYS = {"n", "format", "out"}
 _CONFIG_KEYS = {
     "basis": _COMMON_KEYS | {"kind"},
     "dims": _COMMON_KEYS,
     "evolve": _COMMON_KEYS
     | {"hamiltonian", "initial", "times", "purge", "track", "engine"},
-    "cascade": _COMMON_KEYS | {"hamiltonian"},
+    "cascade": _COMMON_KEYS | {"seed", "hamiltonian"},
     "perm": _COMMON_KEYS | {"generators"},
-    "verify": _COMMON_KEYS | {"trials", "combos", "tolerances"},
+    "verify": _COMMON_KEYS | {"seed", "trials", "combos", "tolerances"},
 }
 _HAMILTONIAN_KEYS = {"model", "couplings", "offsets"}
 _TOLERANCE_KEYS = {"membership"}
@@ -122,7 +122,7 @@ def _json_pieces(value: Any) -> list[str]:
             pad = "  " * indent
             lead = "{\n"
             for k, v in value.items():
-                pieces.append(f"{lead}{pad}  {json.dumps(str(k))}: ")
+                pieces.append(f"{lead}{pad}  {_json_string(str(k))}: ")
                 write(v, indent + 1)
                 lead = ",\n"
             pieces.append(f"\n{pad}}}")
@@ -162,8 +162,15 @@ def _json_leaf(value: Any) -> str:
     if isinstance(value, (complex, np.complexfloating)):
         return "[" + _fmt(value.real) + ", " + _fmt(value.imag) + "]"
     if isinstance(value, str):
-        return json.dumps(value)
+        return _json_string(value)
     raise InvariantError(f"cannot serialize {type(value).__name__} to JSON")
+
+
+def _json_string(text: str) -> str:
+    """``json.dumps(text)``: printable ASCII without ``"`` or ``\\`` needs no escape."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return f'"{text}"'
+    return json.dumps(text)
 
 
 def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> list[str]:
@@ -183,7 +190,7 @@ def _emit(pieces: list[str], out: str | None) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(pieces)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write output {out!r}: {exc}") from exc
+        raise ConfigurationError(f"cannot write output {out!r}: {exc.strerror}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -668,7 +675,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="number of spins")
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("basis", help="enumerate base operators")
@@ -703,6 +709,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cascade", help="three-stage block diagonalization")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--model", choices=[m for m in HAMILTONIAN_MODELS if m != "custom"])
     p.add_argument("--coupling", action="append", type=_parse_coupling_flag)
     p.add_argument("--offset", action="append", type=_parse_offset_flag)
@@ -713,6 +720,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property verification suites")
     common(p)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--combos", type=int, default=None)
 

@@ -23,7 +23,6 @@ from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
-    _block_spectra,
     _blockwise_cells,
     _dense_cells,
     _diagonal_groups,
@@ -146,8 +145,10 @@ class DiffusionTrace:
     ``conserved`` is the inner product of the total-z operator with the
     evolved state, constant whenever the Hamiltonian commutes with total
     z. ``track`` is the run's :attr:`DiffusionConfig.track`.
-    ``block_sizes`` reports the d(k)^2 arithmetic cost per magnetization
-    block for the block-wise engine and is None otherwise.
+    ``block_sizes`` maps each magnetization block ``k`` to its d(k)^2
+    entries for the block-wise engine, and is None otherwise; it counts
+    entries, not the arithmetic done, which the spin-flip reductions of
+    :func:`run_blockwise` lower for mirrored and split blocks.
 
     The label-keyed views are built from these arrays on first read and
     kept. ``channels`` maps each tracked label to a real array over the
@@ -294,16 +295,27 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
 
     The Hamiltonian is built as its ``n + 1`` magnetization blocks and the
     initial operator as its ``2^n`` diagonal of signs. Every block is
-    diagonalized once and that vector's part rotated into its eigenbasis
-    once; each grid point then costs two ``d(k) x d(k)`` products per
-    block, whose entries go straight into the amplitude bins, binned by
-    one fast Walsh-Hadamard transform. A named model never exists as a
+    diagonalized at most once and that vector's part rotated into its
+    eigenbasis once; each grid point then costs at most two ``d(k) x d(k)``
+    products per block, whose entries go straight into the amplitude bins,
+    binned by one fast Walsh-Hadamard transform. An exactly real block
+    takes real arithmetic, and blocks that the global spin flip maps
+    exactly onto each other are evolved once (see
+    :func:`~mqspace.dynamics._blockwise_cells`); so a named model's blocks
+    ``k > n / 2`` are never diagonalized and, for even ``n``, the middle
+    block is diagonalized as two halves. A named model never exists as a
     ``2^n x 2^n`` matrix; a custom one is realized densely once, to be
     checked and split.
     """
-    spectra = _block_spectra(_hamiltonian_blocks(config.system, config.hamiltonian))
-    cells = _blockwise_cells(spectra, _initial_diagonal(config), config.times)
-    sizes = {k: len(idx) ** 2 for k, (idx, *_) in enumerate(spectra)}
+    n = config.system.n
+    # no reference to the blocks is kept here: the cell generator frees
+    # them before binning
+    cells = _blockwise_cells(
+        _hamiltonian_blocks(config.system, config.hamiltonian),
+        _initial_diagonal(config),
+        config.times,
+    )
+    sizes = {k: math.comb(n, k) ** 2 for k in range(n + 1)}
     return _assemble(config, cells, "blockwise", sizes)
 
 

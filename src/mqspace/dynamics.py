@@ -7,9 +7,11 @@ zero-quantum generators the exponential factorizes over the selective
 blocks, so the propagator is assembled block by block and an operator
 confined to a single block can be evolved while touching only that
 block's entries. Every block's spectrum comes from one function,
-:func:`_block_spectra`, as read-only arrays: the block engine builds it
-once from the Hamiltonian's blocks, and :func:`zq_propagator` and
-:func:`blockwise_conjugate` share one copy memoized on the generator.
+:func:`_block_spectra`, as read-only arrays, real for an exactly real
+block: the block engine builds the spectra it needs once from the
+Hamiltonian's blocks, skipping or halving those the global spin flip
+relates, and :func:`zq_propagator` and :func:`blockwise_conjugate` share
+one copy of every block's spectrum memoized on the generator.
 
 Conjugating a diagonal operator by a zero-quantum propagator scatters
 its weight over three kinds of terms: single-spin longitudinal
@@ -228,15 +230,24 @@ def _zq_blocks(z: Operator):
     return [(idx, 0.5 * (sub + sub.conj().T)) for idx, sub in subs]
 
 
+def _exactly_real(a: np.ndarray) -> np.ndarray:
+    """``a``'s real part when its imaginary part is exactly 0, else ``a`` itself."""
+    if np.iscomplexobj(a) and not a.imag.any():
+        return a.real
+    return a
+
+
 def _block_spectra(blocks):
-    """``(state indices, eigenvalues, eigenvectors)`` of each selective block.
+    """``(state indices, eigenvalues, eigenvectors)`` of each Hermitian piece.
 
     ``blocks`` are ``(state indices, block)`` pairs as :func:`_hamiltonian_blocks`
-    or :func:`_zq_blocks` give them, ``block = v @ diag(w) @ v^H``. This is
-    the one place a selective block is diagonalized; the result is a tuple
-    of read-only arrays, safe to share between callers.
+    or :func:`_zq_blocks` give them, or the pieces :func:`_blockwise_cells`
+    splits them into, ``block = v @ diag(w) @ v^H``. This is the one place a
+    selective block is diagonalized: a block whose imaginary part is exactly
+    0 gets real eigenvectors. The result is a tuple of read-only arrays,
+    safe to share between callers.
     """
-    spectra = tuple((idx, *np.linalg.eigh(block)) for idx, block in blocks)
+    spectra = tuple((idx, *np.linalg.eigh(_exactly_real(block))) for idx, block in blocks)
     for _, w, v in spectra:
         w.setflags(write=False)
         v.setflags(write=False)
@@ -252,10 +263,11 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     """Unitary ``exp(-i h t)`` from the eigendecomposition of ``h``.
 
     The decomposition is cached on the operator instance, so sweeping
-    many times over one generator pays the cubic cost once.
+    many times over one generator pays the cubic cost once; an exactly
+    real generator is decomposed in real arithmetic.
     """
     _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
-    w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(h.entries))
+    w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(_exactly_real(h.entries)))
     u = (v * np.exp(-1j * w * t)) @ v.conj().T
     return Operator(h.system, u)
 
@@ -469,39 +481,157 @@ def _dense_cells(z: Operator, q: Operator, t: float):
     return np.diag(qc.entries), qc.entries[rows, cols], residual
 
 
-def _blockwise_cells(spectra, q: np.ndarray, times):
+def _mirror_sign(near, far, q_near, q_far):
+    """``s`` in (1, -1) when ``far`` is ``near`` and ``q_far`` is ``s * q_near``,
+    each reversed on every axis, exactly; None otherwise."""
+    if np.array_equal(far, near[::-1, ::-1]):
+        for sign in (1, -1):
+            if np.array_equal(q_far, sign * q_near[::-1]):
+                return sign
+    return None
+
+
+def _sandwich(a, g, b):
+    """``a @ g @ b^H`` for a C-contiguous complex ``g``.
+
+    Viewed as float64, such a ``g`` holds its real and imaginary parts as
+    interleaved columns, so real ``a`` and ``b`` multiply it in two real
+    products of twice the width, about half the work of two complex ones.
+    """
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        return a @ g @ b.conj().T
+    y = (a @ g.view(np.float64)).view(complex)
+    return (b @ np.ascontiguousarray(y.T).view(np.float64)).view(complex).T
+
+
+def _hermitian_part(r):
+    """``(r + r^H) / 2``, exactly Hermitian: it folds away roundoff asymmetry."""
+    return 0.5 * (r + r.conj().T)
+
+
+def _flip_groups(blocks, q):
+    """``(pieces, groups)``: how :func:`_blockwise_cells` evolves each block.
+
+    ``pieces`` are the ``(state indices, Hermitian matrix)`` pairs to hand
+    to :func:`_block_spectra`, in order. Each group takes the next piece, or
+    for a split middle block its next two, the flip sectors, whose state
+    indices are the block's top half. A group is ``(split, targets)``:
+    ``split`` is None for a whole block, else the sign ``(-1)^m`` of the
+    split block; each target ``(state indices, sign)`` receives the group's
+    evolved block times ``sign``, its rows and columns in the order of the
+    indices, which run backwards for a mirrored block.
+    """
+    n = len(blocks) - 1
+    pieces, groups, mirrored = [], [], set()
+    for k, (idx, h) in enumerate(blocks):
+        if k in mirrored:
+            continue
+        far_idx, far_h = blocks[n - k]
+        sign = _mirror_sign(h, far_h, q[idx], q[far_idx]) if k <= n - k else None
+        if k == n - k and sign is not None:
+            p = len(idx) // 2
+            a, c = h[:p, :p], h[:p, p:][:, ::-1]
+            pieces += [(idx[:p], a + c), (idx[:p], a - c)]
+            groups.append((sign, [(idx, 1)]))
+            continue
+        pieces.append((idx, h))
+        targets = [(idx, 1)]
+        if k < n - k and sign is not None:
+            targets.append((far_idx[::-1], sign))
+            mirrored.add(n - k)
+        groups.append((None, targets))
+    return pieces, groups
+
+
+def _rotated(va, q_part, vb):
+    """``va^H diag(q_part) vb``, a diagonal in the pair of eigenbases."""
+    return (va.conj().T * q_part) @ vb
+
+
+def _blockwise_cells(blocks, q: np.ndarray, times):
     """Cells of the diagonal operator ``diag(q)`` evolved block by block, per time.
 
-    ``spectra`` are a Hamiltonian's ``(state indices, w, V)`` block spectra,
-    as :func:`_block_spectra` gives them, ``H_k = V diag(w) V^H``; ``q`` is
-    not checked, since a transfer config admits only traceless diagonals.
-    ``q``'s part is rotated once into each eigenbasis, ``Q = (V^H * q[idx]) V``.
-    At time ``t`` the block evolves as ``W Q W^H``, ``W = V diag(exp(-iwt))``;
-    its diagonal is scattered into one ``2^n`` vector and its off-diagonal
-    entries gathered straight into :func:`zq_offdiagonal_cells` order. No
-    array is larger than a block or the ``2^n`` diagonal apart from the
-    cells themselves, and the residual is exactly 0 by construction.
-    Yields ``(diag, zqc, 0.0)`` per time.
+    ``blocks`` are a Hamiltonian's ``(state indices, H_k)`` pairs, as
+    :func:`_hamiltonian_blocks` gives them; ``q`` is not checked, since a
+    transfer config admits only traceless diagonals. With ``H_k = V diag(w)
+    V^H`` from :func:`_block_spectra`, ``q``'s part is rotated once into the
+    eigenbasis, ``Q = V^H diag(q[idx]) V``, and at time ``t`` the block
+    evolves as ``V (Q * outer(e, conj(e))) V^H``, ``e = exp(-iwt)``.
+
+    The global spin flip ``F|s> = |s ^ (2^n - 1)>`` maps block ``k`` onto
+    block ``n - k`` with its states in reverse order, and ``q`` onto ``(-1)^m
+    q`` for ``m`` z factors. When block ``n - k`` equals block ``k`` reversed
+    on both axes, exactly, it is neither diagonalized nor evolved: its
+    evolved block is block ``k``'s reversed on both axes, times the sign
+    that relates their parts of ``q``. For even ``n`` the middle block maps
+    onto itself; when it is exactly centrosymmetric, ``[[A, C J], [J C, J A
+    J]]`` with ``J`` the reversal, it is diagonalized as its two flip
+    sectors ``A + C`` and ``A - C`` of half its size. In the sector basis
+    ``q``'s part is ``diag(q1, q1)`` for even ``m`` and ``[[0, q1], [q1,
+    0]]`` for odd ``m``, ``q1`` its top half, so each time costs two
+    diagonal sector products or one off-diagonal one, ``X``. The evolved
+    block's top rows are ``[(R+ + R-) / 2, (R+ - R-) J / 2]`` with ``(R+,
+    R-)`` the two evolved sectors, or ``(X^H, X)``, and its bottom rows are
+    the flip image of the top ones. A block that fails an exact test is
+    evolved whole, as every block of ``offsets`` (the flip reverses each
+    offset) or of a custom model the flip does not preserve.
+
+    Each evolved block's diagonal is scattered into one ``2^n`` vector and
+    its off-diagonal entries gathered straight into
+    :func:`zq_offdiagonal_cells` order. No array is larger than a block or
+    the ``2^n`` diagonal apart from the cells themselves, and the residual
+    is exactly 0 by construction. Yields ``(diag, zqc, 0.0)`` per time.
     """
     n = q.size.bit_length() - 1
+    pieces, groups = _flip_groups(blocks, q)
+    spectra = iter(_block_spectra(pieces))
+    del blocks, pieces  # no Hamiltonian block is kept while binning
     prepared = []
-    for idx, w, v in spectra:
-        rotated = (v.conj().T * q[idx]) @ v
-        i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-        prepared.append((idx, w, v, rotated, _zq_cell_rank(n, idx[i], idx[j])))
-    n_cells = sum(len(cells) for *_, cells in prepared)
+    for split, targets in groups:
+        if split is None:
+            idx, w, v = next(spectra)
+            products = [(w, v, w, v, _rotated(v, q[idx], v))]
+        else:
+            (top, wp, vp), (_, wm, vm) = next(spectra), next(spectra)
+            if split == 1:
+                products = [
+                    (wp, vp, wp, vp, _rotated(vp, q[top], vp)),
+                    (wm, vm, wm, vm, _rotated(vm, q[top], vm)),
+                ]
+            else:
+                products = [(wp, vp, wm, vm, _rotated(vp, q[top], vm))]
+        cells = []
+        for idx, sign in targets:
+            i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
+            cells.append((idx, _zq_cell_rank(n, idx[i], idx[j]), sign))
+        prepared.append((split, products, cells))
+    n_cells = math.comb(2 * n, n) - q.size  # every zero-quantum cell off the diagonal
+
     for t in times:
         diag = np.empty(q.size, dtype=complex)
         zqc = np.empty(n_cells, dtype=complex)
-        for idx, w, v, rotated, cells in prepared:
-            d = len(idx)
-            u = v * np.exp(-1j * w * t)
-            r = u @ rotated @ u.conj().T
-            r = 0.5 * (r + r.conj().T)
-            diag[idx] = np.diagonal(r)
+        for split, products, cells in prepared:
+            evolved = [
+                _sandwich(va, rot * np.outer(np.exp(-1j * wa * t), np.exp(1j * wb * t)), vb)
+                for wa, va, wb, vb, rot in products
+            ]
+            if split is None:
+                r = _hermitian_part(evolved[0])
+            else:
+                if split == 1:
+                    plus, minus = map(_hermitian_part, evolved)
+                else:
+                    plus, minus = evolved[0].conj().T, evolved[0]
+                top = np.hstack([0.5 * (plus + minus), (0.5 * (plus - minus))[:, ::-1]])
+                r = np.vstack([top, split * top[::-1, ::-1]])
+            d = len(r)
+            values = np.diagonal(r)
             # row-major off-diagonal entries: drop r[0, 0], then each run
             # of d + 1 flat entries ends on the next diagonal entry
-            zqc[cells] = r.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
+            off = r.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
+            for idx, ranks, sign in cells:
+                diag[idx] = sign * values
+                zqc[ranks] = sign * off
         yield diag, zqc, 0.0
 
 

@@ -27,6 +27,7 @@ from mqspace import (
     order_components,
     run_blockwise,
     run_diffusion,
+    zq_offdiagonal_cells,
 )
 from mqspace.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
 from mqspace.errors import InvariantError
@@ -114,8 +115,8 @@ def test_invariant_failures_exit_four(capsys, monkeypatch):
 
 
 def test_output_is_byte_identical_across_runs(capsys):
-    _, first, _ = run_cli(capsys, EVOLVE_ARGS + ["--seed", "7"])
-    _, second, _ = run_cli(capsys, EVOLVE_ARGS + ["--seed", "7"])
+    _, first, _ = run_cli(capsys, EVOLVE_ARGS)
+    _, second, _ = run_cli(capsys, EVOLVE_ARGS)
     assert first == second
     assert first.encode() == second.encode()
 
@@ -774,6 +775,20 @@ def test_number_writers_match_per_value_reference():
     assert _json_text(nested) == oracles.json_text(listed)
 
 
+def test_json_strings_match_the_reference_escapes():
+    # plain printable ASCII is written as it is; everything else goes
+    # through json.dumps, byte for byte
+    labels = [
+        "I1z", "2I1zI2z", "a1I2+a3I4-b5", "", " ~", 'say "hi"', "back\\slash",
+        "tab\there", "nul\x00", "bell\x07", "del\x7f", "esc\x1b[0m", "line\nbreak",
+        "caf\u00e9", "\u2207\u00b2", "\U0001f600", "\ud800", "/slash/",
+    ]
+    doc = {lab: [lab, {lab: lab}] for lab in labels}
+    assert _json_text(doc) == oracles.json_text(doc)
+    for lab in labels:
+        assert _json_text(lab) == json.dumps(lab)
+
+
 def _counting_fmt_join(monkeypatch):
     """Record the values of every ``cli._fmt_join`` call."""
     from mqspace import cli
@@ -800,9 +815,15 @@ def test_evolve_json_formats_each_distinct_series_once(capsys, monkeypatch, n):
     trace = run_blockwise(config)
     series = {a.tobytes() for a in trace.channels.values()}
     # a Hermitian evolved operator has equal magnitudes in cells (i, j) and
-    # (j, i), so every mirror pair of coherence channels shares one series
-    diagonal = 2**n - 1
-    assert len(series) == diagonal + (math.comb(2 * n, n) - 2**n) // 2
+    # (j, i), and the spin flip F maps cell (i, j) onto (F i, F j) with the
+    # same magnitude, so each mirror image of a coherence channel shares its
+    # series
+    rows, cols, units = zq_offdiagonal_cells(n)
+    label_of = dict(zip(zip(rows.tolist(), cols.tolist()), units))
+    flip = 2**n - 1
+    for (r, c), lab in label_of.items():
+        for image in ((c, r), (r ^ flip, c ^ flip)):
+            assert trace.channels[label_of[image]].tobytes() == trace.channels[lab].tobytes()
     assert len(series) < len(trace.channels)
     others = {np.asarray(trace.times).tobytes(), trace.conserved.tobytes()} - series
 
@@ -938,6 +959,24 @@ def test_negative_seed_exits_config(capsys, tmp_path, command, via_config):
     assert err == "error: seed must be at least 0, got -1\n"
 
 
+@pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+@pytest.mark.parametrize("command", ["basis", "dims", "evolve", "perm"])
+def test_seed_is_refused_where_nothing_is_drawn(capsys, tmp_path, command, via_config):
+    if via_config:
+        cfg = tmp_path / "seed.json"
+        cfg.write_text(json.dumps({"n": 2, "seed": 7}))
+        argv = [command, "--config", str(cfg)]
+    else:
+        argv = [command, "--n", "2", "--seed", "7"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    if via_config:
+        assert err.startswith(f"error: unknown {command} config keys: seed; allowed: ")
+    else:
+        assert "unrecognized arguments: --seed 7" in err
+
+
 @pytest.mark.parametrize(
     "terms", [["--coupling", "1,2,1.0"], ["--offset", "1,0.5"]], ids=["coupling", "offset"]
 )
@@ -957,5 +996,6 @@ def test_unwritable_out_path_exits_config(capsys, tmp_path):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith(f"error: cannot write output {str(target)!r}: ")
+    assert err.count(str(target)) == 1
     assert err.count("\n") == 1
     assert not target.exists()

@@ -22,7 +22,6 @@ from mqspace import (
     build_operator,
     channel_discrepancy,
     conjugate,
-    expand,
     linear_times,
     purge,
     reconstruct_profile,
@@ -336,14 +335,11 @@ def test_engines_agree_on_a_degenerate_spectrum(n):
     # equal couplings on a uniform flip-flop chain: many repeated eigenvalues
     chain = tuple((k, k + 1, 1.0) for k in range(1, n))
     uniform = HamiltonianSpec("flipflop", couplings=chain)
-    cfg = DiffusionConfig(SpinSystem(n), uniform, linear_times(0.0, 5.0, 9))
-    _assert_engines_agree(cfg)
-    # and against a scipy exponential that shares no code with either engine
-    h = oracles.hamiltonian(n, "flipflop", chain)
-    start = oracles.single_spin(n, 1, "z")
-    for t, profile in zip(cfg.times, run_blockwise(cfg).profiles):
-        evolved = reconstruct_profile(SpinSystem(n), profile).entries
-        assert np.max(np.abs(evolved - oracles.evolve(h, start, t))) <= 1e-10
+    for initial in ("I1z", "2I1zI2z"):
+        cfg = DiffusionConfig(SpinSystem(n), uniform, linear_times(0.0, 5.0, 9), initial=initial)
+        _assert_engines_agree(cfg)
+        # and against a scipy exponential that shares no code with either engine
+        _assert_matches_scipy(cfg, oracles.hamiltonian(n, "flipflop", chain))
 
 
 @pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
@@ -369,26 +365,140 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
     assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
 
 
-@pytest.mark.parametrize("custom", [False, True])
-@pytest.mark.parametrize("n", [1, 6])
-def test_block_run_diagonalizes_each_block_once(monkeypatch, n, custom):
-    system = SpinSystem(n)
-    spec = _spec("dipolar_secular", n)
-    if custom:
-        spec = HamiltonianSpec("custom", custom=expand(build_hamiltonian(system, spec), CARTESIAN))
-    cfg = DiffusionConfig(system, spec, linear_times(0.0, 2.0, 5))
-    shapes = []
+def _custom_chain(n, flip_symmetric):
+    """A custom zero-quantum chain of exchange terms with an imaginary part.
+
+    ``I_kx I_ly - I_ky I_lx`` and an offset ``I_1z`` change sign under the
+    global spin flip; the former times ``I_mz`` does not.
+    """
+    terms = {} if flip_symmetric else {"I1z": 0.2}
+    for k in range(n - 1):
+        twist = ("z",) if flip_symmetric else ()
+        for factors, c in (
+            (("x", "x"), 0.6), (("y", "y"), 0.6),
+            (("x", "y") + twist, 0.35), (("y", "x") + twist, -0.35),
+        ):
+            fs = ["e"] * n
+            for i, f in enumerate(factors):
+                fs[(k + i) % n] = f
+            terms[BaseOperatorSpec(CARTESIAN, tuple(fs)).label] = c * (k + 1) / n
+    return HamiltonianSpec("custom", custom=OperatorExpansion(CARTESIAN, terms, 0.0))
+
+
+def _eigh_calls(monkeypatch, cfg):
+    """``run_blockwise(cfg)`` and the ``(shape, dtype)`` of every matrix it diagonalized."""
+    calls = []
     eigh = np.linalg.eigh
 
     def counting_eigh(a, *args, **kwargs):
-        shapes.append(a.shape)
+        calls.append((a.shape, a.dtype))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     trace = run_blockwise(cfg)
-    dims = [math.comb(n, k) for k in range(n + 1)]
-    assert shapes == [(d, d) for d in dims]
-    assert trace.block_sizes == {k: d * d for k, d in enumerate(dims)}
+    monkeypatch.undo()
+    return trace, calls
+
+
+def _reduced_shapes(n):
+    """Blocks ``k < n / 2``, then the middle block's two flip sectors for even ``n``."""
+    dims = [math.comb(n, k) for k in range((n + 1) // 2)]
+    if n % 2 == 0:
+        dims += [math.comb(n, n // 2) // 2] * 2
+    return [(d, d) for d in dims]
+
+
+def _assert_eigh_path(monkeypatch, cfg, shapes, dtype):
+    """The block run diagonalizes ``shapes`` in order, in ``dtype`` beyond 1 x 1."""
+    n = cfg.system.n
+    trace, calls = _eigh_calls(monkeypatch, cfg)
+    assert [shape for shape, _ in calls] == shapes
+    # exactly real pieces go to real eigh; a 1 x 1 block of a Hermitian
+    # matrix is always real
+    assert all(t == np.dtype(dtype) for shape, t in calls if shape[0] > 1)
+    assert trace.block_sizes == {k: math.comb(n, k) ** 2 for k in range(n + 1)}
+    assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
+
+
+@pytest.mark.parametrize("custom", [False, True])
+@pytest.mark.parametrize("n", [1, 6])
+def test_block_run_diagonalizes_each_block_once(monkeypatch, n, custom):
+    # a named chain: blocks k > n / 2 are flip images of blocks k < n / 2
+    # and are never diagonalized, and the middle block is diagonalized as
+    # its two flip sectors; a complex custom model that the flip does not
+    # preserve keeps one whole spectrum per block
+    if custom:
+        spec = _custom_chain(n, flip_symmetric=False)
+        shapes, dtype = [(d, d) for d in (math.comb(n, k) for k in range(n + 1))], complex
+    else:
+        spec = _spec("dipolar_secular", n)
+        shapes = {1: [(1, 1)], 6: [(1, 1), (6, 6), (15, 15), (10, 10), (10, 10)]}[n]
+        dtype = float
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 2.0, 5))
+    _assert_eigh_path(monkeypatch, cfg, shapes, dtype)
+
+
+@pytest.mark.parametrize(
+    "model, shapes, dtype",
+    [
+        ("dipolar_secular", [(1, 1), (5, 5), (10, 10)], float),
+        ("flip-symmetric custom", [(1, 1), (5, 5), (10, 10)], complex),
+        ("offsets", [(1, 1), (5, 5), (10, 10), (10, 10), (5, 5), (1, 1)], float),
+    ],
+)
+def test_block_run_path_follows_the_exact_flip_tests(monkeypatch, model, shapes, dtype):
+    # odd n has no middle block; the flip test reads the entries, not the
+    # model name, so a complex custom model the flip preserves is mirrored
+    # too, while the flip reverses every offset
+    n = 5
+    spec = _custom_chain(n, flip_symmetric=True) if model.endswith("custom") else _spec(model, n)
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 2.0, 5))
+    _assert_eigh_path(monkeypatch, cfg, shapes, dtype)
+
+
+def _dense_initial(n, label):
+    return {
+        "I1z": oracles.single_spin(n, 1, "z"),
+        "2I1zI2z": 2.0 * oracles.single_spin(n, 1, "z") @ oracles.single_spin(n, 2, "z"),
+    }[label]
+
+
+def _assert_matches_scipy(cfg, h):
+    """Every profile of the block run rebuilds ``exp(-iht) q exp(iht)`` within 1e-10."""
+    n = cfg.system.n
+    start = _dense_initial(n, cfg.initial)
+    for t, profile in zip(cfg.times, run_blockwise(cfg).profiles):
+        evolved = reconstruct_profile(cfg.system, profile).entries
+        assert np.max(np.abs(evolved - oracles.evolve(h, start, t))) <= 1e-10
+
+
+@pytest.mark.parametrize("initial", ["I1z", "2I1zI2z"])
+@pytest.mark.parametrize(
+    "n, model",
+    [(n, m) for n in (2, 5, 6, 7, 8) for m in ("flipflop", "dipolar_secular", "isotropic_j")],
+)
+def test_flip_reduced_runs_match_the_dense_engine_and_scipy(monkeypatch, n, model, initial):
+    # odd m = 1 and even m = 2 z factors, odd and even n: every named model
+    # takes the reduced path and agrees with both independent routes
+    spec = _spec(model, n)
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 3.0, 4), initial=initial)
+    _, calls = _eigh_calls(monkeypatch, cfg)
+    assert [shape for shape, _ in calls] == _reduced_shapes(n)
+    _assert_engines_agree(cfg)
+    _assert_matches_scipy(cfg, oracles.hamiltonian(n, model, spec.couplings))
+
+
+@pytest.mark.parametrize("initial", ["I1z", "2I1zI2z"])
+def test_flip_symmetric_complex_custom_runs_match_the_dense_engine(initial):
+    # complex flip sectors take complex products; the block at k = 1 is
+    # mirrored onto k = n - 1 with its imaginary parts
+    n = 6
+    cfg = DiffusionConfig(
+        SpinSystem(n), _custom_chain(n, flip_symmetric=True),
+        linear_times(0.0, 3.0, 5), initial=initial,
+    )
+    _assert_engines_agree(cfg)
+    _assert_matches_scipy(cfg, build_hamiltonian(cfg.system, cfg.hamiltonian).entries)
 
 
 def test_engines_agree_on_a_custom_zero_quantum_hamiltonian():
@@ -500,8 +610,8 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
         cells = [_dense_cells(h, q0, t) for t in cfg.times]
     else:
         trace = run_blockwise(cfg)
-        spectra = dynamics._block_spectra(dynamics._hamiltonian_blocks(system, CHAIN4))
-        cells = list(_blockwise_cells(spectra, np.diag(q0.entries).real, cfg.times))
+        blocks = dynamics._hamiltonian_blocks(system, CHAIN4)
+        cells = list(_blockwise_cells(blocks, np.diag(q0.entries).real, cfg.times))
     eager = []
     for t, (diag, zqc, residual) in zip(cfg.times, cells):
         profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)

@@ -287,6 +287,33 @@ def test_expm_hermitian_matches_scipy_oracle():
     assert np.allclose(eye, np.eye(8), atol=1e-14)
 
 
+def test_exactly_real_generators_take_real_eigh(monkeypatch):
+    system = SpinSystem(3)
+    real = build_hamiltonian(system, HamiltonianSpec("isotropic_j", couplings=COUPLINGS))
+    twisted = real.entries.copy()
+    twisted[1, 2] += 0.25j  # states 001 and 010 share the k = 1 block
+    twisted[2, 1] -= 0.25j
+    dtypes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    for entries, dtype in ((real.entries, float), (twisted, complex)):
+        h = Operator(system, entries, True)
+        dtypes.clear()
+        for t in (0.0, 0.7):
+            ref = oracles.expm(-1j * t * entries)
+            assert np.max(np.abs(expm_hermitian(h, t).entries - ref)) <= 1e-12
+            assert np.max(np.abs(zq_propagator(h, t).entries - ref)) <= 1e-12
+        # one dense and n + 1 block decompositions; only the twisted block
+        # and the dense twisted generator are complex
+        assert dtypes[0] == np.dtype(dtype)
+        assert dtypes[1:] == [np.dtype(dtype if k == 1 else float) for k in range(4)]
+
+
 def test_expm_hermitian_rejects_non_hermitian():
     rng = np.random.default_rng(12)
     g = random_operator(SpinSystem(2), rng)
