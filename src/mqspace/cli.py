@@ -260,10 +260,7 @@ def _int_of(resolved: dict, key: str, default: int, minimum: int | None = None) 
     value = resolved.get(key)
     if value is None:
         return default
-    value = _integer(value, key)
-    if minimum is not None and value < minimum:
-        raise ConfigurationError(f"{key} must be at least {minimum}, got {value}")
-    return value
+    return _integer(value, key, minimum)
 
 
 def _format_of(resolved: dict) -> str:

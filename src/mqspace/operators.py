@@ -97,11 +97,17 @@ def max_spins() -> int:
     return value
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an ``int``; it must be a Python or numpy integer, not a bool."""
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int``; it must be a Python or numpy integer, not a bool.
+
+    With ``minimum`` given, a smaller value is refused as well.
+    """
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
         raise ConfigurationError(f"{what} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {value}")
+    return value
 
 
 def single_spin_matrix(factor: str) -> np.ndarray:
@@ -682,9 +688,22 @@ def random_operator(
     system: SpinSystem, rng: np.random.Generator, hermitian: bool = False
 ) -> Operator:
     """Dense Gaussian random operator, optionally symmetrized."""
-    dim = system.dim
+    a = _gaussian_entries(rng, system.dim, hermitian)
+    return Operator(system, a, True if hermitian else None)
+
+
+def _gaussian_entries(
+    rng: np.random.Generator, dim: int, hermitian: bool = False
+) -> np.ndarray:
+    """The entries of :func:`random_operator`, as a fresh plain array.
+
+    The real parts of all ``dim * dim`` entries are drawn first, row by
+    row, then the imaginary parts; a Hermitian draw is the average of
+    that matrix and its adjoint. Sweeps that need many random operators
+    call this directly and skip the ``Operator`` wrapper, reading the
+    generator in exactly the same order.
+    """
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     if hermitian:
         a = 0.5 * (a + a.conj().T)
-        return Operator(system, a, True)
-    return Operator(system, a, None)
+    return a

@@ -28,10 +28,11 @@ from .operators import (
     Operator,
     SpinSystem,
     _down_counts,
+    _gaussian_entries,
+    _integer,
     _memoized,
     _shift_label,
     identity_operator,
-    random_operator,
 )
 
 __all__ = [
@@ -127,11 +128,22 @@ def is_member(q: Operator, tag: SubspaceTag, tol: float = MEMBERSHIP_TOL) -> Mem
     membership requires ``residual <= tol * norm(q)``. The zero operator
     belongs to every subspace.
     """
-    mask = _mask(tag, q.system.n)
-    outside = np.where(mask, 0.0, q.entries)
-    residual = float(np.linalg.norm(outside))
     norm = q.norm()
-    return Membership(tag, residual <= tol * norm, residual, norm, tol)
+    residual, member = _pattern_residual(q.entries, _mask(tag, q.system.n), tol, norm)
+    return Membership(tag, member, residual, norm, tol)
+
+
+def _pattern_residual(
+    entries: np.ndarray, mask: np.ndarray, tol: float, norm: float
+) -> tuple[float, bool]:
+    """``(residual, member)`` of the membership rule for a plain array.
+
+    ``residual`` is the Frobenius norm of the entries outside ``mask``
+    and ``member`` is ``residual <= tol * norm``, ``norm`` being the
+    Frobenius norm of all the entries.
+    """
+    residual = float(np.linalg.norm(np.where(mask, 0.0, entries)))
+    return residual, residual <= tol * norm
 
 
 def _ensure_zero_quantum(q: Operator, tol: float, what: str) -> None:
@@ -155,6 +167,17 @@ def project(q: Operator, tag: SubspaceTag) -> Operator:
     mask = _mask(tag, q.system.n)
     hint = True if q.hermitian_hint is True else None
     return Operator(q.system, np.where(mask, q.entries, 0.0), hint)
+
+
+def _random_member(
+    rng: np.random.Generator, tag: SubspaceTag, n: int, hermitian: bool = False
+) -> np.ndarray:
+    """``project(random_operator(...), tag).entries`` as a fresh plain array.
+
+    The generator is read exactly as :func:`random_operator` reads it,
+    so a sweep built on this helper draws the same members.
+    """
+    return np.where(_mask(tag, n), _gaussian_entries(rng, 1 << n, hermitian), 0.0)
 
 
 @dataclass(frozen=True)
@@ -319,29 +342,41 @@ def verify_closure(
     and a real linear combination of a Hermitian pair; each result must
     pass the membership test. The identity operator must belong as well,
     whatever the tag: a closed operator algebra needs its unit.
+    ``trials`` must be an integer of at least 1.
+
+    A trial works on plain ``2^n x 2^n`` arrays: four members drawn one
+    at a time and the three results, so it holds a few dense matrices
+    at once and builds no ``Operator``.
     """
+    trials = _integer(trials, "trials", 1)
+    n = system.n
     rng = np.random.default_rng(seed)
-    report = ClosureReport(tag, system.n, trials, tol)
+    report = ClosureReport(tag, n, trials, tol)
     report.identity_member = bool(is_member(identity_operator(system), tag, tol))
     if not report.identity_member:
         report.violations.append("identity operator failed membership")
 
-    def _check(name: str, q: Operator):
-        m = is_member(q, tag, tol)
+    mask = _mask(tag, n)
+
+    def _check(name: str, q: np.ndarray):
+        residual, member = _pattern_residual(q, mask, tol, float(np.linalg.norm(q)))
         report.checks += 1
-        report.max_residual = max(report.max_residual, m.residual)
-        if not m:
+        report.max_residual = max(report.max_residual, residual)
+        if not member:
             report.violations.append(
-                f"trial {trial}: {name} left the subspace (residual {m.residual:.3e})"
+                f"trial {trial}: {name} left the subspace (residual {residual:.3e})"
             )
 
     for trial in range(trials):
-        a = project(random_operator(system, rng), tag)
-        b = project(random_operator(system, rng), tag)
-        ha = project(random_operator(system, rng, hermitian=True), tag)
-        hb = project(random_operator(system, rng, hermitian=True), tag)
+        a = _random_member(rng, tag, n)
+        b = _random_member(rng, tag, n)
+        ha = _random_member(rng, tag, n, hermitian=True)
+        hb = _random_member(rng, tag, n, hermitian=True)
         w = rng.standard_normal(2)
-        _check("product", a @ b)
-        _check("commutator", a @ b - b @ a)
+        ab = a @ b
+        _check("product", ab)
+        _check("commutator", ab - b @ a)
         _check("hermitian combination", w[0] * ha + w[1] * hb)
+        # free this trial's matrices before the next trial draws its own
+        del a, b, ha, hb, ab
     return report

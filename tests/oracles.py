@@ -92,29 +92,132 @@ def pattern_mask(tag, n):
     return mask
 
 
-def order_leaks_dense(zm, n):
+def order_leaks_dense(zm, n, units=None, chunk=16):
     """Out-of-order weight of Z E, E Z and [Z, E] for every shift unit E.
 
-    All 4**n units are built as one dense (4**n, 2**n, 2**n) stack,
-    16**n entries, and the products are batched matmuls, so keep n <= 4.
+    Each unit is built as a dense 2**n x 2**n matrix and the products are
+    batched full matmuls, ``chunk`` units at a time, so memory stays near
+    ``chunk * 4**n`` entries per product while time grows as 16**n.
     Entry [r, c] of each returned (2**n, 2**n) array is the Frobenius
     norm of the product's elements whose order differs from that of the
-    unit with its 1 at (r, c).
+    unit with its 1 at (r, c). Given ``units``, a list of (r, c) pairs,
+    only those are formed and each returned array is flat, one entry per
+    pair.
     """
     dim = 2**n
     orders = np.array(
         [[element_order(r, c) for c in range(dim)] for r in range(dim)]
     )
-    units = np.eye(dim * dim, dtype=complex).reshape(dim * dim, dim, dim)
-    # unit r * dim + c has order orders[r, c]
-    off = orders[None, :, :] != orders.reshape(-1)[:, None, None]
-    left = np.matmul(zm[None, :, :], units)
-    right = np.matmul(units, zm[None, :, :])
-    leaks = []
-    for prod in (left, right, left - right):
-        leaked = np.where(off, prod, 0.0).reshape(dim * dim, -1)
-        leaks.append(np.linalg.norm(leaked, axis=1).reshape(dim, dim))
-    return tuple(leaks)
+    cells = [(r, c) for r in range(dim) for c in range(dim)] if units is None else units
+    out = np.empty((3, len(cells)))
+    for start in range(0, len(cells), chunk):
+        batch = cells[start:start + chunk]
+        r, c = (np.array(v) for v in zip(*batch))
+        stack = np.zeros((len(batch), dim, dim), dtype=complex)
+        stack[np.arange(len(batch)), r, c] = 1.0
+        off = orders[None, :, :] != orders[r, c][:, None, None]
+        left = np.matmul(zm[None, :, :], stack)
+        right = np.matmul(stack, zm[None, :, :])
+        for k, prod in enumerate((left, right, left - right)):
+            leaked = np.where(off, prod, 0.0).reshape(len(batch), -1)
+            out[k, start:start + len(batch)] = np.linalg.norm(leaked, axis=1)
+    if units is None:
+        return tuple(o.reshape(dim, dim) for o in out)
+    return tuple(out)
+
+
+def order_leaks_by_row(zm, n):
+    """Out-of-order weight of Z E_rc, E_rc Z and [Z, E_rc], one row r at a time.
+
+    The support-product sweep with one unit row per pass and the
+    out-of-order elements selected by ``np.where`` and summed: column c
+    of Z E_rc holds Z[:, r], row r of E_rc Z holds Z[c, :], and the
+    commutator is the column minus the row with the shared element
+    (r, c) counted in the column. Every pass holds O(4**n) entries.
+    """
+    dim = 2**n
+    pc = np.array([popcount(i) for i in range(dim)])
+    orders = (pc[None, :] - pc[:, None]).astype(np.int8)
+    orders_t = np.ascontiguousarray(orders.T)
+
+    def squared(entries):
+        return entries.real ** 2 + entries.imag ** 2
+
+    row_comm = -zm
+    np.fill_diagonal(row_comm, 0.0)
+    rows_sq = squared(np.stack([zm, row_comm]))
+    diagonal = np.diagonal(zm)
+    cols_sq = np.empty((2, dim, dim))
+    leaks = np.empty((3, dim, dim))
+    for r in range(dim):
+        unit_orders = orders[r]
+        col_off = orders_t != unit_orders[:, None]
+        row_off = unit_orders[None, :] != unit_orders[:, None]
+        cols_sq[:] = rows_sq[0, :, r]
+        cols_sq[1, :, r] = squared(zm[r, r] - diagonal)
+        col_leak = np.where(col_off, cols_sq, 0.0).sum(axis=2)
+        row_leak = np.where(row_off, rows_sq, 0.0).sum(axis=2)
+        leaks[0, r] = col_leak[0]
+        leaks[1, r] = row_leak[0]
+        leaks[2, r] = col_leak[1] + row_leak[1]
+    return tuple(np.sqrt(leaks))
+
+
+def gaussian_entries(rng, dim, hermitian=False):
+    """A dense Gaussian draw: all real parts row by row, then all imaginary parts."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    if hermitian:
+        a = 0.5 * (a + a.conj().T)
+    return a
+
+
+def closure_sweep_operators(tag, n, trials, seed, tol):
+    """The closure sweep built from ``Operator`` arithmetic, one object per step.
+
+    Each trial draws a, b and the Hermitian pair ha, hb as projected
+    ``Operator`` values, then two weights, and measures ``a @ b``,
+    ``a @ b - b @ a`` and ``w0 * ha + w1 * hb`` against the pattern
+    mask built entry by entry. Returns the ``ClosureReport`` that the
+    library's sweep must reproduce.
+    """
+    from mqspace import ClosureReport, Operator, SpinSystem, identity_operator
+
+    system = SpinSystem(n)
+    mask = pattern_mask(tag.value, n)
+    rng = np.random.default_rng(seed)
+    report = ClosureReport(tag, n, trials, tol)
+
+    def measure(q):
+        residual = float(np.linalg.norm(np.where(mask, 0.0, q.entries)))
+        return residual, residual <= tol * q.norm()
+
+    report.identity_member = measure(identity_operator(system))[1]
+    if not report.identity_member:
+        report.violations.append("identity operator failed membership")
+
+    def member(hermitian=False):
+        raw = Operator(system, gaussian_entries(rng, 2**n, hermitian), hermitian or None)
+        return Operator(system, np.where(mask, raw.entries, 0.0), raw.hermitian_hint)
+
+    for trial in range(trials):
+        a = member()
+        b = member()
+        ha = member(hermitian=True)
+        hb = member(hermitian=True)
+        w = rng.standard_normal(2)
+        for name, q in (
+            ("product", a @ b),
+            ("commutator", a @ b - b @ a),
+            ("hermitian combination", w[0] * ha + w[1] * hb),
+        ):
+            residual, ok = measure(q)
+            report.checks += 1
+            report.max_residual = max(report.max_residual, residual)
+            if not ok:
+                report.violations.append(
+                    f"trial {trial}: {name} left the subspace (residual {residual:.3e})"
+                )
+    return report
 
 
 def direct_rotation_polar_dense(v, local_cells, assigned_cols):

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from mqspace import (
+    ConfigurationError,
     SpinSystem,
     SubspaceTag,
     build_operator,
@@ -16,10 +17,11 @@ from mqspace import (
     project,
     random_operator,
     spin_operator,
+    verify_closure,
     verify_extreme_states,
     verify_order_preservation,
 )
-from mqspace.operators import BaseOperatorSpec
+from mqspace.operators import BaseOperatorSpec, _gaussian_entries
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -49,6 +51,32 @@ def test_reports_collect_violations_under_impossible_tolerance():
     noisy = verify_extreme_states(SpinSystem(2), combos=2, seed=0, tol=-1.0)
     assert not noisy.passed
     assert any("combination" in v for v in noisy.violations)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True, "3", None])
+def test_sweeps_refuse_a_trial_count_that_is_not_a_positive_integer(bad):
+    # a sweep of no trials would report a pass with no check run
+    system = SpinSystem(2)
+    with pytest.raises(ConfigurationError, match="trials"):
+        verify_order_preservation(system, trials=bad)
+    with pytest.raises(ConfigurationError, match="trials"):
+        verify_closure(SubspaceTag.ZERO_QUANTUM, system, trials=bad)
+
+
+@pytest.mark.parametrize("bad", [-1, -2, 1.5, False, "2"])
+def test_extreme_sweep_refuses_a_combination_count_below_zero(bad):
+    with pytest.raises(ConfigurationError, match="combos"):
+        verify_extreme_states(SpinSystem(2), combos=bad)
+
+
+def test_sweeps_take_numpy_counts_and_zero_combinations():
+    system = SpinSystem(2)
+    assert verify_order_preservation(system, trials=np.int64(2)).checks == 2 * 3 * 16
+    closure = verify_closure(SubspaceTag.EVEN_MQ, system, trials=np.int32(2))
+    assert closure.checks == 6 and closure.trials == 2 and type(closure.trials) is int
+    # n = 2 has two off-diagonal zero-quantum cells, each applied to both states
+    extreme = verify_extreme_states(system, combos=0)
+    assert extreme.passed and extreme.checks == 4
 
 
 def test_specific_commutator_stays_inside_one_order():
@@ -109,31 +137,91 @@ def _planted_operators(n, rng):
     return {"zero_quantum": zq, "planted": planted, "all_orders": full}
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def _sampled_units(n, rng, count=48):
+    """Units spread over every row pass, the corners and a diagonal cell among them.
+
+    Units in row 1 and column 0 meet the element (0, 1) that
+    ``_planted_operators`` plants, in Z E and in E Z.
+    """
+    dim = 2**n
+    picked = {(0, 0), (0, dim - 1), (dim - 1, 0), (dim - 1, dim - 1), (dim // 2, dim // 2)}
+    picked |= {(1, 0), (1, dim - 1)}
+    while len(picked) < count:
+        picked.add(tuple(int(v) for v in rng.integers(0, dim, 2)))
+    return sorted(picked)
+
+
+# n = 5 takes every unit row in one pass of _order_leaks, n = 6 several
+# rows per pass and n = 8 one row per pass; above n = 5 the dense stack
+# (16**n work) is formed for a sample of units only
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
 def test_order_leaks_match_dense_unit_stack(n):
     rng = np.random.default_rng(40 + n)
+    units = None if n <= 5 else _sampled_units(n, rng)
     for name, z in _planted_operators(n, rng).items():
         zm = z / np.linalg.norm(z)
         fast = properties._order_leaks(zm, n)
-        dense = oracles.order_leaks_dense(zm, n)
+        dense = oracles.order_leaks_dense(zm, n, units)
+        if units is not None:
+            rows, cols = (list(v) for v in zip(*units))
+            assert all(got.shape == (2**n, 2**n) for got in fast), name
+            fast_all, fast = fast, tuple(got[rows, cols] for got in fast)
         for key, got, want in zip(("left", "right", "commutator"), fast, dense):
-            assert got.shape == want.shape == (2**n, 2**n), (name, key)
+            assert got.shape == want.shape, (name, key)
             assert np.abs(got - want).max() <= 1e-15, (name, key)
             if name == "zero_quantum":
                 assert not got.any(), key
             else:
                 assert want.max() > 1e-3, (name, key)
+        if units is not None and name == "zero_quantum":
+            assert not any(got.any() for got in fast_all)
+
+
+@pytest.mark.parametrize("n", [1, 5, 6, 7, 8])
+def test_order_leaks_match_the_one_row_sweep(n):
+    rng = np.random.default_rng(60 + n)
+    for name, z in _planted_operators(n, rng).items():
+        zm = z / np.linalg.norm(z)
+        fast = properties._order_leaks(zm, n)
+        by_row = oracles.order_leaks_by_row(zm, n)
+        for key, got, want in zip(("left", "right", "commutator"), fast, by_row):
+            assert got.shape == want.shape == (2**n, 2**n), (name, key)
+            assert np.abs(got - want).max() <= 1e-15, (name, key)
 
 
 def test_order_preservation_sweep_records_a_leaking_generator(monkeypatch):
     # skip the zero-quantum projection so every trial's Z has all orders
-    monkeypatch.setattr(properties, "project", lambda q, tag: q)
+    monkeypatch.setattr(
+        properties, "_random_member", lambda rng, tag, n: _gaussian_entries(rng, 2**n)
+    )
     report = verify_order_preservation(SpinSystem(3), trials=2, seed=0)
     assert not report.passed
     assert report.checks == 2 * 3 * 4**3
     assert len(report.violations) == 2 * 3
     assert all(value > 0.05 for value in report.max_residuals.values())
     assert report.violations[0].startswith("trial 0: left residual")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_order_preservation_sweep_draws_what_random_operator_draws(n, monkeypatch):
+    # the sweep's Z of trial t is the t-th draw of random_operator from
+    # the same generator, projected and normalized, bit for bit
+    system = SpinSystem(n)
+    seen = []
+
+    def spy(zm, n_spins):
+        seen.append(zm.copy())
+        return real(zm, n_spins)
+
+    real = properties._order_leaks
+    monkeypatch.setattr(properties, "_order_leaks", spy)
+    verify_order_preservation(system, trials=4, seed=6)
+    rng = np.random.default_rng(6)
+    assert len(seen) == 4
+    for zm in seen:
+        z = project(random_operator(system, rng), SubspaceTag.ZERO_QUANTUM)
+        want = z.entries / max(z.norm(), 1e-300)
+        assert zm.tobytes() == want.tobytes()
 
 
 def test_order_preservation_memory_is_bounded_at_seven_spins():

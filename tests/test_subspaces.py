@@ -1,6 +1,8 @@
 """Subspace taxonomy tests: dimensions, membership, blocks, closure."""
 
+import importlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,6 +272,97 @@ def test_closure_holds_for_every_subspace(tag, n):
     assert report.checks == 75
     assert report.violations == []
     assert report.max_residual <= 1e-12
+
+
+# the package exports functions that shadow some submodule names
+subspaces = importlib.import_module("mqspace.subspaces")
+
+
+@pytest.mark.parametrize("tol", [1e-10, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("tag", TAGS)
+def test_closure_sweep_matches_the_operator_level_reference(tag, n, tol):
+    # tol = -1 fails every check, so the violation texts are compared too
+    for seed in range(3):
+        got = verify_closure(tag, SpinSystem(n), trials=3, seed=seed, tol=tol)
+        want = oracles.closure_sweep_operators(tag, n, 3, seed, tol)
+        assert got == want, (seed, got, want)
+        assert got.max_residual.hex() == want.max_residual.hex()
+
+
+def _recording(calls, function, keep):
+    def wrapper(*args, **kwargs):
+        value = function(*args, **kwargs)
+        calls.append(keep(args, value).copy())
+        return value
+
+    return wrapper
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closure_sweep_draws_and_measures_the_operator_level_stream(n, monkeypatch):
+    # every report of a closed pattern is exactly zero, so a reordered
+    # stream would not show in it; compare what each trial draws and
+    # measures, bit for bit, with project(random_operator(...)) drawn in
+    # the order a, b, ha, hb, weights, and with the written-out draw rule
+    system = SpinSystem(n)
+    trials, seed = 4, 5
+    for tag in TAGS:
+        drawn, measured = [], []
+        monkeypatch.setattr(
+            subspaces,
+            "_random_member",
+            _recording(drawn, subspaces._random_member, lambda args, value: value),
+        )
+        monkeypatch.setattr(
+            subspaces,
+            "_pattern_residual",
+            _recording(measured, subspaces._pattern_residual, lambda args, value: args[0]),
+        )
+        verify_closure(tag, system, trials=trials, seed=seed)
+        monkeypatch.undo()
+
+        mask = oracles.pattern_mask(tag.value, n)
+        rng = np.random.default_rng(seed)
+        twin = np.random.default_rng(seed)
+        want_drawn = []
+        want_measured = [np.eye(2**n, dtype=complex)]
+        for _ in range(trials):
+            ops = [project(random_operator(system, rng), tag) for _ in range(2)]
+            ops += [project(random_operator(system, rng, hermitian=True), tag) for _ in range(2)]
+            w = rng.standard_normal(2)
+            raw = [oracles.gaussian_entries(twin, 2**n, h) for h in (False, False, True, True)]
+            twin_w = twin.standard_normal(2)
+            for op, entries in zip(ops, raw):
+                assert op.entries.tobytes() == np.where(mask, entries, 0.0).tobytes()
+            assert w.tobytes() == twin_w.tobytes()
+            a, b, ha, hb = ops
+            want_drawn += [op.entries for op in ops]
+            want_measured += [(a @ b).entries, (a @ b - b @ a).entries, (w[0] * ha + w[1] * hb).entries]
+        assert len(drawn) == 4 * trials and len(measured) == 1 + 3 * trials
+        for got, want in zip(drawn + measured, want_drawn + want_measured):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), tag
+
+
+# the Operator-level sweep (one Operator per draw, projection and
+# result, each a copied 128 x 128 complex matrix) peaked at 2,757,842 to
+# 2,759,838 traced bytes on these calls, depending on what ran before;
+# the bound is the smallest of those
+OPERATOR_SWEEP_PEAK_N7 = 2_757_842
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_closure_sweep_memory_at_seven_spins_is_not_above_the_operator_sweep(trials):
+    system = SpinSystem(7)
+    verify_closure(SubspaceTag.EVEN_MQ, system, trials=1, seed=1)
+    tracemalloc.start()
+    try:
+        report = verify_closure(SubspaceTag.EVEN_MQ, system, trials=trials, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.checks == 3 * trials
+    assert peak <= OPERATOR_SWEEP_PEAK_N7, peak
 
 
 def test_closure_report_failure_path():
