@@ -18,19 +18,21 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import CARTESIAN, BaseOperatorSpec, Operator, SpinSystem, _integer
+from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _integer
 from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
+    _assembled_propagator,
+    _block_spectra,
     _blockwise_cells,
-    _dense_cells,
     _diagonal_groups,
+    _evolved_cells,
     _hamiltonian_blocks,
+    _hermitian_part,
     _label_cell,
     _profile,
     _walsh_bin,
-    build_hamiltonian,
 )
 
 __all__ = [
@@ -174,23 +176,25 @@ class DiffusionTrace:
         return self.coefficients.shape[1].bit_length() - 1
 
     @cached_property
-    def channels(self) -> dict[str, np.ndarray]:
-        """Tracked label to channel series, built on first access."""
-        # one row per channel in label order, one column per time
+    def _channel_table(self) -> tuple[tuple[str, ...], np.ndarray]:
+        """``(labels, table)``, a row of ``table`` per tracked label and a column per time."""
         if self.track == "all":
             (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(self._n)
             labels = longitudinal + orders + zq_offdiagonal_cells(self._n)[2]
-            n_diag = len(long_idx) + len(order_idx)
-            table = np.empty((len(labels), len(self.times)))
-            table[:n_diag] = self.coefficients[:, np.concatenate([long_idx, order_idx])].T
-            table[n_diag:] = np.abs(self.coherences).T
+            diagonal = self.coefficients[:, np.concatenate([long_idx, order_idx])]
+            table = np.concatenate([diagonal.T, np.abs(self.coherences).T])
         else:
             labels = self.track
             table = np.array([
                 self.coefficients[:, i] if diagonal else np.abs(self.coherences[:, i])
                 for diagonal, i in (_label_cell(lab, self._n) for lab in labels)
             ])
-        return dict(zip(labels, table))
+        return labels, table
+
+    @cached_property
+    def channels(self) -> dict[str, np.ndarray]:
+        """Tracked label to channel series, built on first access."""
+        return dict(zip(*self._channel_table))
 
     @cached_property
     def undesired(self) -> tuple[str, ...]:
@@ -280,14 +284,24 @@ def _assemble(
 def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
     """Full-space engine: one propagator conjugation per grid point.
 
-    This is the dense reference for :func:`run_blockwise`: every grid
-    point conjugates the full ``2^n x 2^n`` operator and measures the
-    weight left outside the zero-quantum pattern.
+    This is the dense reference for :func:`run_blockwise`. It starts from
+    the same inputs, the spectrum of every magnetization block of the
+    Hamiltonian and the initial operator's ``2^n`` diagonal ``q``, but
+    takes no spin-flip reduction and no block shortcut: every grid point
+    assembles the full ``2^n x 2^n`` propagator ``u``, forms ``(u * q) @
+    u^H`` (``u diag(q) u^H``), folds it exactly Hermitian and measures the
+    weight left outside the zero-quantum pattern. It works on plain
+    arrays and builds no dense Hamiltonian.
     """
-    h = build_hamiltonian(config.system, config.hamiltonian)
-    q0 = Operator(config.system, np.diag(_initial_diagonal(config)), True)
-    cells = (_dense_cells(h, q0, t) for t in config.times)
-    return _assemble(config, cells, "full", None)
+    spectra = _block_spectra(_hamiltonian_blocks(config.system, config.hamiltonian))
+    q = _initial_diagonal(config)
+
+    def cells():
+        for t in config.times:
+            u = _assembled_propagator(config.system.dim, spectra, t)
+            yield _evolved_cells(_hermitian_part((u * q) @ u.conj().T))
+
+    return _assemble(config, cells(), "full", None)
 
 
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
@@ -323,11 +337,14 @@ def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     """Per-grid-point max absolute channel difference between two traces."""
     if a.times != b.times:
         raise ConfigurationError("traces cover different time grids")
-    if set(a.channels) != set(b.channels):
-        raise ConfigurationError("traces track different channels")
-    if not a.channels:
+    labels, table = a._channel_table
+    labels_b, table_b = b._channel_table
+    if labels_b != labels:
+        if set(labels_b) != set(labels):
+            raise ConfigurationError("traces track different channels")
+        # the same labels in another order: take b's rows in a's order
+        row = dict(zip(labels_b, range(len(labels_b))))
+        table_b = table_b[[row[lab] for lab in labels]]
+    if not labels:
         return np.zeros(len(a.times))
-    stacked = np.stack(
-        [np.abs(a.channels[lab] - b.channels[lab]) for lab in a.channels]
-    )
-    return stacked.max(axis=0)
+    return np.abs(table - table_b).max(axis=0)

@@ -11,7 +11,10 @@ block's entries. Every block's spectrum comes from one function,
 block: the block engine builds the spectra it needs once from the
 Hamiltonian's blocks, skipping or halving those the global spin flip
 relates, and :func:`zq_propagator` and :func:`blockwise_conjugate` share
-one copy of every block's spectrum memoized on the generator.
+one copy of every block's spectrum memoized on the generator. The dense
+transfer engine builds every block's spectrum from the Hamiltonian's
+blocks, as the block engine does but with no spin-flip reduction, and
+assembles each full propagator from them as :func:`zq_propagator` does.
 
 Conjugating a diagonal operator by a zero-quantum propagator scatters
 its weight over three kinds of terms: single-spin longitudinal
@@ -46,11 +49,13 @@ from .operators import (
 from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
+    _block_scatter,
     _block_states,
     _ensure_zero_quantum,
+    _mask,
+    _outside_weight,
     _zq_cell_rank,
     _zq_row_layout,
-    is_member,
     zq_offdiagonal_cells,
 )
 
@@ -170,12 +175,8 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     if spec.model == "custom":
         realized = reconstruct(system, spec.custom)
         _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
-        h = 0.5 * (realized.entries + realized.entries.conj().T)
-        return Operator(system, h, True)
-    h = np.zeros((system.dim, system.dim), dtype=complex)
-    for idx, block in _hamiltonian_blocks(system, spec):
-        h[np.ix_(idx, idx)] = block
-    return _adopt(system, h, True)
+        return Operator(system, _hermitian_part(realized.entries), True)
+    return _adopt(system, _block_scatter(system.dim, _hamiltonian_blocks(system, spec)), True)
 
 
 def _hamiltonian_blocks(system: SpinSystem, spec: HamiltonianSpec):
@@ -226,8 +227,10 @@ def _zq_blocks(z: Operator):
     """
     _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
     _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
-    subs = [(idx, z.entries[np.ix_(idx, idx)]) for idx in _block_states(z.system.n)]
-    return [(idx, 0.5 * (sub + sub.conj().T)) for idx, sub in subs]
+    return [
+        (idx, _hermitian_part(z.entries[np.ix_(idx, idx)]))
+        for idx in _block_states(z.system.n)
+    ]
 
 
 def _exactly_real(a: np.ndarray) -> np.ndarray:
@@ -235,6 +238,38 @@ def _exactly_real(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) and not a.imag.any():
         return a.real
     return a
+
+
+def _hermitian_part(r):
+    """``(r + r^H) / 2``, exactly Hermitian: it folds away roundoff asymmetry."""
+    return 0.5 * (r + r.conj().T)
+
+
+def _propagator(w, v, t):
+    """``v @ diag(exp(-iwt)) @ v^H``, the exponential of the spectrum ``(w, v)``."""
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _assembled_propagator(dim: int, spectra, t: float) -> np.ndarray:
+    """The dense ``dim x dim`` propagator of block spectra at ``t``.
+
+    ``spectra`` are :func:`_block_spectra` triples covering every selective
+    block; each block's :func:`_propagator` is scattered into zeros.
+    """
+    return _block_scatter(dim, ((idx, _propagator(w, v, t)) for idx, w, v in spectra))
+
+
+def _evolved_cells(r: np.ndarray):
+    """``(diag, zqc, residual)`` of a dense evolved operator's entries ``r``.
+
+    The cells as :func:`_walsh_bin` takes them: the diagonal, the
+    off-diagonal zero-quantum entries in :func:`zq_offdiagonal_cells` order
+    and the Frobenius weight outside the zero-quantum pattern, measured by
+    :func:`~mqspace.subspaces.is_member`'s rule.
+    """
+    n = len(r).bit_length() - 1
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    return np.diag(r), r[rows, cols], _outside_weight(r, _mask(SubspaceTag.ZERO_QUANTUM, n))
 
 
 def _block_spectra(blocks):
@@ -268,8 +303,7 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     """
     _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
     w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(_exactly_real(h.entries)))
-    u = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(h.system, u)
+    return _adopt(h.system, _propagator(w, v, t))
 
 
 def zq_propagator(z: Operator, t: float) -> Operator:
@@ -279,10 +313,7 @@ def zq_propagator(z: Operator, t: float) -> Operator:
     membership test; anything else is rejected. The result carries
     weight only inside the zero-quantum pattern.
     """
-    u = np.zeros((z.system.dim, z.system.dim), dtype=complex)
-    for idx, w, v in _block_eigh_cached(z):
-        u[np.ix_(idx, idx)] = (v * np.exp(-1j * w * t)) @ v.conj().T
-    return Operator(z.system, u)
+    return _adopt(z.system, _assembled_propagator(z.system.dim, _block_eigh_cached(z), t))
 
 
 def conjugate(u: Operator, q: Operator) -> Operator:
@@ -294,8 +325,7 @@ def conjugate(u: Operator, q: Operator) -> Operator:
     u._require_same_system(q)
     r = u.entries @ q.entries @ u.entries.conj().T
     if q.hermitian_hint is True:
-        r = 0.5 * (r + r.conj().T)
-        return _adopt(u.system, r, True)
+        return _adopt(u.system, _hermitian_part(r), True)
     return _adopt(u.system, r)
 
 
@@ -323,21 +353,19 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
         outside = q_k.entries.copy()
         outside[np.ix_(idx, idx)] = 0.0
         support_residual = float(np.linalg.norm(outside))
-        if support_residual > 1e-12 * q_k.norm():
+        # written so that a NaN residual is refused too
+        if not support_residual <= 1e-12 * q_k.norm():
             raise ToleranceError(
                 f"operator carries weight {support_residual:.3e} outside "
                 f"selective block k={k} (dimension {len(idx)})"
             )
 
-    u_small = (v * np.exp(-1j * w * t)) @ v.conj().T
+    u_small = _propagator(w, v, t)
     r_small = u_small @ sub @ u_small.conj().T
-    hint = None
-    if q_k.hermitian_hint is True:
-        r_small = 0.5 * (r_small + r_small.conj().T)
-        hint = True
-    out = np.zeros((z.system.dim, z.system.dim), dtype=complex)
-    out[np.ix_(idx, idx)] = r_small
-    return _adopt(z.system, out, hint)
+    hint = True if q_k.hermitian_hint is True else None
+    if hint:
+        r_small = _hermitian_part(r_small)
+    return _adopt(z.system, _block_scatter(z.system.dim, [(idx, r_small)]), hint)
 
 
 @dataclass(frozen=True)
@@ -463,24 +491,6 @@ def _profile(
     )
 
 
-def _dense_cells(z: Operator, q: Operator, t: float):
-    """Cells of ``q`` conjugated by the full propagator of ``z`` at ``t``.
-
-    Returns ``(diag, zqc, residual)`` as :func:`_walsh_bin` takes them,
-    with the out-of-pattern residual measured on the dense result. ``q``
-    must be Hermitian, traceless and a zero-quantum member.
-    """
-    _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
-    tr = abs(q.trace())
-    if tr > 1e-10 * max(q.norm(), 1.0):
-        raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
-    _ensure_zero_quantum(q, MEMBERSHIP_TOL, "expanded operator")
-    qc = conjugate(zq_propagator(z, t), q)
-    rows, cols, _ = zq_offdiagonal_cells(z.system.n)
-    residual = is_member(qc, SubspaceTag.ZERO_QUANTUM).residual
-    return np.diag(qc.entries), qc.entries[rows, cols], residual
-
-
 def _mirror_sign(near, far, q_near, q_far):
     """``s`` in (1, -1) when ``far`` is ``near`` and ``q_far`` is ``s * q_near``,
     each reversed on every axis, exactly; None otherwise."""
@@ -502,11 +512,6 @@ def _sandwich(a, g, b):
         return a @ g @ b.conj().T
     y = (a @ g.view(np.float64)).view(complex)
     return (b @ np.ascontiguousarray(y.T).view(np.float64)).view(complex).T
-
-
-def _hermitian_part(r):
-    """``(r + r^H) / 2``, exactly Hermitian: it folds away roundoff asymmetry."""
-    return 0.5 * (r + r.conj().T)
 
 
 def _flip_groups(blocks, q):
@@ -640,11 +645,20 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
 
     ``z`` must satisfy the :func:`zq_propagator` preconditions; ``q``
     must be Hermitian, traceless and a zero-quantum member. Violations
-    are rejected with the measured residual. The longitudinal and
-    spin-order amplitudes of the result are real within 1e-10.
+    are rejected with the measured residual; ``q`` is checked on every
+    call. The result is ``conjugate(zq_propagator(z, t), q)``, whose
+    out-of-pattern weight is :func:`~mqspace.subspaces.is_member`'s
+    residual; for a diagonal ``q`` the dense transfer engine reproduces
+    those cells bit for bit. The longitudinal and spin-order amplitudes
+    are real within 1e-10.
     """
+    _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
+    tr = abs(q.trace())
+    if tr > 1e-10 * max(q.norm(), 1.0):
+        raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
+    _ensure_zero_quantum(q, MEMBERSHIP_TOL, "expanded operator")
+    diag, zqc, residual = _evolved_cells(conjugate(zq_propagator(z, t), q).entries)
     n = z.system.n
-    diag, zqc, residual = _dense_cells(z, q, t)
     return _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
 
 

@@ -168,8 +168,12 @@ def _down_counts(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _element_orders(n: int) -> np.ndarray:
-    """Matrix of coherence orders, entry (r, c) = popcount(c) - popcount(r)."""
-    pc = _down_counts(n)
+    """Matrix of coherence orders, entry (r, c) = popcount(c) - popcount(r).
+
+    Orders lie in -n..n, so the read-only table is int8: an eighth of the
+    int64 size, and comparisons against it stay in int8.
+    """
+    pc = _down_counts(n).astype(np.int8)
     orders = pc[None, :] - pc[:, None]
     orders.setflags(write=False)
     return orders
@@ -197,12 +201,13 @@ class Operator(object):
         if hermitian_hint is True:
             defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
             scale = float(np.linalg.norm(arr))
-            if defect > HERMITIAN_HINT_TOL * scale:
+            # written so that a NaN defect or scale is refused too
+            if not defect <= HERMITIAN_HINT_TOL * scale:
                 raise ToleranceError(
                     "hermitian_hint is set but max asymmetry "
                     f"{defect:.3e} exceeds {HERMITIAN_HINT_TOL:.0e} * {scale:.3e}"
                 )
-            self._memo.update(hermiticity_defect=defect, norm=scale)
+            self._memo["norm"] = scale
         arr.setflags(write=False)
         self.system = system
         self._entries = arr
@@ -302,9 +307,14 @@ def _adopt(system: SpinSystem, arr: np.ndarray, hermitian_hint: bool | None = No
 def _memoized(op: Operator, key: str, compute):
     """``compute()``, evaluated once per instance and kept under ``key``.
 
-    Safe because the entries never change: checks, norms and
-    eigendecompositions are reused by every later call on the same
-    operator.
+    Safe because the entries never change. The package keeps four keys,
+    each read by a public kernel called again and again on one operator:
+    ``norm`` (:meth:`Operator.norm`, seeded by a checked True hint),
+    ``eigh`` (the spectrum :func:`~mqspace.dynamics.expm_hermitian`
+    exponentiates), ``block_eigh`` (the checked block spectra that
+    :func:`~mqspace.dynamics.zq_propagator` and
+    :func:`~mqspace.dynamics.blockwise_conjugate` share) and ``nnz`` (the
+    nonzero count behind ``blockwise_conjugate``'s support check).
     """
     try:
         return op._memo[key]
@@ -314,11 +324,11 @@ def _memoized(op: Operator, key: str, compute):
 
 
 def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:
-    """Accept a trusted hint or verify Hermiticity, memoized per instance."""
+    """Accept a trusted hint or verify Hermiticity; NaN entries fail."""
     if op.hermitian_hint is True:
         return
-    defect = _memoized(op, "hermiticity_defect", op.hermiticity_defect)
-    if defect > tol * max(op.norm(), 1.0):
+    defect = op.hermiticity_defect()
+    if not defect <= tol * max(op.norm(), 1.0):
         raise ToleranceError(
             f"{what} is not Hermitian: measured asymmetry {defect:.3e} "
             f"exceeds the {tol:.0e} relative tolerance"
@@ -651,11 +661,9 @@ def order_components(q: Operator) -> dict[int, Operator]:
     """
     orders = _element_orders(q.system.n)
     out: dict[int, Operator] = {}
+    # every order in -n..n has elements
     for p in range(-q.system.n, q.system.n + 1):
-        mask = orders == p
-        if not mask.any():
-            continue
-        comp = np.where(mask, q.entries, 0.0)
+        comp = np.where(orders == p, q.entries, 0.0)
         if not comp.any():
             continue
         out[p] = Operator(q.system, comp)

@@ -82,8 +82,7 @@ def _order_leaks(zm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     floats) and never below one row. That is every row in one pass for
     n <= 5 and one row per pass for n >= 8.
     """
-    # orders lie in -n..n, so int8 comparisons suffice
-    orders = _element_orders(n).astype(np.int8)
+    orders = _element_orders(n)
     orders_t = np.ascontiguousarray(orders.T)
     dim = 1 << n
     step = max(1, min(dim, _PASS_ENTRIES // (dim * dim)))

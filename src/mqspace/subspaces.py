@@ -30,7 +30,6 @@ from .operators import (
     _down_counts,
     _gaussian_entries,
     _integer,
-    _memoized,
     _shift_label,
     identity_operator,
 )
@@ -142,23 +141,25 @@ def _pattern_residual(
     and ``member`` is ``residual <= tol * norm``, ``norm`` being the
     Frobenius norm of all the entries.
     """
-    residual = float(np.linalg.norm(np.where(mask, 0.0, entries)))
+    residual = _outside_weight(entries, mask)
     return residual, residual <= tol * norm
+
+
+def _outside_weight(entries: np.ndarray, mask: np.ndarray) -> float:
+    """Frobenius norm of the entries outside ``mask``, the membership residual."""
+    return float(np.linalg.norm(np.where(mask, 0.0, entries)))
 
 
 def _ensure_zero_quantum(q: Operator, tol: float, what: str) -> None:
     """Reject ``q`` unless it passes the zero-quantum membership test.
 
-    The out-of-pattern residual does not depend on ``tol`` and is
-    measured once per instance.
+    The verdict is :func:`is_member`'s, so a NaN residual is refused.
     """
-    residual = _memoized(
-        q, "zq_residual", lambda: is_member(q, SubspaceTag.ZERO_QUANTUM).residual
-    )
-    if residual > tol * q.norm():
+    membership = is_member(q, SubspaceTag.ZERO_QUANTUM, tol)
+    if not membership.member:
         raise ToleranceError(
             f"{what} is not zero-quantum: out-of-pattern residual "
-            f"{residual:.3e} exceeds {tol:.0e} * {q.norm():.3e}"
+            f"{membership.residual:.3e} exceeds {tol:.0e} * {membership.norm:.3e}"
         )
 
 
@@ -204,6 +205,14 @@ def _block_states(n: int) -> tuple[np.ndarray, ...]:
     return states
 
 
+def _block_scatter(dim: int, blocks) -> np.ndarray:
+    """Complex ``dim x dim`` zeros holding each ``(state indices, block)`` pair's block."""
+    out = np.zeros((dim, dim), dtype=complex)
+    for idx, block in blocks:
+        out[np.ix_(idx, idx)] = block
+    return out
+
+
 def selective_blocks(system: SpinSystem) -> list[SelectiveBlock]:
     """The ``n + 1`` selective blocks, ``k`` ascending, indices ascending."""
     return [
@@ -225,12 +234,11 @@ def decompose_zq(
     """
     _ensure_zero_quantum(z, tol, "operator")
     hint = True if z.hermitian_hint is True else None
-    out = []
-    for k, idx in enumerate(_block_states(z.system.n)):
-        comp = np.zeros_like(z.entries)
-        comp[np.ix_(idx, idx)] = z.entries[np.ix_(idx, idx)]
-        out.append((k, Operator(z.system, comp, hint)))
-    return out
+    pieces = [(idx, z.entries[np.ix_(idx, idx)]) for idx in _block_states(z.system.n)]
+    return [
+        (k, Operator(z.system, _block_scatter(z.system.dim, [piece]), hint))
+        for k, piece in enumerate(pieces)
+    ]
 
 
 @lru_cache(maxsize=16)

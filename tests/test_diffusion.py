@@ -17,11 +17,13 @@ from mqspace import (
     Operator,
     OperatorExpansion,
     SpinSystem,
+    SubspaceTag,
     ToleranceError,
     build_hamiltonian,
     build_operator,
     channel_discrepancy,
     conjugate,
+    is_member,
     linear_times,
     purge,
     reconstruct_profile,
@@ -30,7 +32,7 @@ from mqspace import (
     zq_offdiagonal_cells,
     zq_propagator,
 )
-from mqspace.dynamics import _blockwise_cells, _dense_cells, _profile, _walsh_bin
+from mqspace.dynamics import _blockwise_cells, _profile, _walsh_bin
 
 diffusion = importlib.import_module("mqspace.diffusion")
 dynamics = importlib.import_module("mqspace.dynamics")
@@ -40,6 +42,7 @@ CHAIN4 = HamiltonianSpec(
     "dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))
 )
 PAIR = HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),))
+CHAIN3 = HamiltonianSpec("dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7)))
 
 
 def test_linear_times_endpoints_and_spacing():
@@ -258,6 +261,31 @@ def test_channel_discrepancy_validates_inputs():
         channel_discrepancy(trace_a, run_diffusion(cfg_c))
 
 
+def _per_label_discrepancy(a, b):
+    """Max over the labels of ``|a - b|``, one label at a time."""
+    gaps = [np.abs(a.channels[lab] - b.channels[lab]) for lab in a.channels]
+    return np.stack(gaps).max(axis=0)
+
+
+@pytest.mark.parametrize(
+    "track, other",
+    [
+        ("all", "all"),
+        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("I2z", "I1+I2-a3", "4I1zI2zI3z")),
+        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("4I1zI2zI3z", "I2z", "I1+I2-a3")),
+    ],
+)
+def test_channel_discrepancy_equals_the_per_label_maximum(track, other):
+    system = SpinSystem(3)
+    times = linear_times(0.0, 2.0, 5)
+    a = run_diffusion(DiffusionConfig(system, CHAIN3, times, track=track))
+    b = run_blockwise(DiffusionConfig(system, CHAIN3, times, track=other))
+    gap = channel_discrepancy(a, b)
+    assert gap.tobytes() == _per_label_discrepancy(a, b).tobytes()
+    assert gap.any()  # the engines differ in roundoff, so the test compares nonzeros
+    assert channel_discrepancy(b, a).tobytes() == _per_label_discrepancy(b, a).tobytes()
+
+
 def test_track_subset_limits_channels():
     cfg = DiffusionConfig(SpinSystem(2), PAIR, (0.0, 0.7), track=("I2z", "I1+I2-"))
     trace = run_diffusion(cfg)
@@ -351,9 +379,8 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
         raise AssertionError("the block engine formed a dense operator or check")
 
     for module, name in [
-        (diffusion, "build_hamiltonian"),
         (dynamics, "build_hamiltonian"),
-        (dynamics, "is_member"),
+        (dynamics, "_evolved_cells"),
         (subspaces, "is_member"),
         (dynamics, "_block_eigh_cached"),
         (dynamics, "_adopt"),
@@ -363,6 +390,51 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
     trace = run_blockwise(cfg)
     monkeypatch.undo()
     assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
+
+
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_dense_run_forms_no_dense_generator(monkeypatch, model):
+    # the dense engine evolves the block spectra and the start's diagonal as
+    # plain arrays: no dense Hamiltonian, no Operator, no memoized spectra
+    n = 6
+    cfg = DiffusionConfig(SpinSystem(n), _spec(model, n), linear_times(0.0, 2.0, 5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the dense engine formed a dense generator or an Operator")
+
+    for module, name in [
+        (dynamics, "build_hamiltonian"),
+        (dynamics, "_block_eigh_cached"),
+        (dynamics, "_adopt"),
+        (dynamics, "conjugate"),
+        (dynamics, "zq_propagator"),
+        (Operator, "__init__"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    trace = run_diffusion(cfg)
+    monkeypatch.undo()
+    assert float(channel_discrepancy(trace, run_blockwise(cfg)).max()) <= 1e-10
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_dense_run_cells_equal_the_public_conjugation(model, n):
+    system = SpinSystem(n)
+    spec = _spec(model, n)
+    h = build_hamiltonian(system, spec)
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    for initial in ("I1z", "2I1zI2z")[: min(n, 2)]:
+        cfg = DiffusionConfig(system, spec, linear_times(0.0, 3.0, 5), initial=initial)
+        trace = run_diffusion(cfg)
+        q0 = build_operator(system, BaseOperatorSpec.from_label(initial, n))
+        for i, t in enumerate(cfg.times):
+            evolved = conjugate(zq_propagator(h, t), q0)
+            diag, zqc = np.diag(evolved.entries), evolved.entries[rows, cols]
+            residual = is_member(evolved, SubspaceTag.ZERO_QUANTUM).residual
+            assert trace.coherences[i].tobytes() == zqc.tobytes()
+            assert trace.residuals[i] == residual
+            binned = _walsh_bin(n, diag, zqc, residual)
+            assert trace.coefficients[i].tobytes() == binned.tobytes()
 
 
 def _custom_chain(n, flip_symmetric):
@@ -607,7 +679,16 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
     q0 = build_operator(system, BaseOperatorSpec.from_label(cfg.initial, n))
     if engine == "full":
         trace = run_diffusion(cfg)
-        cells = [_dense_cells(h, q0, t) for t in cfg.times]
+        rows, cols, _ = zq_offdiagonal_cells(n)
+        evolved = [conjugate(zq_propagator(h, t), q0) for t in cfg.times]
+        cells = [
+            (
+                np.diag(qc.entries),
+                qc.entries[rows, cols],
+                is_member(qc, SubspaceTag.ZERO_QUANTUM).residual,
+            )
+            for qc in evolved
+        ]
     else:
         trace = run_blockwise(cfg)
         blocks = dynamics._hamiltonian_blocks(system, CHAIN4)

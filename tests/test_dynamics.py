@@ -339,6 +339,23 @@ def test_zq_propagator_rejects_non_zq_generator():
         zq_propagator(spin_operator(system, 1, "x"), 1.0)
 
 
+def test_zq_propagator_refuses_nan_outside_the_blocks():
+    # NaN at (0, 1) and (1, 0) lies outside every block: it must not be
+    # dropped silently by the block gather
+    entries = np.diag([0.5, 0.0, 0.0, -0.5]).astype(complex)
+    entries[0, 1] = entries[1, 0] = np.nan
+    with pytest.raises(ToleranceError):
+        zq_propagator(Operator(SpinSystem(2), entries), 1.0)
+
+
+def test_expm_hermitian_refuses_a_nan_asymmetry():
+    entries = np.diag([0.5, 0.0, 0.0, -0.5]).astype(complex)
+    entries[1, 2] = np.nan
+    entries[2, 1] = 1.0
+    with pytest.raises(ToleranceError):
+        expm_hermitian(Operator(SpinSystem(2), entries), 1.0)
+
+
 def test_conjugate_preserves_spectral_data():
     rng = np.random.default_rng(13)
     system = SpinSystem(3)
@@ -493,6 +510,16 @@ def test_blockwise_conjugate_rejections():
     confined[0, 0] = 1.0
     with pytest.raises(ConfigurationError):
         blockwise_conjugate(h, Operator(system, confined, True), 5, 0.5)
+
+
+def test_blockwise_conjugate_refuses_nan_outside_the_block():
+    system = SpinSystem(3)
+    h = build_hamiltonian(system, HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),)))
+    entries = np.zeros((8, 8), dtype=complex)
+    entries[1, 2] = entries[2, 1] = 1.0  # inside the k = 1 block
+    entries[0, 7] = np.nan
+    with pytest.raises(ToleranceError, match="outside selective block k=1"):
+        blockwise_conjugate(h, Operator(system, entries), 1, 0.5)
 
 
 def test_walsh_matrix_matches_oracle():

@@ -30,7 +30,7 @@ from mqspace import (
     spin_operator,
     total_z,
 )
-from mqspace.operators import _ensure_hermitian, _memoized, reconstruct
+from mqspace.operators import _element_orders, _ensure_hermitian, reconstruct
 
 
 def test_spin_system_validation():
@@ -401,10 +401,11 @@ def test_random_operator_hermitian_flag():
     assert g.hermitian_hint is None
 
 
-def test_hinted_construction_seeds_norm_and_hermiticity_defect(monkeypatch):
+def test_hinted_construction_seeds_the_norm_and_skips_later_checks(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     op = Operator(SpinSystem(4), a + a.conj().T, hermitian_hint=True)
+    assert op._memo == {"norm": np.linalg.norm(op.entries)}
     norm = np.linalg.norm
     calls = []
 
@@ -413,8 +414,25 @@ def test_hinted_construction_seeds_norm_and_hermiticity_defect(monkeypatch):
         return norm(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "norm", counted)
+    monkeypatch.setattr(Operator, "hermiticity_defect", counted)
     assert op.norm() == norm(op.entries)
+    # a checked True hint is trusted: no asymmetry or norm pass
     _ensure_hermitian(op, 1e-10, "hinted operator")
-    defect = _memoized(op, "hermiticity_defect", op.hermiticity_defect)
-    assert defect == op.hermiticity_defect()
     assert calls == []
+
+
+@pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 2)])
+def test_hinted_construction_refuses_nan_entries(where):
+    entries = np.eye(4, dtype=complex)
+    entries[where] = np.nan
+    with pytest.raises(ToleranceError, match="hermitian_hint"):
+        Operator(SpinSystem(2), entries, hermitian_hint=True)
+
+
+def test_element_order_table_is_a_read_only_int8_table():
+    for n in (1, 3, 5):
+        orders = _element_orders(n)
+        assert orders.dtype == np.int8
+        assert not orders.flags.writeable
+        pc = np.array([bin(i).count("1") for i in range(1 << n)])
+        assert np.array_equal(orders, pc[None, :] - pc[:, None])

@@ -11,6 +11,7 @@ import oracles
 from mqspace import (
     ClosureReport,
     ConfigurationError,
+    Operator,
     SpinSystem,
     SubspaceTag,
     ToleranceError,
@@ -194,6 +195,15 @@ def test_decompose_zq_rejects_non_members():
     rng = np.random.default_rng(5)
     q = random_operator(SpinSystem(2), rng)
     with pytest.raises(ToleranceError):
+        decompose_zq(q)
+
+
+def test_decompose_zq_refuses_nan_at_an_order_one_element():
+    entries = np.eye(4, dtype=complex)
+    entries[0, 1] = np.nan
+    q = Operator(SpinSystem(2), entries)
+    assert not is_member(q, SubspaceTag.ZERO_QUANTUM).member
+    with pytest.raises(ToleranceError, match="not zero-quantum"):
         decompose_zq(q)
 
 
