@@ -295,13 +295,24 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
     """
     spectra = _block_spectra(_hamiltonian_blocks(config.system, config.hamiltonian))
     q = _initial_diagonal(config)
+    cells = (_dense_cells(spectra, q, t) for t in config.times)
+    return _assemble(config, cells, "full", None)
 
-    def cells():
-        for t in config.times:
-            u = _assembled_propagator(config.system.dim, spectra, t)
-            yield _evolved_cells(_hermitian_part((u * q) @ u.conj().T))
 
-    return _assemble(config, cells(), "full", None)
+def _dense_cells(spectra, q: np.ndarray, t: float):
+    """:func:`_evolved_cells` of ``u diag(q) u^H``, ``u`` the propagator at ``t``.
+
+    ``u`` is scaled in place after its adjoint is taken, and both are
+    dropped before the fold, so at most three dense arrays are alive at
+    once and none outlives the call.
+    """
+    u = _assembled_propagator(q.size, spectra, t)
+    uh = u.conj().T
+    u *= q
+    r = u @ uh
+    del u, uh
+    r = _hermitian_part(r)
+    return _evolved_cells(r)
 
 
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
@@ -315,7 +326,7 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     binned by one fast Walsh-Hadamard transform. An exactly real block
     takes real arithmetic, and blocks that the global spin flip maps
     exactly onto each other are evolved once (see
-    :func:`~mqspace.dynamics._blockwise_cells`); so a named model's blocks
+    :func:`~mqspace.dynamics._evolution_plan`); so a named model's blocks
     ``k > n / 2`` are never diagonalized and, for even ``n``, the middle
     block is diagonalized as two halves. A named model never exists as a
     ``2^n x 2^n`` matrix; a custom one is realized densely once, to be

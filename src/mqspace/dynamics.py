@@ -265,22 +265,24 @@ def _evolved_cells(r: np.ndarray):
     The cells as :func:`_walsh_bin` takes them: the diagonal, the
     off-diagonal zero-quantum entries in :func:`zq_offdiagonal_cells` order
     and the Frobenius weight outside the zero-quantum pattern, measured by
-    :func:`~mqspace.subspaces.is_member`'s rule.
+    :func:`~mqspace.subspaces.is_member`'s rule. The diagonal is a copy, so
+    the cells keep no reference to ``r``.
     """
     n = len(r).bit_length() - 1
     rows, cols, _ = zq_offdiagonal_cells(n)
-    return np.diag(r), r[rows, cols], _outside_weight(r, _mask(SubspaceTag.ZERO_QUANTUM, n))
+    outside = _outside_weight(r, _mask(SubspaceTag.ZERO_QUANTUM, n))
+    return r.diagonal().copy(), r[rows, cols], outside
 
 
 def _block_spectra(blocks):
     """``(state indices, eigenvalues, eigenvectors)`` of each Hermitian piece.
 
     ``blocks`` are ``(state indices, block)`` pairs as :func:`_hamiltonian_blocks`
-    or :func:`_zq_blocks` give them, or the pieces :func:`_blockwise_cells`
-    splits them into, ``block = v @ diag(w) @ v^H``. This is the one place a
-    selective block is diagonalized: a block whose imaginary part is exactly
-    0 gets real eigenvectors. The result is a tuple of read-only arrays,
-    safe to share between callers.
+    or :func:`_zq_blocks` give them, or the flip sectors that
+    :func:`_evolution_plan` cuts from a middle block, ``block = v @ diag(w) @
+    v^H``. This is the one place a selective block is diagonalized: a block
+    whose imaginary part is exactly 0 gets real eigenvectors. The result is
+    a tuple of read-only arrays, safe to share between callers.
     """
     spectra = tuple((idx, *np.linalg.eigh(_exactly_real(block))) for idx, block in blocks)
     for _, w, v in spectra:
@@ -514,127 +516,117 @@ def _sandwich(a, g, b):
     return (b @ np.ascontiguousarray(y.T).view(np.float64)).view(complex).T
 
 
-def _flip_groups(blocks, q):
-    """``(pieces, groups)``: how :func:`_blockwise_cells` evolves each block.
+def _evolution_plan(blocks, q):
+    """Everything the block engine needs that does not depend on time.
 
-    ``pieces`` are the ``(state indices, Hermitian matrix)`` pairs to hand
-    to :func:`_block_spectra`, in order. Each group takes the next piece, or
-    for a split middle block its next two, the flip sectors, whose state
-    indices are the block's top half. A group is ``(split, targets)``:
-    ``split`` is None for a whole block, else the sign ``(-1)^m`` of the
-    split block; each target ``(state indices, sign)`` receives the group's
-    evolved block times ``sign``, its rows and columns in the order of the
-    indices, which run backwards for a mirrored block.
+    ``blocks`` are a Hamiltonian's ``(state indices, H_k)`` pairs, as
+    :func:`_hamiltonian_blocks` gives them, and ``q`` the ``2^n`` diagonal
+    of the start. Returns one ``(split, products, targets)`` entry per group
+    of blocks that evolve together, in ascending ``k``.
+
+    The global spin flip ``F|s> = |s ^ (2^n - 1)>`` maps block ``k`` onto
+    block ``n - k`` with its states in reverse order, and ``q`` onto ``(-1)^m
+    q`` for ``m`` z factors. When block ``n - k`` equals block ``k`` reversed
+    on both axes, exactly, and its part of ``q`` is ``s`` times block ``k``'s
+    reversed (:func:`_mirror_sign`), it joins block ``k``'s group: it is
+    neither diagonalized nor evolved. For even ``n`` the middle block maps
+    onto itself; when it is exactly centrosymmetric, ``[[A, C J], [J C, J A
+    J]]`` with ``J`` the reversal, it is diagonalized as its two flip
+    sectors ``A + C`` and ``A - C`` of half its size, and ``split`` is its
+    sign ``(-1)^m``. Every other block is its own group, ``split`` None,
+    and is diagonalized whole: every block of ``offsets`` (the flip
+    reverses each offset) or of a custom model the flip does not preserve.
+
+    Each group's one or two pieces go to :func:`_block_spectra`, so
+    ``H = V diag(w) V^H``, and ``q``'s part is rotated once into the
+    eigenbasis, ``Q = V^H diag(q[idx]) V``. ``products`` holds ``(wa, va, wb,
+    vb, Q)`` per product: one for a whole block; for a split one two
+    diagonal sector products for ``split = 1``, since ``q``'s part is then
+    ``diag(q1, q1)`` in the sector basis (``q1`` its top half), or one
+    off-diagonal one, ``X``, for ``split = -1``, where it is ``[[0, q1],
+    [q1, 0]]``. ``targets`` holds ``(state indices, cell ranks, sign)`` per
+    block the group's evolved block is written to, times ``sign``: the block
+    itself, and the mirrored block with its indices reversed.
     """
     n = len(blocks) - 1
-    pieces, groups, mirrored = [], [], set()
+    plan, mirrored = [], set()
     for k, (idx, h) in enumerate(blocks):
         if k in mirrored:
             continue
         far_idx, far_h = blocks[n - k]
         sign = _mirror_sign(h, far_h, q[idx], q[far_idx]) if k <= n - k else None
-        if k == n - k and sign is not None:
+        split = sign if k == n - k else None
+        targets = [(idx, 1)]
+        if split is not None:
             p = len(idx) // 2
             a, c = h[:p, :p], h[:p, p:][:, ::-1]
-            pieces += [(idx[:p], a + c), (idx[:p], a - c)]
-            groups.append((sign, [(idx, 1)]))
-            continue
-        pieces.append((idx, h))
-        targets = [(idx, 1)]
-        if k < n - k and sign is not None:
-            targets.append((far_idx[::-1], sign))
-            mirrored.add(n - k)
-        groups.append((None, targets))
-    return pieces, groups
+            (part, wp, vp), (_, wm, vm) = _block_spectra([(idx[:p], a + c), (idx[:p], a - c)])
+            bases = [(wp, vp, wp, vp), (wm, vm, wm, vm)] if split == 1 else [(wp, vp, wm, vm)]
+        else:
+            ((part, w, v),) = _block_spectra([(idx, h)])
+            bases = [(w, v, w, v)]
+            if sign is not None:  # k < n - k: block n - k is the mirror
+                targets.append((far_idx[::-1], sign))
+                mirrored.add(n - k)
+        # q's part rotated once into each pair of eigenbases
+        products = [(wa, va, wb, vb, (va.conj().T * q[part]) @ vb) for wa, va, wb, vb in bases]
+        i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
+        cells = [(t, _zq_cell_rank(n, t[i], t[j]), s) for t, s in targets]
+        plan.append((split, products, cells))
+    return plan
 
 
-def _rotated(va, q_part, vb):
-    """``va^H diag(q_part) vb``, a diagonal in the pair of eigenbases."""
-    return (va.conj().T * q_part) @ vb
+def _evolved_block(split, products, t):
+    """A group of :func:`_evolution_plan` evolved to time ``t``, one block.
+
+    Each product evolves as ``Va (Q * outer(ea, conj(eb))) Vb^H``, ``e =
+    exp(-iwt)``. A whole block is its one product, folded exactly
+    Hermitian. A split block is reassembled from its two evolved sectors
+    ``(R+, R-)``, or ``(X^H, X)`` for ``split = -1``: its top rows are
+    ``[(R+ + R-) / 2, (R+ - R-) J / 2]`` and its bottom rows the flip image
+    of the top ones, ``split`` times them reversed on both axes.
+    """
+    evolved = [
+        _sandwich(va, rot * np.outer(np.exp(-1j * wa * t), np.exp(1j * wb * t)), vb)
+        for wa, va, wb, vb, rot in products
+    ]
+    if split is None:
+        return _hermitian_part(evolved[0])
+    if split == 1:
+        plus, minus = map(_hermitian_part, evolved)
+    else:
+        plus, minus = evolved[0].conj().T, evolved[0]
+    top = np.hstack([0.5 * (plus + minus), (0.5 * (plus - minus))[:, ::-1]])
+    return np.vstack([top, split * top[::-1, ::-1]])
 
 
 def _blockwise_cells(blocks, q: np.ndarray, times):
     """Cells of the diagonal operator ``diag(q)`` evolved block by block, per time.
 
-    ``blocks`` are a Hamiltonian's ``(state indices, H_k)`` pairs, as
-    :func:`_hamiltonian_blocks` gives them; ``q`` is not checked, since a
-    transfer config admits only traceless diagonals. With ``H_k = V diag(w)
-    V^H`` from :func:`_block_spectra`, ``q``'s part is rotated once into the
-    eigenbasis, ``Q = V^H diag(q[idx]) V``, and at time ``t`` the block
-    evolves as ``V (Q * outer(e, conj(e))) V^H``, ``e = exp(-iwt)``.
-
-    The global spin flip ``F|s> = |s ^ (2^n - 1)>`` maps block ``k`` onto
-    block ``n - k`` with its states in reverse order, and ``q`` onto ``(-1)^m
-    q`` for ``m`` z factors. When block ``n - k`` equals block ``k`` reversed
-    on both axes, exactly, it is neither diagonalized nor evolved: its
-    evolved block is block ``k``'s reversed on both axes, times the sign
-    that relates their parts of ``q``. For even ``n`` the middle block maps
-    onto itself; when it is exactly centrosymmetric, ``[[A, C J], [J C, J A
-    J]]`` with ``J`` the reversal, it is diagonalized as its two flip
-    sectors ``A + C`` and ``A - C`` of half its size. In the sector basis
-    ``q``'s part is ``diag(q1, q1)`` for even ``m`` and ``[[0, q1], [q1,
-    0]]`` for odd ``m``, ``q1`` its top half, so each time costs two
-    diagonal sector products or one off-diagonal one, ``X``. The evolved
-    block's top rows are ``[(R+ + R-) / 2, (R+ - R-) J / 2]`` with ``(R+,
-    R-)`` the two evolved sectors, or ``(X^H, X)``, and its bottom rows are
-    the flip image of the top ones. A block that fails an exact test is
-    evolved whole, as every block of ``offsets`` (the flip reverses each
-    offset) or of a custom model the flip does not preserve.
-
-    Each evolved block's diagonal is scattered into one ``2^n`` vector and
-    its off-diagonal entries gathered straight into
-    :func:`zq_offdiagonal_cells` order. No array is larger than a block or
-    the ``2^n`` diagonal apart from the cells themselves, and the residual
-    is exactly 0 by construction. Yields ``(diag, zqc, 0.0)`` per time.
+    ``blocks`` and ``q`` are as :func:`_evolution_plan` takes them; ``q`` is
+    not checked, since a transfer config admits only traceless diagonals.
+    At each time every group's :func:`_evolved_block` is written to its
+    targets: its diagonal into one ``2^n`` vector and its off-diagonal
+    entries straight into :func:`zq_offdiagonal_cells` order. No array is
+    larger than a block or the ``2^n`` diagonal apart from the cells
+    themselves, and the residual is exactly 0 by construction. Yields
+    ``(diag, zqc, 0.0)`` per time.
     """
     n = q.size.bit_length() - 1
-    pieces, groups = _flip_groups(blocks, q)
-    spectra = iter(_block_spectra(pieces))
-    del blocks, pieces  # no Hamiltonian block is kept while binning
-    prepared = []
-    for split, targets in groups:
-        if split is None:
-            idx, w, v = next(spectra)
-            products = [(w, v, w, v, _rotated(v, q[idx], v))]
-        else:
-            (top, wp, vp), (_, wm, vm) = next(spectra), next(spectra)
-            if split == 1:
-                products = [
-                    (wp, vp, wp, vp, _rotated(vp, q[top], vp)),
-                    (wm, vm, wm, vm, _rotated(vm, q[top], vm)),
-                ]
-            else:
-                products = [(wp, vp, wm, vm, _rotated(vp, q[top], vm))]
-        cells = []
-        for idx, sign in targets:
-            i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-            cells.append((idx, _zq_cell_rank(n, idx[i], idx[j]), sign))
-        prepared.append((split, products, cells))
+    plan = _evolution_plan(blocks, q)
+    del blocks  # no Hamiltonian block is kept while binning
     n_cells = math.comb(2 * n, n) - q.size  # every zero-quantum cell off the diagonal
-
     for t in times:
         diag = np.empty(q.size, dtype=complex)
         zqc = np.empty(n_cells, dtype=complex)
-        for split, products, cells in prepared:
-            evolved = [
-                _sandwich(va, rot * np.outer(np.exp(-1j * wa * t), np.exp(1j * wb * t)), vb)
-                for wa, va, wb, vb, rot in products
-            ]
-            if split is None:
-                r = _hermitian_part(evolved[0])
-            else:
-                if split == 1:
-                    plus, minus = map(_hermitian_part, evolved)
-                else:
-                    plus, minus = evolved[0].conj().T, evolved[0]
-                top = np.hstack([0.5 * (plus + minus), (0.5 * (plus - minus))[:, ::-1]])
-                r = np.vstack([top, split * top[::-1, ::-1]])
+        for split, products, targets in plan:
+            r = _evolved_block(split, products, t)
             d = len(r)
             values = np.diagonal(r)
             # row-major off-diagonal entries: drop r[0, 0], then each run
             # of d + 1 flat entries ends on the next diagonal entry
             off = r.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
-            for idx, ranks, sign in cells:
+            for idx, ranks, sign in targets:
                 diag[idx] = sign * values
                 zqc[ranks] = sign * off
         yield diag, zqc, 0.0

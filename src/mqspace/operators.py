@@ -200,7 +200,7 @@ class Operator(object):
         self._memo = {}  # values derived from the entries, see _memoized
         if hermitian_hint is True:
             defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-            scale = float(np.linalg.norm(arr))
+            scale = _frobenius(arr)
             # written so that a NaN defect or scale is refused too
             if not defect <= HERMITIAN_HINT_TOL * scale:
                 raise ToleranceError(
@@ -225,8 +225,8 @@ class Operator(object):
         return complex(np.trace(self._entries))
 
     def norm(self) -> float:
-        """Frobenius norm, computed once per instance."""
-        return _memoized(self, "norm", lambda: float(np.linalg.norm(self._entries)))
+        """Frobenius norm, computed once per instance; see :func:`_frobenius`."""
+        return _memoized(self, "norm", lambda: _frobenius(self._entries))
 
     def hermiticity_defect(self) -> float:
         """Largest absolute difference between the entries and their adjoint."""
@@ -321,6 +321,24 @@ def _memoized(op: Operator, key: str, compute):
     except KeyError:
         value = op._memo[key] = compute()
         return value
+
+
+def _frobenius(arr: np.ndarray) -> float:
+    """Frobenius norm of ``arr``, the scale of every relative tolerance guard.
+
+    A norm that overflows to inf is a :class:`ToleranceError`, since
+    ``tol * inf`` would accept any residual. A NaN norm is returned, for
+    the guards to refuse.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(arr))
+    if norm == np.inf:
+        raise ToleranceError(
+            "operator's Frobenius norm overflows to inf (largest entry "
+            f"magnitude {float(np.max(np.abs(arr))):.3e}), so no relative "
+            "tolerance can be applied"
+        )
+    return norm
 
 
 def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:

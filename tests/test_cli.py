@@ -387,6 +387,16 @@ def test_verify_passes_on_sound_defaults(capsys):
     assert all(c["passed"] for c in doc["checks"])
 
 
+def test_cascade_with_an_overflowing_operator_norm_exits_numerical(capsys):
+    # couplings of 1e300 are finite, but the model's Frobenius norm is not
+    argv = ["cascade", "--n", "3", "--model", "flipflop",
+            "--coupling", "1,2,1e300", "--coupling", "2,3,1e300"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_NUMERICAL
+    assert out == ""
+    assert err.startswith("error: ") and "overflows" in err
+
+
 def test_verify_reports_numerical_failure(capsys, tmp_path):
     cfg = tmp_path / "v.json"
     cfg.write_text(

@@ -3,6 +3,7 @@
 import importlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,6 +436,61 @@ def test_dense_run_cells_equal_the_public_conjugation(model, n):
             assert trace.residuals[i] == residual
             binned = _walsh_bin(n, diag, zqc, residual)
             assert trace.coefficients[i].tobytes() == binned.tobytes()
+
+
+# holding the propagator, its scaled copy, its conjugate, the product and
+# the previous point's product (through a view of its diagonal) at once
+# peaked at 92.79 MiB here, 5.8 dense arrays of 16 MiB; three at a time
+# peak at 60.81 MiB
+def test_dense_run_peak_stays_below_four_and_a_half_dense_arrays():
+    n = 10
+    spec = HamiltonianSpec(
+        "dipolar_secular", couplings=tuple((k, k + 1, 1.0 / k) for k in range(1, n))
+    )
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 2.0, 3), track=("I1z",))
+    run_diffusion(cfg)  # cached tables are built outside the traced run
+    tracemalloc.start()
+    try:
+        run_diffusion(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 16 * 4**n, peak / 2**20
+
+
+@pytest.mark.parametrize(
+    "model, n, initial, kinds",
+    [
+        # every offset changes sign under the flip: each block is whole
+        ("offsets", 4, "I1z", [(None, 1)] * 5),
+        # odd n: block n - k is written from block k's group
+        ("dipolar_secular", 5, "I1z", [(None, 2)] * 3),
+        # even n: the middle block is split, its sign (-1)^m for m z factors
+        ("dipolar_secular", 6, "2I1zI2z", [(None, 2)] * 3 + [(1, 1)]),
+        ("dipolar_secular", 6, "I1z", [(None, 2)] * 3 + [(-1, 1)]),
+    ],
+    ids=["whole", "mirrored", "split+1", "split-1"],
+)
+def test_evolved_groups_equal_the_dense_evolution(model, n, initial, kinds):
+    system = SpinSystem(n)
+    cfg = DiffusionConfig(system, _spec(model, n), (0.0, 0.7, 2.3), initial=initial)
+    blocks = dynamics._hamiltonian_blocks(system, cfg.hamiltonian)
+    q = diffusion._initial_diagonal(cfg)
+    plan = dynamics._evolution_plan(blocks, q)
+    assert [(split, len(targets)) for split, _, targets in plan] == kinds
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    spectra = dynamics._block_spectra(blocks)
+    for t in cfg.times:
+        u = dynamics._assembled_propagator(system.dim, spectra, t)
+        dense = (u * q) @ u.conj().T
+        for split, products, targets in plan:
+            r = dynamics._evolved_block(split, products, t)
+            for idx, ranks, sign in targets:
+                assert np.max(np.abs(sign * r - dense[np.ix_(idx, idx)])) <= 1e-12
+                # the ranks name the block's off-diagonal cells, row-major
+                i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
+                assert np.array_equal(rows[ranks], idx[i])
+                assert np.array_equal(cols[ranks], idx[j])
 
 
 def _custom_chain(n, flip_symmetric):

@@ -356,6 +356,13 @@ def test_expm_hermitian_refuses_a_nan_asymmetry():
         expm_hermitian(Operator(SpinSystem(2), entries), 1.0)
 
 
+def test_expm_hermitian_refuses_an_overflowing_norm():
+    rng = np.random.default_rng(3)
+    entries = 1e200 * (rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    with pytest.raises(ToleranceError, match="overflows"):
+        expm_hermitian(Operator(SpinSystem(2), entries), 1.0)
+
+
 def test_conjugate_preserves_spectral_data():
     rng = np.random.default_rng(13)
     system = SpinSystem(3)

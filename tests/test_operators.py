@@ -429,6 +429,17 @@ def test_hinted_construction_refuses_nan_entries(where):
         Operator(SpinSystem(2), entries, hermitian_hint=True)
 
 
+def test_hinted_construction_refuses_an_overflowing_norm():
+    # finite entries near 1e200 overflow the norm, and tol * inf would
+    # accept any asymmetry
+    rng = np.random.default_rng(3)
+    entries = 1e200 * (rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
+    with pytest.raises(ToleranceError, match="overflows"):
+        Operator(SpinSystem(3), entries, hermitian_hint=True)
+    with pytest.raises(ToleranceError, match="overflows"):
+        Operator(SpinSystem(3), entries).norm()
+
+
 def test_element_order_table_is_a_read_only_int8_table():
     for n in (1, 3, 5):
         orders = _element_orders(n)

@@ -198,6 +198,24 @@ def test_decompose_zq_rejects_non_members():
         decompose_zq(q)
 
 
+def _overflowing(n):
+    """Finite random entries near 1e200, whose Frobenius norm overflows."""
+    rng = np.random.default_rng(3)
+    dim = 2**n
+    return 1e200 * (rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+
+
+def test_is_member_refuses_an_overflowing_norm():
+    q = Operator(SpinSystem(3), _overflowing(3))
+    with pytest.raises(ToleranceError, match="overflows"):
+        is_member(q, SubspaceTag.ZERO_QUANTUM)
+
+
+def test_decompose_zq_refuses_an_overflowing_norm():
+    with pytest.raises(ToleranceError, match="overflows"):
+        decompose_zq(Operator(SpinSystem(3), _overflowing(3)))
+
+
 def test_decompose_zq_refuses_nan_at_an_order_one_element():
     entries = np.eye(4, dtype=complex)
     entries[0, 1] = np.nan
