@@ -9,21 +9,31 @@ pattern. The spectrum is untouched throughout, so the cascade ends with
 the eigenvalues on the diagonal while exhibiting propagator factors of
 progressively narrower support.
 
-Each stage works on the eigenvectors of its input. They are assigned to
-target cells greedily by descending subspace overlap under exact cell
-capacities, and the stage unitary is the unitary polar factor of the
-direct-rotation sum ``D = sum_c P_c Q_c`` (cell projector times assigned
-eigenprojector; Davis & Kahan, SIAM J. Numer. Anal. 7, 1 (1970)), which
-maps each assigned eigenspace exactly onto its cell. Every eigenvector
-goes to exactly one cell and cell ``c`` receives ``|c|`` of them, so
-``D = Pi blockdiag(X_c) V_A^H`` with ``X_c = v[rows_c, cols_c]`` square,
-``Pi`` a row permutation and ``V_A`` the unitary of reordered
-eigenvectors. Its polar factor is therefore ``Pi blockdiag(polar(X_c))
-V_A^H`` (Higham, SIAM J. Sci. Stat. Comput. 7, 1160 (1986)) and its
-smallest singular value the least ``sigma_min(X_c)``: one small SVD per
-cell replaces the SVD of the whole sum. When that sum is close to
-singular the stage falls back to an explicit eigenvector-to-axis
-mapping, which is flagged in the result.
+Each stage works on eigenpairs of its input's constraint blocks. The
+eigenvectors are assigned to target cells greedily by descending
+subspace overlap under exact cell capacities, and the stage unitary is
+the unitary polar factor of the direct-rotation sum ``D = sum_c P_c
+Q_c`` (cell projector times assigned eigenprojector; Davis & Kahan,
+SIAM J. Numer. Anal. 7, 1 (1970)), which maps each assigned eigenspace
+exactly onto its cell. Every eigenvector goes to exactly one cell and
+cell ``c`` receives ``|c|`` of them, so ``D = Pi blockdiag(X_c) V_A^H``
+with ``X_c = v[rows_c, cols_c]`` square, ``Pi`` a row permutation and
+``V_A`` the unitary of reordered eigenvectors. Its polar factor is
+therefore ``Pi blockdiag(polar(X_c)) V_A^H`` (Higham, SIAM J. Sci.
+Stat. Comput. 7, 1160 (1986)) and its smallest singular value the least
+``sigma_min(X_c)``: one small SVD per cell replaces the SVD of the whole
+sum. When that sum is close to singular the stage falls back to an
+explicit eigenvector-to-axis mapping, which is flagged in the result.
+
+Either way the reduced operator's block on cell ``c`` has known
+eigenpairs: the eigenvalues assigned to ``c`` with the columns of
+``polar(X_c)``, or of the axis mapping's permutation, as eigenvectors.
+Each stage's target cells are the next stage's constraint blocks, so
+:func:`cascade` hands those pairs on and only the first stage calls
+``eigh``, once, on the whole input. A block whose degenerate clusters
+were rotated hands on nothing, since a rotated vector is an eigenvector
+only to within its cluster's spread; the next stage diagonalizes that
+block afresh.
 
 The stage unitary is block-diagonal over the constraint blocks, so the
 reduced operator ``U h U^H`` is formed block by block on ``h`` gathered
@@ -39,7 +49,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvariantError, ToleranceError
-from .operators import Operator, SpinSystem, _adopt, _down_counts, _ensure_hermitian
+from .operators import (
+    Operator,
+    SpinSystem,
+    _adopt,
+    _down_counts,
+    _ensure_hermitian,
+    _hermitian_part,
+)
 from .subspaces import Membership, SubspaceTag, is_member, selective_blocks
 
 __all__ = [
@@ -148,7 +165,7 @@ def _assignment_order(
 
 def _direct_rotation_polar(
     v: np.ndarray, local_cells: list[np.ndarray], assigned_cols: list[list[int]]
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, float, list[np.ndarray]]:
     """Polar factor and smallest singular value of a direct-rotation sum.
 
     ``v`` holds one constraint block's eigenvectors, ``local_cells`` the
@@ -157,17 +174,22 @@ def _direct_rotation_polar(
     row permutation of ``blockdiag(X_c)`` times a unitary, with
     ``X_c = v[rows_c, cols_c]``, so its polar factor has rows
     ``polar(X_c) V_c^H`` and its smallest singular value is the least
-    over cells of ``sigma_min(X_c)``.
+    over cells of ``sigma_min(X_c)``. Each cell's ``polar(X_c)`` is
+    returned too: its columns are the eigenvectors of the reduced block
+    on that cell's rows, for the eigenvalues of ``cols_c`` in order.
     """
     m = v.shape[0]
     u_block = np.empty((m, m), dtype=complex)
     smallest = np.inf
+    factors = []
     for rows, cols in zip(local_cells, assigned_cols):
         vc = v[:, cols]
         uu, sigma, vvh = np.linalg.svd(vc[rows, :])
         smallest = min(smallest, float(sigma[-1]))
-        u_block[rows, :] = (uu @ vvh) @ vc.conj().T
-    return u_block, smallest
+        factor = uu @ vvh
+        u_block[rows, :] = factor @ vc.conj().T
+        factors.append(factor)
+    return u_block, smallest, factors
 
 
 def _axis_mapping(
@@ -210,6 +232,29 @@ def stage_reduce(
     product, off-block entries of ``h`` included, so ``residual`` counts
     them too.
     """
+    return _stage(h, target_partition, unitary_constraint, tol)[0]
+
+
+def _stage(h: Operator, target_partition, unitary_constraint, tol, given=None):
+    """:func:`stage_reduce`, taking and handing on block eigenpairs.
+
+    ``given``, unless None, holds a pair ``(w, p)`` per constraint block:
+    eigenvalues in any order and, with the block's indices as rows,
+    their eigenvectors ``p``, or ``p = None``. A block with no
+    eigenvectors given is gathered, folded and diagonalized with
+    ``eigh``; given ones are sorted by eigenvalue and used as they are,
+    and their entry of ``given`` is set to ``None`` once read.
+
+    Returns the reduction and one ``(w_c, p_c)`` pair per target cell:
+    the eigenvalues assigned to cell ``c`` and, with the cell's indices
+    as rows, the eigenvectors of the reduced operator's block on that
+    cell. That is the cell's polar factor ``polar(X_c)``, which maps the
+    assigned eigenvectors onto the cell's axes, or on a fallback the
+    axis mapping's permutation. A block whose degenerate clusters were
+    rotated hands on ``p_c = None``: a rotated vector is an eigenvector
+    only to within its cluster's spread, up to ``CLUSTER_GAP`` of the
+    block's spectrum width.
+    """
     system = h.system
     dim = system.dim
     _ensure_hermitian(h, 1e-10, "stage input")
@@ -249,20 +294,26 @@ def stage_reduce(
     u_blocks = []
     fallback_used = False
     smallest_sigma = np.inf
+    handed = [None] * len(cells)
     for b, blk in enumerate(coarse):
         pos_of = {int(g): p for p, g in enumerate(blk)}
-        local_cells = [
-            np.array([pos_of[int(g)] for g in cell])
-            for cell in cells
-            if coarse_of[cell[0]] == b
-        ]
+        block_cells = [c for c, cell in enumerate(cells) if coarse_of[cell[0]] == b]
+        local_cells = [np.array([pos_of[int(g)] for g in cells[c]]) for c in block_cells]
 
-        sub = h.entries[np.ix_(blk, blk)]
-        sub = 0.5 * (sub + sub.conj().T)
-        w, v = np.linalg.eigh(sub)
+        if given is not None and given[b][1] is not None:
+            # read once and dropped, so the given vectors are freed before
+            # the conjugation below
+            w, p = given[b]
+            given[b] = None
+            order = np.argsort(w, kind="stable")
+            w, v = w[order], p[:, order]
+            del p
+        else:
+            w, v = np.linalg.eigh(_hermitian_part(h.entries[np.ix_(blk, blk)]))
         m = blk.size
 
         # rotate degenerate clusters so exact block structure survives eigh
+        rotated = False
         if m > 1:
             gap_tol = CLUSTER_GAP * max(1.0, float(w[-1] - w[0]))
             start = 0
@@ -272,6 +323,7 @@ def stage_reduce(
                         v[:, start:stop] = _align_cluster(
                             v[:, start:stop], local_cells
                         )
+                        rotated = True
                     start = stop
 
         overlaps = np.stack(
@@ -288,15 +340,23 @@ def stage_reduce(
             capacity[ci] -= 1
             assigned_cols[ci].append(col)
 
-        u_block, sigma_min = _direct_rotation_polar(v, local_cells, assigned_cols)
+        u_block, sigma_min, factors = _direct_rotation_polar(v, local_cells, assigned_cols)
         smallest_sigma = min(smallest_sigma, sigma_min)
         if not sigma_min > FALLBACK_SIGMA:
             # near-singular direct rotation: map eigenvectors straight
             # onto cell axes, eigenvalue order inside each cell
             fallback_used = True
             u_block = _axis_mapping(v, local_cells, assigned_cols)
+            assigned_cols = [sorted(cols) for cols in assigned_cols]
+            factors = [
+                np.eye(rows.size, dtype=complex)[:, np.argsort(rows)]
+                for rows in local_cells
+            ]
+        for c, cols, factor in zip(block_cells, assigned_cols, factors):
+            handed[c] = (w[cols], None if rotated else factor)
         unitary[np.ix_(blk, blk)] = u_block
         u_blocks.append(u_block)
+    del v  # a whole-space block's eigenvectors are as large as h
 
     # U h U^H in constraint-block order, where U is block-diagonal; each
     # full-size temporary is dropped once consumed to bound peak memory
@@ -312,8 +372,7 @@ def stage_reduce(
     for u_block, sl in zip(u_blocks, slices):
         product[:, sl] = left[:, sl] @ u_block.conj().T
     del left
-    product += product.conj().T
-    product *= 0.5
+    _hermitian_part(product)
     reduced = np.empty_like(product)
     reduced[np.ix_(order, order)] = product
     del product
@@ -326,7 +385,7 @@ def stage_reduce(
         residual,
         fallback_used,
         smallest_sigma,
-    )
+    ), handed
 
 
 @dataclass(frozen=True)
@@ -341,8 +400,8 @@ class CascadeResult:
     the previous one established. ``fallbacks`` flags the stages that
     took the axis mapping and ``smallest_sigmas`` holds each stage's
     smallest direct-rotation singular value. ``spectrum_error`` compares
-    the sorted input eigenvalues with the sorted diagonal of the final
-    operator.
+    the input eigenvalues that the first stage computed, sorted, with the
+    sorted diagonal of the final operator.
     """
 
     v1: Operator
@@ -366,6 +425,9 @@ class CascadeResult:
 def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     """Run the three reduction stages and package the diagnostics.
 
+    Each stage takes the eigenpairs of its constraint blocks from the
+    stage before (see the module notes), so a generic input costs one
+    ``eigh`` of the whole input plus the stages' small SVDs and products.
     Raises :class:`InvariantError` if any stage residual, membership
     or the spectrum comparison fails its tolerance; for a Hermitian
     input this indicates an internal defect, not a data problem.
@@ -374,12 +436,15 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     _ensure_hermitian(h, 1e-10, "cascade input")
     scale = max(h.norm(), 1.0)
 
-    s1 = stage_reduce(h, parity_partition(system), SubspaceTag.FULL, tol)
-    s2 = stage_reduce(
-        s1.reduced, popcount_partition(system), SubspaceTag.EVEN_MQ, tol
+    # each stage hands the next the eigenpairs of its target cells, which
+    # are the next stage's constraint blocks
+    s1, pairs = _stage(h, parity_partition(system), SubspaceTag.FULL, tol)
+    eigenvalues = np.sort(np.concatenate([w for w, _ in pairs]))
+    s2, pairs = _stage(
+        s1.reduced, popcount_partition(system), SubspaceTag.EVEN_MQ, tol, pairs
     )
-    s3 = stage_reduce(
-        s2.reduced, singleton_partition(system), SubspaceTag.ZERO_QUANTUM, tol
+    s3, _ = _stage(
+        s2.reduced, singleton_partition(system), SubspaceTag.ZERO_QUANTUM, tol, pairs
     )
 
     residuals = {
@@ -403,7 +468,6 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
                 f"{name} failed: residual {membership.residual:.3e}"
             )
 
-    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
     diagonal = np.sort(np.real(np.diag(s3.reduced.entries)))
     spectrum_error = float(np.max(np.abs(eigenvalues - diagonal)))
     if spectrum_error > tol * scale:

@@ -18,7 +18,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _integer
+from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _hermitian_part, _integer
 from .subspaces import zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
@@ -29,7 +29,6 @@ from .dynamics import (
     _diagonal_groups,
     _evolved_cells,
     _hamiltonian_blocks,
-    _hermitian_part,
     _label_cell,
     _profile,
     _walsh_bin,

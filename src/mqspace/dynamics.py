@@ -42,6 +42,7 @@ from .operators import (
     SpinSystem,
     _adopt,
     _ensure_hermitian,
+    _hermitian_part,
     _integer,
     _memoized,
     reconstruct,
@@ -175,7 +176,7 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     if spec.model == "custom":
         realized = reconstruct(system, spec.custom)
         _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
-        return Operator(system, _hermitian_part(realized.entries), True)
+        return Operator(system, _hermitian_part(realized.entries.copy()), True)
     return _adopt(system, _block_scatter(system.dim, _hamiltonian_blocks(system, spec)), True)
 
 
@@ -238,11 +239,6 @@ def _exactly_real(a: np.ndarray) -> np.ndarray:
     if np.iscomplexobj(a) and not a.imag.any():
         return a.real
     return a
-
-
-def _hermitian_part(r):
-    """``(r + r^H) / 2``, exactly Hermitian: it folds away roundoff asymmetry."""
-    return 0.5 * (r + r.conj().T)
 
 
 def _propagator(w, v, t):

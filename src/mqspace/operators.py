@@ -731,5 +731,25 @@ def _gaussian_entries(
     """
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     if hermitian:
-        a = 0.5 * (a + a.conj().T)
+        _hermitian_part(a)
     return a
+
+
+def _hermitian_part(r: np.ndarray) -> np.ndarray:
+    """Fold ``r`` into ``(r + r^H) / 2`` and return the fold.
+
+    The result is exactly Hermitian: the fold removes roundoff asymmetry.
+    ``r`` must be a writable array the caller owns. Beside it the fold
+    holds only the conjugate transpose, and it writes into whichever of
+    the two is C-ordered: ``r`` itself, unless ``r`` is a transposed view,
+    so callers read rows without a copy. The bytes equal those of
+    ``0.5 * (r + r.conj().T)``.
+    """
+    if r.flags.c_contiguous:
+        r += r.conj().T
+        r *= 0.5
+        return r
+    h = r.conj().T
+    h += r
+    h *= 0.5
+    return h

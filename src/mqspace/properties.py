@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import SpinSystem, _element_orders, _integer
+from .operators import SpinSystem, _element_orders, _hermitian_part, _integer
 from .subspaces import SubspaceTag, _random_member, zq_offdiagonal_cells
 
 __all__ = [
@@ -189,7 +189,7 @@ def verify_extreme_states(
         coeff = rng.standard_normal(len(labels)) + 1j * rng.standard_normal(len(labels))
         raw = np.zeros((dim, dim), dtype=complex)
         raw[rows, cols] = coeff
-        h = 0.5 * (raw + raw.conj().T)
+        h = _hermitian_part(raw)
         for state, which in ((e_first, "all-up"), (e_last, "all-down")):
             residual = float(np.linalg.norm(h @ state))
             report._record(f"combo_{which}", residual, tol, f"combination {trial}")

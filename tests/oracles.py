@@ -236,6 +236,48 @@ def direct_rotation_polar_dense(v, local_cells, assigned_cols):
     return uu @ vvh, float(sigma[-1])
 
 
+def cascade_by_stages(h):
+    """The cascade as three public ``stage_reduce`` calls, each with its own ``eigh``.
+
+    No eigenpair passes from one stage to the next, and the spectrum
+    check compares the final diagonal with an independent ``eigvalsh``
+    of the input. Returns a namespace with ``CascadeResult``'s fields.
+    """
+    from types import SimpleNamespace
+
+    from mqspace import (
+        SubspaceTag,
+        is_member,
+        parity_partition,
+        popcount_partition,
+        singleton_partition,
+        stage_reduce,
+    )
+
+    system = h.system
+    s1 = stage_reduce(h, parity_partition(system), SubspaceTag.FULL)
+    s2 = stage_reduce(s1.reduced, popcount_partition(system), SubspaceTag.EVEN_MQ)
+    s3 = stage_reduce(s2.reduced, singleton_partition(system), SubspaceTag.ZERO_QUANTUM)
+    eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
+    diagonal = np.sort(np.real(np.diag(s3.reduced.entries)))
+    return SimpleNamespace(
+        v1=s1.unitary,
+        v2=s2.unitary,
+        v3=s3.unitary,
+        h1=s1.reduced,
+        h2=s2.reduced,
+        h3=s3.reduced,
+        residuals={"even_mq": s1.residual, "zero_quantum": s2.residual, "lomso": s3.residual},
+        stage_classes={
+            "v2_even_mq": is_member(s2.unitary, SubspaceTag.EVEN_MQ),
+            "v3_zero_quantum": is_member(s3.unitary, SubspaceTag.ZERO_QUANTUM),
+        },
+        fallbacks=(s1.fallback_used, s2.fallback_used, s3.fallback_used),
+        smallest_sigmas=(s1.smallest_sigma, s2.smallest_sigma, s3.smallest_sigma),
+        spectrum_error=float(np.max(np.abs(eigenvalues - diagonal))),
+    )
+
+
 def align_cluster_full(cols, local_cells):
     """Degenerate-cluster alignment with every SVD's full left factor.
 

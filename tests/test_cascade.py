@@ -305,28 +305,28 @@ def test_assignment_order_uses_every_tie_breaking_key():
 def _record_polar_inputs(monkeypatch):
     """Record each stage's ``_direct_rotation_polar`` inputs and outputs.
 
-    Returns a list with one entry per ``stage_reduce`` call, each a list
-    of ``(v, local_cells, assigned_cols, u_block, sigma_min)`` per
-    constraint block.
+    Returns a list with one entry per stage, each a list of ``(v,
+    local_cells, assigned_cols, u_block, sigma_min)`` per constraint
+    block.
     """
     stages = []
     polar = cascade_module._direct_rotation_polar
-    reduce = cascade_module.stage_reduce
+    stage = cascade_module._stage
 
     def recording_polar(v, local_cells, assigned_cols):
-        u_block, sigma_min = polar(v, local_cells, assigned_cols)
+        u_block, sigma_min, factors = polar(v, local_cells, assigned_cols)
         stages[-1].append(
             (v.copy(), [r.copy() for r in local_cells],
              [list(c) for c in assigned_cols], u_block, sigma_min)
         )
-        return u_block, sigma_min
+        return u_block, sigma_min, factors
 
-    def recording_reduce(*args, **kwargs):
+    def recording_stage(*args, **kwargs):
         stages.append([])
-        return reduce(*args, **kwargs)
+        return stage(*args, **kwargs)
 
     monkeypatch.setattr(cascade_module, "_direct_rotation_polar", recording_polar)
-    monkeypatch.setattr(cascade_module, "stage_reduce", recording_reduce)
+    monkeypatch.setattr(cascade_module, "_stage", recording_stage)
     return stages
 
 
@@ -339,11 +339,8 @@ def _projector():
     return Operator(SpinSystem(3), np.outer(vec, vec), True)
 
 
-# random inputs and the degenerate inputs of the cascade tests above
-_POLAR_INPUTS = [
-    pytest.param(lambda n=n: _random_hermitian(n, 20 + n), id=f"random-n{n}")
-    for n in range(1, 7)
-] + [
+# the degenerate inputs of the cascade tests above
+_DEGENERATE_INPUTS = [
     pytest.param(
         lambda: Operator(
             SpinSystem(2), np.diag([3.0, 1.0, -1.0, 2.0]).astype(complex), True
@@ -360,6 +357,11 @@ _POLAR_INPUTS = [
     ),
     pytest.param(lambda: total_z(SpinSystem(3)), id="total-z"),
 ]
+
+_POLAR_INPUTS = [
+    pytest.param(lambda n=n: _random_hermitian(n, 20 + n), id=f"random-n{n}")
+    for n in range(1, 7)
+] + _DEGENERATE_INPUTS
 
 
 @pytest.mark.parametrize("make_input", _POLAR_INPUTS)
@@ -460,3 +462,150 @@ def test_residual_counts_off_block_weight_below_tolerance(constraint):
     dense = _symmetrized_dense_product(stage, noisy)
     assert np.max(np.abs(stage.reduced.entries - dense)) <= 1e-12 * scale
     assert abs(stage.residual - planted) <= 1e-3 * planted
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_cascade_matches_the_stage_by_stage_route(n):
+    # handing each stage's eigenpairs to the next stage must leave every
+    # result where three independent stage_reduce calls put it
+    for seed in range(1, 21):
+        h = _random_hermitian(n, seed)
+        result = cascade(h)
+        reference = oracles.cascade_by_stages(h)
+        assert result.fallbacks == reference.fallbacks
+        for key, membership in result.stage_classes.items():
+            other = reference.stage_classes[key]
+            assert (bool(membership), membership.residual) == (bool(other), other.residual)
+        scale = max(h.norm(), 1.0)
+        for name in ("v1", "v2", "v3", "h1", "h2", "h3"):
+            gap = np.max(np.abs(getattr(result, name).entries - getattr(reference, name).entries))
+            assert gap <= 1e-10 * scale, (seed, name)
+
+
+@pytest.mark.parametrize("make_input", _DEGENERATE_INPUTS)
+def test_degenerate_inputs_stay_within_stage_tolerance(make_input):
+    h = make_input()
+    result = cascade(h)
+    reference = oracles.cascade_by_stages(h)
+    limit = cascade_module.STAGE_TOL * max(h.norm(), 1.0)
+    for values in (result, reference):
+        assert all(value <= limit for value in values.residuals.values())
+        assert values.spectrum_error <= limit
+    assert result.fallbacks == reference.fallbacks
+
+
+def _count_decompositions(monkeypatch):
+    """Record the shape of every ``eigh`` input and every ``eigvalsh`` call.
+
+    Each ``eigh`` entry is ``(stage, shape)``, ``stage`` counting from 0;
+    the second list collects each stage's hand-off to the next.
+    """
+    eigh_calls, eigvalsh_calls, handed = [], [], []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    stage = cascade_module._stage
+
+    def counting_eigh(a, *args, **kwargs):
+        eigh_calls.append((len(handed), a.shape))
+        return eigh(a, *args, **kwargs)
+
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    def recording_stage(*args, **kwargs):
+        reduction, pairs = stage(*args, **kwargs)
+        handed.append(list(pairs))
+        return reduction, pairs
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(cascade_module, "_stage", recording_stage)
+    return eigh_calls, eigvalsh_calls, handed
+
+
+def test_random_cascade_diagonalizes_its_input_once(monkeypatch):
+    # stages 2 and 3 take their eigenpairs from the stage before, and the
+    # spectrum check reads stage 1's eigenvalues
+    h = _random_hermitian(6, 3)
+    eigh_calls, eigvalsh_calls, _ = _count_decompositions(monkeypatch)
+    result = cascade(h)
+    monkeypatch.undo()
+    assert eigh_calls == [(0, (64, 64))]
+    assert eigvalsh_calls == []
+    assert result.spectrum_error <= 1e-12 * max(h.norm(), 1.0)
+
+
+def _has_cluster(w):
+    w = np.sort(w)
+    gap_tol = cascade_module.CLUSTER_GAP * max(1.0, float(w[-1] - w[0]))
+    return bool(np.any(np.diff(w) <= gap_tol))
+
+
+@pytest.mark.parametrize("n, eigh_count", [(5, 3), (6, 10)])
+def test_uniform_chain_diagonalizes_again_only_after_rotated_clusters(n, eigh_count, monkeypatch):
+    # a block whose degenerate clusters were rotated hands on no
+    # eigenvectors, and only those blocks are diagonalized again: at n = 5
+    # stage 2 rotates no cluster, so stage 3 calls no eigh
+    system = SpinSystem(n)
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    h = build_hamiltonian(system, HamiltonianSpec("dipolar_secular", couplings=chain))
+    eigh_calls, eigvalsh_calls, handed = _count_decompositions(monkeypatch)
+    cascade(h)
+    monkeypatch.undo()
+    assert eigvalsh_calls == []
+    first, second = handed[0], handed[1]
+    parity = parity_partition(system)
+    popcount = popcount_partition(system)
+
+    # stage 1 has one block holding both parity cells; stage 2's blocks
+    # are the parity cells, each holding the popcount cells of its parity
+    clustered = _has_cluster(np.concatenate([w for w, _ in first]))
+    assert all((p is None) == clustered for _, p in first)
+    for parity_bit in (0, 1):
+        cells = [second[k] for k in range(parity_bit, n + 1, 2)]
+        clustered = _has_cluster(np.concatenate([w for w, _ in cells]))
+        assert all((p is None) == clustered for _, p in cells)
+
+    expected = [(0, (2**n, 2**n))]
+    for stage, blocks, pairs in ((1, parity, first), (2, popcount, second)):
+        expected += [(stage, (len(b), len(b))) for b, (_, p) in zip(blocks, pairs) if p is None]
+    assert eigh_calls == expected
+    assert len(eigh_calls) == eigh_count
+
+
+def test_uniform_chain_at_ten_spins_reduces_to_roundoff():
+    # a uniform chain's spectrum is full of near-degenerate clusters; vectors
+    # rotated inside one are eigenvectors only to within its spread, which
+    # shows here when they are handed on
+    n = 10
+    system = SpinSystem(n)
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    h = build_hamiltonian(system, HamiltonianSpec("dipolar_secular", couplings=chain))
+    result = cascade(h)
+    scale = max(h.norm(), 1.0)
+    assert result.residuals["lomso"] <= 1e-12 * scale
+    assert result.spectrum_error <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("fallback_sigma", [cascade_module.FALLBACK_SIGMA, 10.0])
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_handed_eigenpairs_diagonalize_each_reduced_cell(n, fallback_sigma, monkeypatch):
+    # each cell's polar factor, or on a fallback the axis permutation,
+    # holds eigenvectors of the reduced block on that cell
+    monkeypatch.setattr(cascade_module, "FALLBACK_SIGMA", fallback_sigma)
+    h = _random_hermitian(n, 50 + n)
+    system = h.system
+    scale = max(h.norm(), 1.0)
+    stage, pairs = cascade_module._stage(
+        h, parity_partition(system), SubspaceTag.FULL, cascade_module.STAGE_TOL
+    )
+    assert stage.fallback_used is (fallback_sigma == 10.0)
+    assert np.allclose(
+        np.sort(np.concatenate([w for w, _ in pairs])),
+        np.linalg.eigvalsh(h.entries),
+        atol=1e-12 * scale,
+    )
+    for cell, (w, p) in zip(parity_partition(system), pairs):
+        block = stage.reduced.entries[np.ix_(cell, cell)]
+        assert np.allclose(p.conj().T @ p, np.eye(len(cell)), atol=1e-12)
+        assert np.max(np.abs(block @ p - p * w)) <= 1e-12 * scale

@@ -30,7 +30,7 @@ from mqspace import (
     spin_operator,
     total_z,
 )
-from mqspace.operators import _element_orders, _ensure_hermitian, reconstruct
+from mqspace.operators import _element_orders, _ensure_hermitian, _hermitian_part, reconstruct
 
 
 def test_spin_system_validation():
@@ -447,3 +447,26 @@ def test_element_order_table_is_a_read_only_int8_table():
         assert not orders.flags.writeable
         pc = np.array([bin(i).count("1") for i in range(1 << n)])
         assert np.array_equal(orders, pc[None, :] - pc[:, None])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("dim", [1, 2, 5, 64, 300])
+def test_hermitian_fold_writes_the_averaged_sum_in_c_order(dim, dtype):
+    # the fold writes the bytes of 0.5 * (r + r^H), signed zeros included,
+    # into its argument, or for a transposed view into the conjugate
+    # transpose, so the result is C-ordered either way
+    rng = np.random.default_rng(dim)
+    r = rng.standard_normal((dim, dim)).astype(dtype)
+    if dtype is complex:
+        r += 1j * rng.standard_normal((dim, dim))
+    r[0, 0] = -0.0
+    r[rng.integers(dim, size=dim), rng.integers(dim, size=dim)] = -0.0
+    for source in (r, r.T):
+        expected = 0.5 * (source + source.conj().T)
+        folded = source.copy(order="K")
+        result = _hermitian_part(folded)
+        assert result.flags.c_contiguous
+        assert (result is folded) == folded.flags.c_contiguous
+        assert result.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError):
+        _hermitian_part(random_operator(SpinSystem(1), rng, hermitian=True).entries)
