@@ -483,6 +483,7 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
         trace = run_diffusion(config)
         other = run_blockwise(config)
         discrepancy = channel_discrepancy(trace, other)
+        del other  # only the dense trace is written out
 
     if csv:
         header = ["t"] + list(trace.channels)

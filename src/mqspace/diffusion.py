@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _hermitian_part, _integer
-from .subspaces import zq_offdiagonal_cells
+from .subspaces import _zq_cell_pairs, _zq_upper_cells, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
@@ -135,14 +135,16 @@ class DiffusionConfig:
 class DiffusionTrace:
     """Time series produced by one run.
 
-    The binned amplitudes are held in three read-only arrays with one row
-    per grid point: ``coefficients`` is ``(T, 2**n)`` real, the
-    coefficient of the all-z base operator of every spin subset in
+    The binned amplitudes are held in read-only arrays with one row per
+    grid point: ``coefficients`` is ``(T, 2**n)`` real, the coefficient
+    of the all-z base operator of every spin subset in
     :func:`itertools.product` order over ``"ez"`` (spin 1 the most
-    significant bit, so column 0 is the identity); ``coherences`` is
-    ``(T, cells)`` complex, the off-diagonal zero-quantum entries in
-    :func:`~mqspace.subspaces.zq_offdiagonal_cells` order; ``residuals``
-    is ``(T,)``, the Frobenius weight outside the zero-quantum pattern.
+    significant bit, so column 0 is the identity); ``upper_coherences``
+    is ``(T, cells / 2)`` complex, the off-diagonal zero-quantum entries
+    ``(i, j)`` with ``i < j``, in :func:`~mqspace.subspaces.zq_offdiagonal_cells`
+    order; ``residuals`` is ``(T,)``, the Frobenius weight outside the
+    zero-quantum pattern. The evolved operator is Hermitian, so cell
+    ``(j, i)`` is the conjugate of ``(i, j)`` and is not stored.
     ``conserved`` is the inner product of the total-z operator with the
     evolved state, constant whenever the Hamiltonian commutes with total
     z. ``track`` is the run's :attr:`DiffusionConfig.track`.
@@ -151,19 +153,29 @@ class DiffusionTrace:
     entries, not the arithmetic done, which the spin-flip reductions of
     :func:`run_blockwise` lower for mirrored and split blocks.
 
-    The label-keyed views are built from these arrays on first read and
-    kept. ``channels`` maps each tracked label to a real array over the
-    grid; coherence channels report magnitudes since their amplitudes
-    are complex. Under ``track="all"`` it holds T floats for every
-    channel label, ``binomial(2n, n) - 1`` of them. ``undesired`` lists
-    the tracked labels other than the single-spin longitudinal ones, and
-    ``profiles`` presents the binned numbers as one
-    :class:`~mqspace.dynamics.AmplitudeProfile` per grid point.
+    ``coherences`` is every off-diagonal cell, ``(T, cells)`` complex in
+    :func:`~mqspace.subspaces.zq_offdiagonal_cells` order, read only. It
+    is built on first read and kept, which adds ``T * cells * 16`` bytes
+    to the trace: a lower cell copies its upper cell's real part and takes
+    ``0.0 - imag`` as its imaginary part, the bits that the dense engine's
+    Hermitian fold writes there.
+
+    The label-keyed views are built from the stored arrays on first read
+    and kept. ``channels`` maps each tracked label to a real array over
+    the grid; coherence channels report magnitudes since their amplitudes
+    are complex, and the two labels of a conjugate pair share one array.
+    Under ``track="all"`` it names all ``binomial(2n, n) - 1`` channel
+    labels, so a trace whose channels are read holds about ``T * cells *
+    12`` bytes: 16 per stored cell and 8 per channel array, for half the
+    cells each. ``undesired`` lists the tracked labels other than the
+    single-spin longitudinal ones, and ``profiles`` presents the binned
+    numbers as one :class:`~mqspace.dynamics.AmplitudeProfile` per grid
+    point; it reads ``coherences``.
     """
 
     times: tuple[float, ...]
     coefficients: np.ndarray
-    coherences: np.ndarray
+    upper_coherences: np.ndarray
     residuals: np.ndarray
     conserved: np.ndarray
     track: TrackSpec
@@ -175,25 +187,42 @@ class DiffusionTrace:
         return self.coefficients.shape[1].bit_length() - 1
 
     @cached_property
-    def _channel_table(self) -> tuple[tuple[str, ...], np.ndarray]:
-        """``(labels, table)``, a row of ``table`` per tracked label and a column per time."""
+    def coherences(self) -> np.ndarray:
+        """Every off-diagonal zero-quantum cell per grid point, built on first read."""
+        return _full_coherences(self._n, self.upper_coherences)
+
+    @cached_property
+    def _channel_table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+        """``(labels, table, rows)``: the tracked labels, a table with a column
+        per time, and each label's row of that table.
+
+        Under ``track="all"`` the table holds one magnitude row per stored
+        coherence cell, which both labels of the pair read.
+        """
+        position, _ = _zq_cell_pairs(self._n)
         if self.track == "all":
             (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(self._n)
             labels = longitudinal + orders + zq_offdiagonal_cells(self._n)[2]
-            diagonal = self.coefficients[:, np.concatenate([long_idx, order_idx])]
-            table = np.concatenate([diagonal.T, np.abs(self.coherences).T])
+            diagonal = self.coefficients[:, np.concatenate([long_idx, order_idx])].T
+            table = np.concatenate([diagonal, np.abs(self.upper_coherences).T])
+            rows = np.concatenate([np.arange(len(diagonal)), len(diagonal) + position])
         else:
             labels = self.track
             table = np.array([
-                self.coefficients[:, i] if diagonal else np.abs(self.coherences[:, i])
+                self.coefficients[:, i]
+                if diagonal
+                else np.abs(self.upper_coherences[:, position[i]])
                 for diagonal, i in (_label_cell(lab, self._n) for lab in labels)
             ])
-        return labels, table
+            rows = np.arange(len(labels))
+        return labels, table, rows
 
     @cached_property
     def channels(self) -> dict[str, np.ndarray]:
         """Tracked label to channel series, built on first access."""
-        return dict(zip(*self._channel_table))
+        labels, table, rows = self._channel_table
+        series = list(table)
+        return {lab: series[r] for lab, r in zip(labels, rows.tolist())}
 
     @cached_property
     def undesired(self) -> tuple[str, ...]:
@@ -212,6 +241,24 @@ class DiffusionTrace:
                 self.times, self.coefficients, self.coherences, self.residuals.tolist()
             )
         )
+
+
+def _full_coherences(n: int, upper: np.ndarray) -> np.ndarray:
+    """Every off-diagonal zero-quantum cell from the cells ``(i, j)``, ``i < j``.
+
+    ``upper`` is ``(T, cells / 2)`` as :attr:`DiffusionTrace.upper_coherences`
+    holds it. A lower cell takes its partner's real part and ``0.0 - imag``:
+    ``(a + conj(b)) / 2`` and ``(b + conj(a)) / 2`` have equal real parts and
+    imaginary parts ``x`` and ``0.0 - x``, signed zeros included, where
+    ``np.conj`` would write ``-0.0`` for ``x = 0.0``. Returns a read-only
+    ``(T, cells)`` array.
+    """
+    position, partner = _zq_cell_pairs(n)
+    full = upper[:, position]
+    lower = partner < np.arange(partner.size)
+    full.imag[:, lower] = 0.0 - full.imag[:, lower]
+    full.setflags(write=False)
+    return full
 
 
 def purge(profile: AmplitudeProfile) -> AmplitudeProfile:
@@ -251,18 +298,19 @@ def _assemble(
     n = config.system.n
     (long_idx, _), (order_idx, _) = _diagonal_groups(n)
     points = len(config.times)
+    upper = _zq_upper_cells(n)
     coefficients = np.empty((points, 1 << n))
-    # every zero-quantum cell off the diagonal
-    coherences = np.empty((points, math.comb(2 * n, n) - (1 << n)), dtype=complex)
+    # the off-diagonal zero-quantum cells (i, j) with i < j
+    upper_coherences = np.empty((points, upper.size), dtype=complex)
     residuals = np.empty(points)
     for i, (diag, zqc, residual) in enumerate(cells):
         coefficients[i] = _walsh_bin(n, diag, zqc, residual)
-        coherences[i] = zqc
+        np.take(zqc, upper, out=upper_coherences[i])
         residuals[i] = residual
     if config.purge:
         coefficients[:, order_idx] = 0.0
-        coherences[:] = 0.0
-    for arr in (coefficients, coherences, residuals):
+        upper_coherences[:] = 0.0
+    for arr in (coefficients, upper_coherences, residuals):
         arr.setflags(write=False)
 
     # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2); the
@@ -271,7 +319,7 @@ def _assemble(
     return DiffusionTrace(
         times=config.times,
         coefficients=coefficients,
-        coherences=coherences,
+        upper_coherences=upper_coherences,
         residuals=residuals,
         conserved=2.0 ** (n - 2) * longitudinal.sum(axis=0),
         track=config.track,
@@ -344,17 +392,22 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
 
 
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
-    """Per-grid-point max absolute channel difference between two traces."""
+    """Per-grid-point max absolute channel difference between two traces.
+
+    Traces that track the same labels in the same layout compare table
+    rows directly, so under ``track="all"`` each conjugate pair of
+    coherence channels is compared once.
+    """
     if a.times != b.times:
         raise ConfigurationError("traces cover different time grids")
-    labels, table = a._channel_table
-    labels_b, table_b = b._channel_table
-    if labels_b != labels:
+    labels, table, rows = a._channel_table
+    labels_b, table_b, rows_b = b._channel_table
+    if labels_b != labels or not np.array_equal(rows_b, rows):
         if set(labels_b) != set(labels):
             raise ConfigurationError("traces track different channels")
-        # the same labels in another order: take b's rows in a's order
-        row = dict(zip(labels_b, range(len(labels_b))))
-        table_b = table_b[[row[lab] for lab in labels]]
+        # another order or layout: take each label's row of both tables
+        row = dict(zip(labels_b, rows_b.tolist()))
+        table, table_b = table[rows], table_b[[row[lab] for lab in labels]]
     if not labels:
         return np.zeros(len(a.times))
     return np.abs(table - table_b).max(axis=0)

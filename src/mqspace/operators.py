@@ -727,9 +727,14 @@ def _gaussian_entries(
     row, then the imaginary parts; a Hermitian draw is the average of
     that matrix and its adjoint. Sweeps that need many random operators
     call this directly and skip the ``Operator`` wrapper, reading the
-    generator in exactly the same order.
+    generator in exactly the same order. Each part is drawn into a
+    temporary and copied into one complex array, which then equals ``x +
+    1j * y`` for the draws ``x`` and ``y``, without that formula's two
+    further temporaries.
     """
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    a = np.empty((dim, dim), dtype=complex)
+    a.real = rng.standard_normal((dim, dim))
+    a.imag = rng.standard_normal((dim, dim))
     if hermitian:
         _hermitian_part(a)
     return a

@@ -299,6 +299,50 @@ def _zq_cell_rank(n: int, rows, cols):
     return start[rows] + position[cols] - (cols > rows)
 
 
+@lru_cache(maxsize=16)
+def _zq_upper_cells(n: int) -> np.ndarray:
+    """Ranks of the off-diagonal zero-quantum cells ``(i, j)`` with ``i < j``.
+
+    A Hermitian operator's cell ``(j, i)`` is the conjugate of ``(i, j)``,
+    so these cells hold all of its off-diagonal part. Row ``r``'s cells
+    run through the other states of its block in ascending order (see
+    :func:`_zq_cell_rank`): the first ``position[r]`` of them lie left of
+    the diagonal, the rest right of it. The ranks ascend, in
+    :func:`zq_offdiagonal_cells` order, and the array is read only.
+    """
+    start, position = _zq_row_layout(n)
+    per_row = np.diff(start, append=math.comb(2 * n, n) - (1 << n))
+    runs = np.stack([position, per_row - position], axis=1).ravel()
+    upper = np.flatnonzero(np.repeat(np.tile([False, True], 1 << n), runs))
+    upper.setflags(write=False)
+    return upper
+
+
+@lru_cache(maxsize=16)
+def _zq_cell_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(position, partner)`` of the off-diagonal zero-quantum cells.
+
+    ``partner[r]`` is the rank of cell ``r``'s transpose in
+    :func:`zq_offdiagonal_cells` order, and ``position[r]`` the place in
+    :func:`_zq_upper_cells` of cell ``r`` or of its partner, whichever has
+    ``i < j``. The table is built from the block index lists, with no label
+    table and no ``2^n x 2^n`` mask. The arrays are read only.
+    """
+    n_cells = math.comb(2 * n, n) - (1 << n)
+    partner = np.empty(n_cells, dtype=np.intp)
+    for idx in _block_states(n):
+        i, j = np.triu_indices(len(idx), 1)
+        ranks = _zq_cell_rank(n, idx[i], idx[j])
+        partner[ranks] = _zq_cell_rank(n, idx[j], idx[i])
+        partner[partner[ranks]] = ranks
+    upper = _zq_upper_cells(n)
+    position = np.empty(n_cells, dtype=np.intp)
+    position[upper] = position[partner[upper]] = np.arange(upper.size)
+    for arr in (position, partner):
+        arr.setflags(write=False)
+    return position, partner
+
+
 def _shift_label_table(first: int, count: int) -> np.ndarray:
     """Shift-label fragments of spins ``first .. first + count - 1``.
 

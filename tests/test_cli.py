@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, config handling."""
 
+import importlib
 import importlib.metadata
 import json
 import math
@@ -1009,3 +1010,17 @@ def test_unwritable_out_path_exits_config(capsys, tmp_path):
     assert err.count(str(target)) == 1
     assert err.count("\n") == 1
     assert not target.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("track", ["all", "I1z,2I1zI2z,I1+I2-a3a4,I1-I2+a3a4"])
+def test_evolve_never_builds_the_full_coherence_layout(monkeypatch, tmp_path, fmt, track):
+    diffusion = importlib.import_module("mqspace.diffusion")
+    calls = []
+    monkeypatch.setattr(diffusion, "_full_coherences", lambda *args: calls.append(args))
+    argv = ["evolve", "--n", "4", "--model", "dipolar_secular", "--times", "0:2:5",
+            "--coupling", "1,2,1.0", "--coupling", "2,3,0.7", "--coupling", "3,4,0.5",
+            "--engine", "both", "--track", track, "--format", fmt,
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == EXIT_OK
+    assert calls == []

@@ -806,3 +806,111 @@ def test_block_run_builds_no_kronecker_product(monkeypatch):
     trace = run_blockwise(cfg)
     monkeypatch.undo()
     assert float(channel_discrepancy(run_diffusion(cfg), trace).max()) <= 1e-10
+
+
+def _counted_expansions(monkeypatch):
+    """Record the spin count of every ``diffusion._full_coherences`` call."""
+    calls = []
+    expand = diffusion._full_coherences
+
+    def counted(n, upper):
+        calls.append(n)
+        return expand(n, upper)
+
+    monkeypatch.setattr(diffusion, "_full_coherences", counted)
+    return calls
+
+
+def _yielded_cells(cfg, engine):
+    """``(T, cells)`` off-diagonal cells as an engine yields them to ``_assemble``."""
+    blocks = dynamics._hamiltonian_blocks(cfg.system, cfg.hamiltonian)
+    q = diffusion._initial_diagonal(cfg)
+    if engine == "full":
+        spectra = dynamics._block_spectra(blocks)
+        cells = (diffusion._dense_cells(spectra, q, t) for t in cfg.times)
+    else:
+        cells = _blockwise_cells(blocks, q, cfg.times)
+    return np.array([zqc for _, zqc, _ in cells]).reshape(len(cfg.times), -1)
+
+
+def _full_channel_table(trace, cells):
+    """One row per tracked label, every coherence cell read from ``cells``."""
+    n = trace._n
+    if trace.track == "all":
+        (long_idx, _), (order_idx, _) = dynamics._diagonal_groups(n)
+        diagonal = trace.coefficients[:, np.concatenate([long_idx, order_idx])]
+        return np.concatenate([diagonal.T, np.abs(cells).T])
+    return np.array([
+        trace.coefficients[:, i] if diagonal else np.abs(cells[:, i])
+        for diagonal, i in (dynamics._label_cell(lab, n) for lab in trace.track)
+    ])
+
+
+def _conjugate_pair(n):
+    """The labels of the first off-diagonal cell and of its transpose."""
+    rows, cols, labels = zq_offdiagonal_cells(n)
+    (transpose,) = np.flatnonzero((rows == cols[0]) & (cols == rows[0]))
+    return labels[0], labels[transpose]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_stored_half_reads_like_every_yielded_cell(monkeypatch, model, n):
+    calls = _counted_expansions(monkeypatch)
+    pair = _conjugate_pair(n) if n > 1 else ()
+    last = zq_offdiagonal_cells(n)[2][-1:]
+    # at n = 2 the last cell is the pair's second one
+    subset = tuple(dict.fromkeys(("I1z", "2I1zI2z")[: min(n, 2)] + pair + last))
+    for track in ("all", subset):
+        cfg = DiffusionConfig(
+            SpinSystem(n), _spec(model, n), linear_times(0.0, 3.0, 5), track=track
+        )
+        traces, cells, tables = {}, {}, {}
+        for engine, run in (("full", run_diffusion), ("blockwise", run_blockwise)):
+            trace = traces[engine] = run(cfg)
+            cells[engine] = _yielded_cells(cfg, engine)
+            tables[engine] = _full_channel_table(trace, cells[engine])
+            assert list(trace.channels) == list(cfg.tracked_labels())
+            for lab, want in zip(cfg.tracked_labels(), tables[engine]):
+                assert trace.channels[lab].tobytes() == want.tobytes(), lab
+            if track == "all" and pair:
+                # both labels of a conjugate pair read one stored row
+                assert trace.channels[pair[0]] is trace.channels[pair[1]]
+        discrepancy = channel_discrepancy(traces["full"], traces["blockwise"])
+        want = np.abs(tables["full"] - tables["blockwise"]).max(axis=0)
+        assert discrepancy.tobytes() == want.tobytes()
+        assert calls == []
+
+        dense, block = traces["full"].coherences, traces["blockwise"].coherences
+        assert dense.tobytes() == cells["full"].tobytes()
+        # the block engine's lower cells may hold -0.0 where the rule writes 0.0
+        assert np.array_equal(block, cells["blockwise"])
+        assert not dense.flags.writeable and not block.flags.writeable
+        assert traces["full"].coherences is dense
+        assert calls == [n, n]
+        calls.clear()
+
+
+@pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
+def test_single_spin_trace_holds_no_coherence_cell(run):
+    cfg = DiffusionConfig(SpinSystem(1), _spec("offsets", 1), linear_times(0.0, 1.0, 4))
+    trace = run(cfg)
+    assert trace.upper_coherences.shape == trace.coherences.shape == (4, 0)
+    assert list(trace.channels) == ["I1z"]
+
+
+def test_block_run_builds_its_pair_table_without_labels(monkeypatch):
+    n = 7
+    cfg = DiffusionConfig(SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5))
+    reference = run_diffusion(cfg)
+
+    def refuse(n):
+        raise AssertionError("the label universe was built")
+
+    for module in (diffusion, dynamics, subspaces):
+        monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
+    subspaces._zq_upper_cells.cache_clear()
+    subspaces._zq_cell_pairs.cache_clear()
+    cells = run_blockwise(cfg).coherences
+    monkeypatch.undo()
+    assert np.max(np.abs(cells - reference.coherences)) <= 1e-10

@@ -30,7 +30,13 @@ from mqspace import (
     spin_operator,
     total_z,
 )
-from mqspace.operators import _element_orders, _ensure_hermitian, _hermitian_part, reconstruct
+from mqspace.operators import (
+    _element_orders,
+    _ensure_hermitian,
+    _gaussian_entries,
+    _hermitian_part,
+    reconstruct,
+)
 
 
 def test_spin_system_validation():
@@ -470,3 +476,17 @@ def test_hermitian_fold_writes_the_averaged_sum_in_c_order(dim, dtype):
         assert result.tobytes() == expected.tobytes()
     with pytest.raises(ValueError):
         _hermitian_part(random_operator(SpinSystem(1), rng, hermitian=True).entries)
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 32, 256, 1024])
+def test_gaussian_draw_keeps_the_bytes_of_the_summed_parts(dim, hermitian):
+    # the parts are copied into one complex array; the generator is read
+    # as by the formula x + 1j * y, and the bytes are those it gives
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        expected = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        if hermitian:
+            expected = 0.5 * (expected + expected.conj().T)
+        drawn = _gaussian_entries(np.random.default_rng(seed), dim, hermitian)
+        assert drawn.tobytes() == expected.tobytes(), seed

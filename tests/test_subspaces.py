@@ -30,7 +30,9 @@ from mqspace import (
     zq_offdiagonal_cells,
 )
 from mqspace.operators import BaseOperatorSpec
-from mqspace.subspaces import _zq_cell_rank
+from mqspace.subspaces import _zq_cell_pairs, _zq_cell_rank, _zq_upper_cells
+
+subspaces = importlib.import_module("mqspace.subspaces")
 
 TAGS = list(SubspaceTag)
 
@@ -272,6 +274,39 @@ def test_zq_offdiagonal_cells_match_per_cell_loop(n):
 def test_zq_cell_rank_reproduces_cell_order(n):
     rows, cols, _ = zq_offdiagonal_cells(n)
     assert np.array_equal(_zq_cell_rank(n, rows, cols), np.arange(len(rows)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_zq_cell_pairs_name_each_cells_transpose(n):
+    rows, cols, labels = zq_offdiagonal_cells(n)
+    upper = _zq_upper_cells(n)
+    position, partner = _zq_cell_pairs(n)
+    ranks = np.arange(len(labels))
+    assert np.array_equal(partner[partner], ranks)
+    assert np.array_equal(rows[partner], cols)
+    assert np.array_equal(cols[partner], rows)
+    cells = list(zip(rows.tolist(), cols.tolist()))
+    label_of = dict(zip(cells, labels))
+    assert [labels[p] for p in partner.tolist()] == [label_of[c, r] for r, c in cells]
+    assert np.array_equal(upper, np.flatnonzero(rows < cols))
+    assert 2 * len(upper) == len(labels)
+    # a cell and its transpose share one stored place, the upper cell's
+    assert np.array_equal(position[upper], np.arange(len(upper)))
+    assert np.array_equal(position[partner], position)
+    for arr in (upper, position, partner):
+        assert not arr.flags.writeable
+
+
+def test_zq_cell_pairs_build_no_label_table_and_no_mask(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a full-space table was built")
+
+    monkeypatch.setattr(subspaces, "zq_offdiagonal_cells", refuse)
+    monkeypatch.setattr(subspaces, "_mask", refuse)
+    _zq_upper_cells.cache_clear()
+    _zq_cell_pairs.cache_clear()
+    upper, (_, partner) = _zq_upper_cells(6), _zq_cell_pairs(6)
+    assert len(upper) == len(partner) // 2 == (math.comb(12, 6) - 2**6) // 2
 
 
 def test_zq_offdiagonal_cells_two_digit_spins():
