@@ -600,10 +600,11 @@ def _cmd_verify(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
     if (
         not isinstance(membership_tol, (int, float))
         or isinstance(membership_tol, bool)
-        or not math.isfinite(membership_tol)
+        or not 0 <= membership_tol < math.inf
     ):
         raise ConfigurationError(
-            f"tolerances.membership must be a finite number, got {membership_tol!r}"
+            "tolerances.membership must be a finite non-negative number, "
+            f"got {membership_tol!r}"
         )
     membership_tol = float(membership_tol)
 

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _hermitian_part, _integer
-from .subspaces import _zq_cell_pairs, _zq_upper_cells, zq_offdiagonal_cells
+from .subspaces import _zq_cell_pairs, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
@@ -127,8 +127,19 @@ class DiffusionConfig:
         """Tracked channel labels: longitudinal, spin-order, then coherence."""
         if self.track != "all":
             return self.track
-        (_, longitudinal), (_, orders) = _diagonal_groups(self.system.n)
-        return longitudinal + orders + zq_offdiagonal_cells(self.system.n)[2]
+        return _every_channel_label(self.system.n)
+
+
+@lru_cache(maxsize=16)
+def _every_channel_label(n: int) -> tuple[str, ...]:
+    """Every channel label of ``n`` spins: longitudinal, spin-order, then coherence.
+
+    The first ``n`` are the single-spin longitudinal labels, and the
+    coherence labels come in :func:`~mqspace.subspaces.zq_offdiagonal_cells`
+    order.
+    """
+    (_, longitudinal), (_, orders) = _diagonal_groups(n)
+    return longitudinal + orders + zq_offdiagonal_cells(n)[2]
 
 
 @dataclass(frozen=True)
@@ -141,9 +152,11 @@ class DiffusionTrace:
     :func:`itertools.product` order over ``"ez"`` (spin 1 the most
     significant bit, so column 0 is the identity); ``upper_coherences``
     is ``(T, cells / 2)`` complex, the off-diagonal zero-quantum entries
-    ``(i, j)`` with ``i < j``, in :func:`~mqspace.subspaces.zq_offdiagonal_cells`
-    order; ``residuals`` is ``(T,)``, the Frobenius weight outside the
-    zero-quantum pattern. The evolved operator is Hermitian, so cell
+    ``(i, j)`` with ``i < j`` in block-major order: magnetization block
+    ``k`` ascending, then the upper triangle of that block row-major over
+    its states in ascending order, so each block's cells form one
+    contiguous run; ``residuals`` is ``(T,)``, the Frobenius weight outside
+    the zero-quantum pattern. The evolved operator is Hermitian, so cell
     ``(j, i)`` is the conjugate of ``(i, j)`` and is not stored.
     ``conserved`` is the inner product of the total-z operator with the
     evolved state, constant whenever the Hamiltonian commutes with total
@@ -201,8 +214,8 @@ class DiffusionTrace:
         """
         position, _ = _zq_cell_pairs(self._n)
         if self.track == "all":
-            (long_idx, longitudinal), (order_idx, orders) = _diagonal_groups(self._n)
-            labels = longitudinal + orders + zq_offdiagonal_cells(self._n)[2]
+            (long_idx, _), (order_idx, _) = _diagonal_groups(self._n)
+            labels = _every_channel_label(self._n)
             diagonal = self.coefficients[:, np.concatenate([long_idx, order_idx])].T
             table = np.concatenate([diagonal, np.abs(self.upper_coherences).T])
             rows = np.concatenate([np.arange(len(diagonal)), len(diagonal) + position])
@@ -227,9 +240,9 @@ class DiffusionTrace:
     @cached_property
     def undesired(self) -> tuple[str, ...]:
         """Tracked labels other than single-spin longitudinal ones."""
-        (_, longitudinal), (_, orders) = _diagonal_groups(self._n)
         if self.track == "all":
-            return orders + zq_offdiagonal_cells(self._n)[2]
+            return _every_channel_label(self._n)[self._n:]
+        (_, longitudinal), _ = _diagonal_groups(self._n)
         return tuple(lab for lab in self.track if lab not in longitudinal)
 
     @cached_property
@@ -247,15 +260,14 @@ def _full_coherences(n: int, upper: np.ndarray) -> np.ndarray:
     """Every off-diagonal zero-quantum cell from the cells ``(i, j)``, ``i < j``.
 
     ``upper`` is ``(T, cells / 2)`` as :attr:`DiffusionTrace.upper_coherences`
-    holds it. A lower cell takes its partner's real part and ``0.0 - imag``:
+    holds it. A lower cell takes its transpose's real part and ``0.0 - imag``:
     ``(a + conj(b)) / 2`` and ``(b + conj(a)) / 2`` have equal real parts and
     imaginary parts ``x`` and ``0.0 - x``, signed zeros included, where
     ``np.conj`` would write ``-0.0`` for ``x = 0.0``. Returns a read-only
     ``(T, cells)`` array.
     """
-    position, partner = _zq_cell_pairs(n)
+    position, lower = _zq_cell_pairs(n)
     full = upper[:, position]
-    lower = partner < np.arange(partner.size)
     full.imag[:, lower] = 0.0 - full.imag[:, lower]
     full.setflags(write=False)
     return full
@@ -294,18 +306,22 @@ def _assemble(
     engine: str,
     block_sizes: dict[int, int] | None,
 ) -> DiffusionTrace:
-    """Bin each time's ``(diag, zqc, residual)`` cells into the trace."""
+    """Bin each time's ``(diag, upper, residual)`` cells into the trace.
+
+    ``upper`` holds the cells ``(i, j)`` with ``i < j`` in
+    :func:`~mqspace.subspaces._zq_stored_cells` order, the order the trace
+    stores.
+    """
     n = config.system.n
     (long_idx, _), (order_idx, _) = _diagonal_groups(n)
     points = len(config.times)
-    upper = _zq_upper_cells(n)
     coefficients = np.empty((points, 1 << n))
     # the off-diagonal zero-quantum cells (i, j) with i < j
-    upper_coherences = np.empty((points, upper.size), dtype=complex)
+    upper_coherences = np.empty((points, (math.comb(2 * n, n) - (1 << n)) // 2), dtype=complex)
     residuals = np.empty(points)
-    for i, (diag, zqc, residual) in enumerate(cells):
-        coefficients[i] = _walsh_bin(n, diag, zqc, residual)
-        np.take(zqc, upper, out=upper_coherences[i])
+    for i, (diag, upper, residual) in enumerate(cells):
+        coefficients[i] = _walsh_bin(n, diag, upper, residual)
+        upper_coherences[i] = upper
         residuals[i] = residual
     if config.purge:
         coefficients[:, order_idx] = 0.0
@@ -410,4 +426,5 @@ def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
         table, table_b = table[rows], table_b[[row[lab] for lab in labels]]
     if not labels:
         return np.zeros(len(a.times))
-    return np.abs(table - table_b).max(axis=0)
+    gap = table - table_b
+    return np.abs(gap, out=gap).max(axis=0)

@@ -57,6 +57,7 @@ from .subspaces import (
     _outside_weight,
     _zq_cell_rank,
     _zq_row_layout,
+    _zq_stored_cells,
     zq_offdiagonal_cells,
 )
 
@@ -256,16 +257,17 @@ def _assembled_propagator(dim: int, spectra, t: float) -> np.ndarray:
 
 
 def _evolved_cells(r: np.ndarray):
-    """``(diag, zqc, residual)`` of a dense evolved operator's entries ``r``.
+    """``(diag, upper, residual)`` of a dense evolved operator's entries ``r``.
 
     The cells as :func:`_walsh_bin` takes them: the diagonal, the
-    off-diagonal zero-quantum entries in :func:`zq_offdiagonal_cells` order
-    and the Frobenius weight outside the zero-quantum pattern, measured by
+    off-diagonal zero-quantum entries ``(i, j)`` with ``i < j`` in
+    :func:`~mqspace.subspaces._zq_stored_cells` order and the Frobenius
+    weight outside the zero-quantum pattern, measured by
     :func:`~mqspace.subspaces.is_member`'s rule. The diagonal is a copy, so
     the cells keep no reference to ``r``.
     """
     n = len(r).bit_length() - 1
-    rows, cols, _ = zq_offdiagonal_cells(n)
+    rows, cols = _zq_stored_cells(n)
     outside = _outside_weight(r, _mask(SubspaceTag.ZERO_QUANTUM, n))
     return r.diagonal().copy(), r[rows, cols], outside
 
@@ -338,6 +340,7 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
     block ``k`` is rejected at a relative 1e-12 tolerance.
     """
     z._require_same_system(q_k)
+    k = _integer(k, "block index")
     if not 0 <= k <= z.system.n:
         raise ConfigurationError(f"block index {k} outside 0..{z.system.n}")
 
@@ -452,18 +455,18 @@ def _walsh(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walsh_bin(n: int, diag: np.ndarray, zqc: np.ndarray, residual: float) -> np.ndarray:
+def _walsh_bin(n: int, diag: np.ndarray, upper: np.ndarray, residual: float) -> np.ndarray:
     """Real base-operator coefficients of an evolved operator's diagonal.
 
-    The operator is given by its cells: ``diag``, the off-diagonal
-    zero-quantum entries ``zqc`` in :func:`zq_offdiagonal_cells` order and
-    the Frobenius weight ``residual`` outside the zero-quantum pattern.
-    Imaginary coefficient parts above 1e-10 of its norm are an
-    :class:`InvariantError`.
+    The Hermitian operator is given by its cells: ``diag``, the off-diagonal
+    zero-quantum entries ``upper`` with ``i < j``, each standing for itself
+    and its conjugate transpose, and the Frobenius weight ``residual``
+    outside the zero-quantum pattern. Imaginary coefficient parts above
+    1e-10 of its norm are an :class:`InvariantError`.
     """
     coeff = _walsh(diag) / float(2 ** (n - 1))
     norm = math.sqrt(
-        np.vdot(diag, diag).real + np.vdot(zqc, zqc).real + residual**2
+        np.vdot(diag, diag).real + 2 * np.vdot(upper, upper).real + residual**2
     )
     imag_peak = float(np.max(np.abs(coeff.imag))) if coeff.size else 0.0
     if imag_peak > HERMITICITY_TOL * max(norm, 1.0):
@@ -517,8 +520,8 @@ def _evolution_plan(blocks, q):
 
     ``blocks`` are a Hamiltonian's ``(state indices, H_k)`` pairs, as
     :func:`_hamiltonian_blocks` gives them, and ``q`` the ``2^n`` diagonal
-    of the start. Returns one ``(split, products, targets)`` entry per group
-    of blocks that evolve together, in ascending ``k``.
+    of the start. Returns one ``(split, products, triu, targets)`` entry per
+    group of blocks that evolve together, in ascending ``k``.
 
     The global spin flip ``F|s> = |s ^ (2^n - 1)>`` maps block ``k`` onto
     block ``n - k`` with its states in reverse order, and ``q`` onto ``(-1)^m
@@ -540,11 +543,15 @@ def _evolution_plan(blocks, q):
     diagonal sector products for ``split = 1``, since ``q``'s part is then
     ``diag(q1, q1)`` in the sector basis (``q1`` its top half), or one
     off-diagonal one, ``X``, for ``split = -1``, where it is ``[[0, q1],
-    [q1, 0]]``. ``targets`` holds ``(state indices, cell ranks, sign)`` per
-    block the group's evolved block is written to, times ``sign``: the block
-    itself, and the mirrored block with its indices reversed.
+    [q1, 0]]``. ``triu`` is the ``np.triu_indices`` pair of the group's block
+    size. ``targets`` holds ``(state indices, run, sign, mirrored)`` per block
+    the group's evolved block is written to, times ``sign``: the block itself,
+    and the mirrored block, which reads the evolved block reversed on both
+    axes. ``run`` is the block's slice of
+    :func:`~mqspace.subspaces._zq_stored_cells` order.
     """
     n = len(blocks) - 1
+    starts = np.cumsum([0] + [len(idx) * (len(idx) - 1) // 2 for idx, _ in blocks]).tolist()
     plan, mirrored = [], set()
     for k, (idx, h) in enumerate(blocks):
         if k in mirrored:
@@ -552,7 +559,7 @@ def _evolution_plan(blocks, q):
         far_idx, far_h = blocks[n - k]
         sign = _mirror_sign(h, far_h, q[idx], q[far_idx]) if k <= n - k else None
         split = sign if k == n - k else None
-        targets = [(idx, 1)]
+        targets = [(idx, slice(starts[k], starts[k + 1]), 1, False)]
         if split is not None:
             p = len(idx) // 2
             a, c = h[:p, :p], h[:p, p:][:, ::-1]
@@ -562,13 +569,11 @@ def _evolution_plan(blocks, q):
             ((part, w, v),) = _block_spectra([(idx, h)])
             bases = [(w, v, w, v)]
             if sign is not None:  # k < n - k: block n - k is the mirror
-                targets.append((far_idx[::-1], sign))
+                targets.append((far_idx, slice(starts[n - k], starts[n - k + 1]), sign, True))
                 mirrored.add(n - k)
         # q's part rotated once into each pair of eigenbases
         products = [(wa, va, wb, vb, (va.conj().T * q[part]) @ vb) for wa, va, wb, vb in bases]
-        i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-        cells = [(t, _zq_cell_rank(n, t[i], t[j]), s) for t, s in targets]
-        plan.append((split, products, cells))
+        plan.append((split, products, np.triu_indices(len(idx), 1), targets))
     return plan
 
 
@@ -602,30 +607,27 @@ def _blockwise_cells(blocks, q: np.ndarray, times):
     ``blocks`` and ``q`` are as :func:`_evolution_plan` takes them; ``q`` is
     not checked, since a transfer config admits only traceless diagonals.
     At each time every group's :func:`_evolved_block` is written to its
-    targets: its diagonal into one ``2^n`` vector and its off-diagonal
-    entries straight into :func:`zq_offdiagonal_cells` order. No array is
-    larger than a block or the ``2^n`` diagonal apart from the cells
-    themselves, and the residual is exactly 0 by construction. Yields
-    ``(diag, zqc, 0.0)`` per time.
+    targets: its diagonal into one ``2^n`` vector and its upper triangle
+    into the target block's run of
+    :func:`~mqspace.subspaces._zq_stored_cells` order. No array is larger
+    than a block or the ``2^n`` diagonal apart from the cells themselves,
+    and the residual is exactly 0 by construction. Yields ``(diag, upper,
+    0.0)`` per time.
     """
     n = q.size.bit_length() - 1
     plan = _evolution_plan(blocks, q)
     del blocks  # no Hamiltonian block is kept while binning
-    n_cells = math.comb(2 * n, n) - q.size  # every zero-quantum cell off the diagonal
+    n_stored = (math.comb(2 * n, n) - q.size) // 2  # the cells (i, j) with i < j
     for t in times:
         diag = np.empty(q.size, dtype=complex)
-        zqc = np.empty(n_cells, dtype=complex)
-        for split, products, targets in plan:
+        upper = np.empty(n_stored, dtype=complex)
+        for split, products, triu, targets in plan:
             r = _evolved_block(split, products, t)
-            d = len(r)
-            values = np.diagonal(r)
-            # row-major off-diagonal entries: drop r[0, 0], then each run
-            # of d + 1 flat entries ends on the next diagonal entry
-            off = r.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d].ravel()
-            for idx, ranks, sign in targets:
-                diag[idx] = sign * values
-                zqc[ranks] = sign * off
-        yield diag, zqc, 0.0
+            for idx, run, sign, mirrored in targets:
+                src = r[::-1, ::-1] if mirrored else r
+                diag[idx] = sign * np.diagonal(src)
+                upper[run] = sign * src[triu]
+        yield diag, upper, 0.0
 
 
 def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
@@ -645,9 +647,11 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
     if tr > 1e-10 * max(q.norm(), 1.0):
         raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
     _ensure_zero_quantum(q, MEMBERSHIP_TOL, "expanded operator")
-    diag, zqc, residual = _evolved_cells(conjugate(zq_propagator(z, t), q).entries)
+    r = conjugate(zq_propagator(z, t), q).entries
+    diag, upper, residual = _evolved_cells(r)
     n = z.system.n
-    return _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    return _profile(n, t, _walsh_bin(n, diag, upper, residual), r[rows, cols], residual)
 
 
 def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operator:

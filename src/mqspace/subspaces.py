@@ -83,7 +83,11 @@ def support_mask(tag: SubspaceTag, system: SpinSystem) -> np.ndarray:
 
 
 def block_dimension(n: int, k: int) -> int:
-    """Dimension of the selective zero-quantum block with ``k`` down spins."""
+    """Dimension of the selective zero-quantum block with ``k`` down spins.
+
+    ``n`` and ``k`` must be integers, not bools.
+    """
+    n, k = _integer(n, "spin count"), _integer(k, "block index")
     if not 0 <= k <= n:
         raise ConfigurationError(f"block index {k} outside 0..{n}")
     return math.comb(n, k)
@@ -94,10 +98,9 @@ def subspace_dims(n: int) -> dict[SubspaceTag, int]:
 
     The closed forms are ``2**n``, ``binomial(2n, n)``, ``2**(2n-1)``
     and ``4**n``; the middle one equals the sum of the squared selective
-    block dimensions.
+    block dimensions. ``n`` must be an integer of at least 1.
     """
-    if n < 1:
-        raise ConfigurationError(f"spin count must be positive, got {n}")
+    n = _integer(n, "spin count", 1)
     return {
         SubspaceTag.LOMSO: 2 ** n,
         SubspaceTag.ZERO_QUANTUM: math.comb(2 * n, n),
@@ -300,47 +303,43 @@ def _zq_cell_rank(n: int, rows, cols):
 
 
 @lru_cache(maxsize=16)
-def _zq_upper_cells(n: int) -> np.ndarray:
-    """Ranks of the off-diagonal zero-quantum cells ``(i, j)`` with ``i < j``.
+def _zq_stored_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, cols)`` of the off-diagonal zero-quantum cells a trace stores.
 
-    A Hermitian operator's cell ``(j, i)`` is the conjugate of ``(i, j)``,
-    so these cells hold all of its off-diagonal part. Row ``r``'s cells
-    run through the other states of its block in ascending order (see
-    :func:`_zq_cell_rank`): the first ``position[r]`` of them lie left of
-    the diagonal, the rest right of it. The ranks ascend, in
-    :func:`zq_offdiagonal_cells` order, and the array is read only.
+    These are the cells ``(i, j)`` with ``i < j``: block ``k`` ascending,
+    then the upper triangle of that block in row-major order, so each
+    block's ``d(k) (d(k) - 1) / 2`` cells form one contiguous run. A
+    Hermitian operator's cell ``(j, i)`` is the conjugate of ``(i, j)``,
+    so these cells hold all of its off-diagonal part. The table is built
+    from the block index lists, with no label table and no ``2^n x 2^n``
+    mask; the arrays are read only.
     """
-    start, position = _zq_row_layout(n)
-    per_row = np.diff(start, append=math.comb(2 * n, n) - (1 << n))
-    runs = np.stack([position, per_row - position], axis=1).ravel()
-    upper = np.flatnonzero(np.repeat(np.tile([False, True], 1 << n), runs))
-    upper.setflags(write=False)
-    return upper
+    triangles = [(idx, *np.triu_indices(len(idx), 1)) for idx in _block_states(n)]
+    rows = np.concatenate([idx[i] for idx, i, _ in triangles])
+    cols = np.concatenate([idx[j] for idx, _, j in triangles])
+    for arr in (rows, cols):
+        arr.setflags(write=False)
+    return rows, cols
 
 
 @lru_cache(maxsize=16)
 def _zq_cell_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(position, partner)`` of the off-diagonal zero-quantum cells.
+    """``(position, lower)`` of the off-diagonal zero-quantum cells.
 
-    ``partner[r]`` is the rank of cell ``r``'s transpose in
-    :func:`zq_offdiagonal_cells` order, and ``position[r]`` the place in
-    :func:`_zq_upper_cells` of cell ``r`` or of its partner, whichever has
-    ``i < j``. The table is built from the block index lists, with no label
-    table and no ``2^n x 2^n`` mask. The arrays are read only.
+    Both are indexed by rank in :func:`zq_offdiagonal_cells` order:
+    ``position[r]`` is the place in :func:`_zq_stored_cells` of cell ``r``
+    or of its transpose, whichever has ``i < j``, and ``lower[r]`` is true
+    when cell ``r`` has ``i > j``, so a cell and its transpose share one
+    slot. The arrays are read only.
     """
-    n_cells = math.comb(2 * n, n) - (1 << n)
-    partner = np.empty(n_cells, dtype=np.intp)
-    for idx in _block_states(n):
-        i, j = np.triu_indices(len(idx), 1)
-        ranks = _zq_cell_rank(n, idx[i], idx[j])
-        partner[ranks] = _zq_cell_rank(n, idx[j], idx[i])
-        partner[partner[ranks]] = ranks
-    upper = _zq_upper_cells(n)
-    position = np.empty(n_cells, dtype=np.intp)
-    position[upper] = position[partner[upper]] = np.arange(upper.size)
-    for arr in (position, partner):
+    rows, cols = _zq_stored_cells(n)
+    # the stored cells, then their transposes, each ranked in label order;
+    # sorting the ranks gives each label rank's place in that list
+    places = np.argsort(_zq_cell_rank(n, np.r_[rows, cols], np.r_[cols, rows]))
+    position, lower = places % rows.size, places >= rows.size
+    for arr in (position, lower):
         arr.setflags(write=False)
-    return position, partner
+    return position, lower
 
 
 def _shift_label_table(first: int, count: int) -> np.ndarray:

@@ -398,14 +398,16 @@ def test_cascade_with_an_overflowing_operator_norm_exits_numerical(capsys):
     assert err.startswith("error: ") and "overflows" in err
 
 
-def test_verify_reports_numerical_failure(capsys, tmp_path):
-    cfg = tmp_path / "v.json"
-    cfg.write_text(
-        json.dumps(
-            {"n": 2, "trials": 2, "combos": 2, "tolerances": {"membership": -1.0}}
-        )
+def test_verify_reports_numerical_failure(capsys, monkeypatch):
+    # members drawn with no support pattern: each closure product leaves its
+    # subspace, which the run reports as a numerical failure
+    subspaces = importlib.import_module("mqspace.subspaces")
+    monkeypatch.setattr(
+        subspaces,
+        "_random_member",
+        lambda rng, tag, n, hermitian=False: subspaces._gaussian_entries(rng, 1 << n, hermitian),
     )
-    code, out, _ = run_cli(capsys, ["verify", "--config", str(cfg)])
+    code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--trials", "2", "--combos", "2"])
     assert code == EXIT_NUMERICAL
     doc = json.loads(out)
     assert doc["passed"] is False
@@ -541,8 +543,12 @@ def test_installed_console_script_matches_module_entry():
         {"tolerances": {"membership": "x"}},
         {"tolerances": {"membership": None}},
         {"tolerances": {"membership": float("nan")}},
+        {"tolerances": {"membership": -1}},
     ],
-    ids=["trials-text", "trials-zero", "combos-negative", "tol-text", "tol-null", "tol-nan"],
+    ids=[
+        "trials-text", "trials-zero", "combos-negative",
+        "tol-text", "tol-null", "tol-nan", "tol-negative",
+    ],
 )
 def test_verify_config_values_of_the_wrong_kind_exit_config(capsys, tmp_path, doc):
     cfg = tmp_path / "v.json"

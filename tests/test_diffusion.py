@@ -424,6 +424,7 @@ def test_dense_run_cells_equal_the_public_conjugation(model, n):
     spec = _spec(model, n)
     h = build_hamiltonian(system, spec)
     rows, cols, _ = zq_offdiagonal_cells(n)
+    stored_rows, stored_cols = subspaces._zq_stored_cells(n)
     for initial in ("I1z", "2I1zI2z")[: min(n, 2)]:
         cfg = DiffusionConfig(system, spec, linear_times(0.0, 3.0, 5), initial=initial)
         trace = run_diffusion(cfg)
@@ -431,10 +432,12 @@ def test_dense_run_cells_equal_the_public_conjugation(model, n):
         for i, t in enumerate(cfg.times):
             evolved = conjugate(zq_propagator(h, t), q0)
             diag, zqc = np.diag(evolved.entries), evolved.entries[rows, cols]
+            upper = evolved.entries[stored_rows, stored_cols]
             residual = is_member(evolved, SubspaceTag.ZERO_QUANTUM).residual
+            assert trace.upper_coherences[i].tobytes() == upper.tobytes()
             assert trace.coherences[i].tobytes() == zqc.tobytes()
             assert trace.residuals[i] == residual
-            binned = _walsh_bin(n, diag, zqc, residual)
+            binned = _walsh_bin(n, diag, upper, residual)
             assert trace.coefficients[i].tobytes() == binned.tobytes()
 
 
@@ -477,20 +480,22 @@ def test_evolved_groups_equal_the_dense_evolution(model, n, initial, kinds):
     blocks = dynamics._hamiltonian_blocks(system, cfg.hamiltonian)
     q = diffusion._initial_diagonal(cfg)
     plan = dynamics._evolution_plan(blocks, q)
-    assert [(split, len(targets)) for split, _, targets in plan] == kinds
-    rows, cols, _ = zq_offdiagonal_cells(n)
+    assert [(split, len(targets)) for split, _, _, targets in plan] == kinds
+    rows, cols = subspaces._zq_stored_cells(n)
     spectra = dynamics._block_spectra(blocks)
     for t in cfg.times:
         u = dynamics._assembled_propagator(system.dim, spectra, t)
         dense = (u * q) @ u.conj().T
-        for split, products, targets in plan:
+        for split, products, (i, j), targets in plan:
             r = dynamics._evolved_block(split, products, t)
-            for idx, ranks, sign in targets:
-                assert np.max(np.abs(sign * r - dense[np.ix_(idx, idx)])) <= 1e-12
-                # the ranks name the block's off-diagonal cells, row-major
-                i, j = np.nonzero(~np.eye(len(idx), dtype=bool))
-                assert np.array_equal(rows[ranks], idx[i])
-                assert np.array_equal(cols[ranks], idx[j])
+            assert [mirrored for *_, mirrored in targets] == [False, True][: len(targets)]
+            for idx, run, sign, mirrored in targets:
+                # a mirrored block reads the evolved block reversed on both axes
+                src = r[::-1, ::-1] if mirrored else r
+                assert np.max(np.abs(sign * src - dense[np.ix_(idx, idx)])) <= 1e-12
+                # the run names the block's upper cells, row-major
+                assert np.array_equal(rows[run], idx[i]) and np.all(idx[i] < idx[j])
+                assert np.array_equal(cols[run], idx[j])
 
 
 def _custom_chain(n, flip_symmetric):
@@ -690,6 +695,20 @@ def test_profiles_are_built_on_first_read(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
+def test_every_label_view_reads_one_cached_label_tuple(run):
+    n = 4
+    cfg = DiffusionConfig(SpinSystem(n), CHAIN4, linear_times(0.0, 2.0, 3))
+    labels = diffusion._every_channel_label(n)
+    assert cfg.tracked_labels() is labels
+    assert sorted(labels[:n]) == ["I1z", "I2z", "I3z", "I4z"]
+    assert labels[2**n - 1:] == zq_offdiagonal_cells(n)[2]
+    assert len(labels) == math.comb(2 * n, n) - 1
+    trace = run(cfg)
+    assert list(trace.channels) == list(labels)
+    assert trace.undesired == labels[n:]
+
+
+@pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
 def test_label_views_are_built_on_first_read(run):
     cfg = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
     trace = run(cfg)
@@ -725,6 +744,29 @@ def test_tracked_block_run_never_builds_the_label_universe(monkeypatch):
     assert np.max(np.abs(trace.conserved - reference.conserved)) <= 1e-10
 
 
+def test_tracked_dense_run_never_builds_the_label_universe(monkeypatch):
+    # the dense engine gathers its cells through the stored-cell table, which
+    # is built from the block index lists alone
+    n = 6
+    track = ("I2z", "4I1zI3zI6z", "I1+I2-a3a4a5a6", "I1z", "b1I2-a3I4+b5a6")
+    cfg = DiffusionConfig(
+        SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 5), track=track
+    )
+    reference = run_blockwise(cfg)
+
+    def refuse(n):
+        raise AssertionError("the label universe was built")
+
+    for module in (diffusion, dynamics, subspaces):
+        monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
+    subspaces._zq_stored_cells.cache_clear()
+    subspaces._zq_cell_pairs.cache_clear()
+    trace = run_diffusion(cfg)
+    assert list(trace.channels) == list(track)
+    assert trace.undesired == ("4I1zI3zI6z", "I1+I2-a3a4a5a6", "b1I2-a3I4+b5a6")
+    assert float(channel_discrepancy(reference, trace).max()) <= 1e-10
+
+
 @pytest.mark.parametrize("purge_bins", [False, True])
 @pytest.mark.parametrize("engine", ["full", "blockwise"])
 def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
@@ -733,13 +775,15 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
     cfg = DiffusionConfig(system, CHAIN4, linear_times(0.0, 2.0, 5), purge=purge_bins)
     h = build_hamiltonian(system, CHAIN4)
     q0 = build_operator(system, BaseOperatorSpec.from_label(cfg.initial, n))
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    stored_rows, stored_cols = subspaces._zq_stored_cells(n)
     if engine == "full":
         trace = run_diffusion(cfg)
-        rows, cols, _ = zq_offdiagonal_cells(n)
         evolved = [conjugate(zq_propagator(h, t), q0) for t in cfg.times]
         cells = [
             (
                 np.diag(qc.entries),
+                qc.entries[stored_rows, stored_cols],
                 qc.entries[rows, cols],
                 is_member(qc, SubspaceTag.ZERO_QUANTUM).residual,
             )
@@ -748,10 +792,15 @@ def test_lazy_profiles_equal_eagerly_binned_profiles(engine, purge_bins):
     else:
         trace = run_blockwise(cfg)
         blocks = dynamics._hamiltonian_blocks(system, CHAIN4)
-        cells = list(_blockwise_cells(blocks, np.diag(q0.entries).real, cfg.times))
+        cells = [
+            (diag, upper, _every_cell(n, upper), residual)
+            for diag, upper, residual in _blockwise_cells(
+                blocks, np.diag(q0.entries).real, cfg.times
+            )
+        ]
     eager = []
-    for t, (diag, zqc, residual) in zip(cfg.times, cells):
-        profile = _profile(n, t, _walsh_bin(n, diag, zqc, residual), zqc, residual)
+    for t, (diag, upper, zqc, residual) in zip(cfg.times, cells):
+        profile = _profile(n, t, _walsh_bin(n, diag, upper, residual), zqc, residual)
         eager.append(purge(profile) if purge_bins else profile)
 
     units = zq_offdiagonal_cells(n)[2]
@@ -821,16 +870,44 @@ def _counted_expansions(monkeypatch):
     return calls
 
 
+def _every_cell(n, upper):
+    """Every off-diagonal cell, in label order, of the Hermitian operator whose
+    cells ``(i, j)`` with ``i < j`` are ``upper``, read off a dense matrix."""
+    stored_rows, stored_cols = subspaces._zq_stored_cells(n)
+    rows, cols, _ = zq_offdiagonal_cells(n)
+    dense = np.zeros((2**n, 2**n), dtype=complex)
+    dense[stored_rows, stored_cols] = upper
+    dense[stored_cols, stored_rows] = np.conj(upper)
+    return dense[rows, cols]
+
+
 def _yielded_cells(cfg, engine):
-    """``(T, cells)`` off-diagonal cells as an engine yields them to ``_assemble``."""
+    """``(upper, every)`` per time: the ``(T, cells / 2)`` cells an engine
+    yields to ``_assemble``, and the ``(T, cells)`` off-diagonal cells of the
+    operators it evolved.
+
+    The dense engine's cells are read off each folded operator it bins; the
+    block engine's are its upper cells and their conjugates.
+    """
+    n = cfg.system.n
     blocks = dynamics._hamiltonian_blocks(cfg.system, cfg.hamiltonian)
     q = diffusion._initial_diagonal(cfg)
     if engine == "full":
+        rows, cols, _ = zq_offdiagonal_cells(n)
         spectra = dynamics._block_spectra(blocks)
-        cells = (diffusion._dense_cells(spectra, q, t) for t in cfg.times)
+        every = []
+
+        def evolved_cells(r):
+            every.append(r[rows, cols])
+            return dynamics._evolved_cells(r)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(diffusion, "_evolved_cells", evolved_cells)
+            upper = [diffusion._dense_cells(spectra, q, t)[1] for t in cfg.times]
     else:
-        cells = _blockwise_cells(blocks, q, cfg.times)
-    return np.array([zqc for _, zqc, _ in cells]).reshape(len(cfg.times), -1)
+        upper = [zqc for _, zqc, _ in _blockwise_cells(blocks, q, cfg.times)]
+        every = [_every_cell(n, u) for u in upper]
+    return tuple(np.array(a).reshape(len(cfg.times), -1) for a in (upper, every))
 
 
 def _full_channel_table(trace, cells):
@@ -868,7 +945,9 @@ def test_stored_half_reads_like_every_yielded_cell(monkeypatch, model, n):
         traces, cells, tables = {}, {}, {}
         for engine, run in (("full", run_diffusion), ("blockwise", run_blockwise)):
             trace = traces[engine] = run(cfg)
-            cells[engine] = _yielded_cells(cfg, engine)
+            upper, cells[engine] = _yielded_cells(cfg, engine)
+            # the trace stores the cells in the order the engine yields them
+            assert trace.upper_coherences.tobytes() == upper.tobytes()
             tables[engine] = _full_channel_table(trace, cells[engine])
             assert list(trace.channels) == list(cfg.tracked_labels())
             for lab, want in zip(cfg.tracked_labels(), tables[engine]):
@@ -883,7 +962,7 @@ def test_stored_half_reads_like_every_yielded_cell(monkeypatch, model, n):
 
         dense, block = traces["full"].coherences, traces["blockwise"].coherences
         assert dense.tobytes() == cells["full"].tobytes()
-        # the block engine's lower cells may hold -0.0 where the rule writes 0.0
+        # np.conj writes -0.0 where the rule writes 0.0
         assert np.array_equal(block, cells["blockwise"])
         assert not dense.flags.writeable and not block.flags.writeable
         assert traces["full"].coherences is dense
@@ -909,7 +988,7 @@ def test_block_run_builds_its_pair_table_without_labels(monkeypatch):
 
     for module in (diffusion, dynamics, subspaces):
         monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
-    subspaces._zq_upper_cells.cache_clear()
+    subspaces._zq_stored_cells.cache_clear()
     subspaces._zq_cell_pairs.cache_clear()
     cells = run_blockwise(cfg).coherences
     monkeypatch.undo()

@@ -235,10 +235,17 @@ def test_spec_rejects_non_finite_terms(value):
 def test_walsh_bin_rejects_imaginary_longitudinal_parts():
     # the diagonal of I1z, then with i * I2z added
     i1z = np.array([0.5, 0.5, -0.5, -0.5], dtype=complex)
-    zqc = np.zeros(2, dtype=complex)
-    assert np.array_equal(_walsh_bin(2, i1z, zqc, 0.0), [0.0, 0.0, 1.0, 0.0])
+    i2z = np.array([0.5, -0.5, 0.5, -0.5])
+    upper = np.zeros(1, dtype=complex)  # the one stored cell, (1, 2)
+    assert np.array_equal(_walsh_bin(2, i1z, upper, 0.0), [0.0, 0.0, 1.0, 0.0])
     with pytest.raises(InvariantError):
-        _walsh_bin(2, i1z + 1j * np.array([0.5, -0.5, 0.5, -0.5]), zqc, 0.0)
+        _walsh_bin(2, i1z + 1j * i2z, upper, 0.0)
+    # the stored cell stands for itself and its transpose: the norm is
+    # sqrt(1 + 2 * 9), so the guard sits at 4.36e-10, not sqrt(10) * 1e-10
+    upper[0] = 3.0
+    _walsh_bin(2, i1z + 4e-10j * i2z, upper, 0.0)
+    with pytest.raises(InvariantError):
+        _walsh_bin(2, i1z + 4.5e-10j * i2z, upper, 0.0)
 
 
 def test_flipflop_two_spin_matrix():
@@ -517,6 +524,22 @@ def test_blockwise_conjugate_rejections():
     confined[0, 0] = 1.0
     with pytest.raises(ConfigurationError):
         blockwise_conjugate(h, Operator(system, confined, True), 5, 0.5)
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, True], ids=["fraction", "float", "bool"])
+def test_blockwise_conjugate_refuses_a_block_index_that_is_no_integer(k):
+    system = SpinSystem(3)
+    h = build_hamiltonian(system, HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),)))
+    confined = np.zeros((8, 8), dtype=complex)
+    confined[1, 1] = 1.0  # inside block 1
+    q = Operator(system, confined, True)
+    with pytest.raises(ConfigurationError, match="block index must be an integer"):
+        blockwise_conjugate(h, q, k, 0.5)
+    # a numpy integer names the block
+    assert np.array_equal(
+        blockwise_conjugate(h, q, np.int64(1), 0.5).entries,
+        blockwise_conjugate(h, q, 1, 0.5).entries,
+    )
 
 
 def test_blockwise_conjugate_refuses_nan_outside_the_block():

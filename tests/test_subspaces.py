@@ -30,7 +30,7 @@ from mqspace import (
     zq_offdiagonal_cells,
 )
 from mqspace.operators import BaseOperatorSpec
-from mqspace.subspaces import _zq_cell_pairs, _zq_cell_rank, _zq_upper_cells
+from mqspace.subspaces import _zq_cell_pairs, _zq_cell_rank, _zq_stored_cells
 
 subspaces = importlib.import_module("mqspace.subspaces")
 
@@ -74,6 +74,12 @@ def test_dims_rejects_nonpositive():
         subspace_dims(0)
 
 
+@pytest.mark.parametrize("n", [True, 2.0, "2"], ids=["bool", "float", "text"])
+def test_dims_refuse_a_spin_count_that_is_no_integer(n):
+    with pytest.raises(ConfigurationError, match="spin count must be an integer"):
+        subspace_dims(n)
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_block_dimensions_are_binomials_and_sum_of_squares(n):
     dims = [block_dimension(n, k) for k in range(n + 1)]
@@ -86,6 +92,19 @@ def test_block_dimension_range_check():
         block_dimension(3, -1)
     with pytest.raises(ConfigurationError):
         block_dimension(3, 4)
+
+
+@pytest.mark.parametrize(
+    "n, k, what",
+    [(3, 1.0, "block index"), (3, True, "block index"), (3.0, 1, "spin count"),
+     (True, 0, "spin count")],
+    ids=["float-k", "bool-k", "float-n", "bool-n"],
+)
+def test_block_dimension_refuses_an_index_that_is_no_integer(n, k, what):
+    with pytest.raises(ConfigurationError, match=f"{what} must be an integer"):
+        block_dimension(n, k)
+    # numpy integers are integers
+    assert block_dimension(np.int64(3), np.int8(1)) == 3
 
 
 def test_n12_zero_quantum_fraction():
@@ -277,23 +296,42 @@ def test_zq_cell_rank_reproduces_cell_order(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_zq_stored_cells_run_block_by_block_over_upper_cells(n):
+    rows, cols = _zq_stored_cells(n)
+    assert len(rows) == len(cols) == (math.comb(2 * n, n) - 2**n) // 2
+    assert np.all(rows < cols)
+    blocks = np.array([oracles.popcount(r) for r in rows.tolist()], dtype=int)
+    assert blocks.tolist() == [oracles.popcount(c) for c in cols.tolist()]
+    # block-major: k never decreases, so each block's cells form one run,
+    # and inside a run the cells are row-major
+    assert np.all(np.diff(blocks) >= 0)
+    keys = rows * 2**n + cols
+    same = np.diff(blocks) == 0
+    assert np.all(np.diff(keys)[same] > 0)
+    # dual route: one loop over every state pair
+    states = [[s for s in range(2**n) if oracles.popcount(s) == k] for k in range(n + 1)]
+    cells = [(i, j) for block in states for i in block for j in block if i < j]
+    assert list(zip(rows.tolist(), cols.tolist())) == cells
+    for arr in (rows, cols):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_zq_cell_pairs_name_each_cells_transpose(n):
     rows, cols, labels = zq_offdiagonal_cells(n)
-    upper = _zq_upper_cells(n)
-    position, partner = _zq_cell_pairs(n)
-    ranks = np.arange(len(labels))
-    assert np.array_equal(partner[partner], ranks)
-    assert np.array_equal(rows[partner], cols)
-    assert np.array_equal(cols[partner], rows)
-    cells = list(zip(rows.tolist(), cols.tolist()))
-    label_of = dict(zip(cells, labels))
-    assert [labels[p] for p in partner.tolist()] == [label_of[c, r] for r, c in cells]
-    assert np.array_equal(upper, np.flatnonzero(rows < cols))
-    assert 2 * len(upper) == len(labels)
-    # a cell and its transpose share one stored place, the upper cell's
-    assert np.array_equal(position[upper], np.arange(len(upper)))
-    assert np.array_equal(position[partner], position)
-    for arr in (upper, position, partner):
+    stored_rows, stored_cols = _zq_stored_cells(n)
+    position, lower = _zq_cell_pairs(n)
+    assert len(position) == len(lower) == len(labels) == 2 * len(stored_rows)
+    # each cell's slot holds the cell or its transpose, whichever has i < j
+    assert np.array_equal(stored_rows[position], np.minimum(rows, cols))
+    assert np.array_equal(stored_cols[position], np.maximum(rows, cols))
+    assert np.array_equal(lower, rows > cols)
+    # a cell and its transpose share one slot, and no two pairs do
+    slot_of = dict(zip(zip(rows.tolist(), cols.tolist()), position.tolist()))
+    assert all(slot_of[c, r] == p for (r, c), p in slot_of.items())
+    uses = np.bincount(position, minlength=len(stored_rows))
+    assert np.array_equal(uses, [2] * len(stored_rows))
+    for arr in (position, lower):
         assert not arr.flags.writeable
 
 
@@ -303,10 +341,11 @@ def test_zq_cell_pairs_build_no_label_table_and_no_mask(monkeypatch):
 
     monkeypatch.setattr(subspaces, "zq_offdiagonal_cells", refuse)
     monkeypatch.setattr(subspaces, "_mask", refuse)
-    _zq_upper_cells.cache_clear()
+    _zq_stored_cells.cache_clear()
     _zq_cell_pairs.cache_clear()
-    upper, (_, partner) = _zq_upper_cells(6), _zq_cell_pairs(6)
-    assert len(upper) == len(partner) // 2 == (math.comb(12, 6) - 2**6) // 2
+    (rows, _), (position, lower) = _zq_stored_cells(6), _zq_cell_pairs(6)
+    assert len(rows) == len(position) // 2 == int(lower.sum())
+    assert len(rows) == (math.comb(12, 6) - 2**6) // 2
 
 
 def test_zq_offdiagonal_cells_two_digit_spins():
