@@ -56,6 +56,7 @@ from .operators import (
     _down_counts,
     _ensure_hermitian,
     _hermitian_part,
+    _integer,
 )
 from .subspaces import Membership, SubspaceTag, is_member, selective_blocks
 
@@ -231,8 +232,21 @@ def stage_reduce(
     the right on its columns, and scattered back. That is the dense
     product, off-block entries of ``h`` included, so ``residual`` counts
     them too.
+
+    Each cell index follows :func:`~mqspace.operators._integer` (a float
+    or a bool is refused, never truncated) and must lie in ``0..dim - 1``.
     """
-    return _stage(h, target_partition, unitary_constraint, tol)[0]
+    dim = h.system.dim
+    try:
+        cells = [
+            [_integer(i, "target cell index", 0) for i in cell] for cell in target_partition
+        ]
+    except TypeError:
+        raise ConfigurationError("target_partition must be a list of index cells") from None
+    beyond = [i for cell in cells for i in cell if i >= dim]
+    if beyond:
+        raise ConfigurationError(f"target cell index {beyond[0]} outside 0..{dim - 1}")
+    return _stage(h, cells, unitary_constraint, tol)[0]
 
 
 def _stage(h: Operator, target_partition, unitary_constraint, tol, given=None):

@@ -18,7 +18,14 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import CARTESIAN, BaseOperatorSpec, SpinSystem, _hermitian_part, _integer
+from .operators import (
+    CARTESIAN,
+    BaseOperatorSpec,
+    SpinSystem,
+    _hermitian_part,
+    _integer,
+    _real,
+)
 from .subspaces import _zq_cell_pairs, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
@@ -48,15 +55,18 @@ TrackSpec = Union[str, tuple]
 
 
 def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
-    """Uniform grid of ``points`` times from ``start`` to ``end`` inclusive."""
+    """Uniform grid of ``points`` times from ``start`` to ``end`` inclusive.
+
+    The ends follow :func:`~mqspace.operators._real` (finite ints or
+    floats, not bools or strings) and ``points`` follows
+    :func:`~mqspace.operators._integer`.
+    """
     points = _integer(points, "the number of grid times")
     if points < 2:
         raise ConfigurationError(f"a time grid needs at least 2 points, got {points}")
-    if not (math.isfinite(start) and math.isfinite(end)):
-        raise ConfigurationError(
-            f"time grid ends must be finite, got start={start!r} end={end!r}"
-        )
-    if not 0 <= start < end:
+    # checked, not converted: np.linspace keeps a numpy float32 end's precision
+    lo, hi = _real(start, "time grid start"), _real(end, "time grid end")
+    if not 0 <= lo < hi:
         raise ConfigurationError(
             f"need 0 <= start < end, got start={start!r} end={end!r}"
         )
@@ -67,8 +77,9 @@ def linear_times(start: float, end: float, points: int) -> tuple[float, ...]:
 class DiffusionConfig:
     """Frozen description of one transfer experiment.
 
-    ``times`` is always an explicit grid here; use :func:`linear_times`
-    to build a uniform one. ``track`` is either the string ``"all"`` or
+    ``times`` is always an explicit grid here, each entry a non-negative
+    :func:`~mqspace.operators._real`; use :func:`linear_times` to build
+    a uniform one. ``track`` is either the string ``"all"`` or
     a tuple of channel labels; ``initial`` must name a traceless
     diagonal base operator (so ``"E/2"`` is rejected).
     """
@@ -81,13 +92,14 @@ class DiffusionConfig:
     track: TrackSpec = "all"
 
     def __post_init__(self) -> None:
-        times = tuple(float(t) for t in self.times)
+        try:
+            times = tuple(_real(t, "time", 0) for t in self.times)
+        except TypeError:
+            raise ConfigurationError(
+                f"times must be a sequence of numbers, got {type(self.times).__name__}"
+            ) from None
         if not times:
             raise ConfigurationError("time grid is empty")
-        if not all(math.isfinite(t) for t in times):
-            raise ConfigurationError(f"times must be finite, got {times!r}")
-        if times[0] < 0:
-            raise ConfigurationError(f"times must be non-negative, got {times[0]!r}")
         if any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigurationError("time grid must be strictly increasing")
         object.__setattr__(self, "times", times)

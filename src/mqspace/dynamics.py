@@ -45,6 +45,7 @@ from .operators import (
     _hermitian_part,
     _integer,
     _memoized,
+    _real,
     reconstruct,
 )
 from .subspaces import (
@@ -96,8 +97,10 @@ class HamiltonianSpec:
     pairs for the longitudinal model; ``custom`` supplies an explicit
     operator expansion. Fields not used by the chosen model must stay
     empty, and each spin pair or spin may appear only once. Spin indices
-    must be integers (bools and floats are refused, never truncated) and
-    values finite reals; malformed terms are a :class:`ConfigurationError`.
+    follow :func:`~mqspace.operators._integer` (bools and floats are
+    refused, never truncated) and values :func:`~mqspace.operators._real`
+    (finite ints or floats, not bools or strings); malformed terms are a
+    :class:`ConfigurationError`.
     """
 
     model: str
@@ -112,8 +115,10 @@ class HamiltonianSpec:
                 f"expected one of {', '.join(HAMILTONIAN_MODELS)}"
             )
         try:
-            couplings = tuple((k, l, float(j)) for (k, l, j) in self.couplings)
-            offsets = tuple((k, float(w)) for (k, w) in self.offsets)
+            couplings = tuple(
+                (k, l, _real(j, "coupling strength")) for (k, l, j) in self.couplings
+            )
+            offsets = tuple((k, _real(w, "offset")) for (k, w) in self.offsets)
         except (TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed hamiltonian terms: {exc}") from exc
         couplings = tuple(
@@ -123,11 +128,6 @@ class HamiltonianSpec:
         offsets = tuple((_integer(k, "spin index"), w) for k, w in offsets)
         object.__setattr__(self, "couplings", couplings)
         object.__setattr__(self, "offsets", offsets)
-        for value in [j for _, _, j in couplings] + [w for _, w in offsets]:
-            if not math.isfinite(value):
-                raise ConfigurationError(
-                    f"hamiltonian terms must be finite, got {value!r}"
-                )
 
         seen_pairs = set()
         for k, l, _ in couplings:

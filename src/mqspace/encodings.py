@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .operators import Operator, SpinSystem
+from .operators import Operator, SpinSystem, _integer
 
 __all__ = [
     "Encoding",
@@ -31,24 +31,22 @@ class Encoding:
     """Bijection from basis positions to computational indices.
 
     ``permutation[p]`` is the computational index stored at position
-    ``p``. The inverse array is derived at construction; both are kept
-    as immutable tuples so an encoding can be hashed and reused.
+    ``p``; each entry follows :func:`~mqspace.operators._integer`, so a
+    float or a bool is refused, never truncated. The inverse array is
+    derived at construction; both are kept as immutable tuples so an
+    encoding can be hashed and reused.
     """
 
     permutation: tuple[int, ...]
     inverse: tuple[int, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        perm = tuple(int(p) for p in self.permutation)
+        perm = tuple(_integer(p, "permutation entry") for p in self.permutation)
         size = len(perm)
-        seen = [False] * size
-        for p in perm:
-            if not 0 <= p < size or seen[p]:
-                raise ConfigurationError(
-                    f"permutation of length {size} is not a bijection on "
-                    f"0..{size - 1}"
-                )
-            seen[p] = True
+        if sorted(perm) != list(range(size)):
+            raise ConfigurationError(
+                f"permutation of length {size} is not a bijection on 0..{size - 1}"
+            )
         inv = [0] * size
         for pos, idx in enumerate(perm):
             inv[idx] = pos

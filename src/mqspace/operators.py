@@ -27,6 +27,7 @@ directly comparable to the product-operator literature.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -107,6 +108,25 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{what} must be at least {minimum}, got {value}")
+    return value
+
+
+def _real(value, what: str, minimum: float | None = None) -> float:
+    """``value`` as a finite ``float``; it must be a Python or numpy int or float.
+
+    A bool, a string and an integer too large for a float are refused, and
+    with ``minimum`` given, a smaller value is refused as well.
+    """
+    if not isinstance(value, (int, float, np.integer, np.floating)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what} is too large for a float") from None
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigurationError(f"{what} must be at least {minimum}, got {value!r}")
     return value
 
 
@@ -353,10 +373,10 @@ def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:
         )
 
 
-_CART_LABEL = re.compile(r"([0-9]*)((?:I[1-9][0-9]*[xyz])+)")
-_CART_TOKEN = re.compile(r"I([0-9]+)([xyz])")
+_CART_LABEL = re.compile(r"([0-9]*)(?:I[1-9][0-9]*[xyz])+")
 _SHIFT_LABEL = re.compile(r"(?:[ab][1-9][0-9]*|I[1-9][0-9]*[+-])+")
-_SHIFT_TOKEN = re.compile(r"([ab])([0-9]+)|I([0-9]+)([+-])")
+# one factor token of either kind: I<spin><axis or +/-> or <a/b><spin>
+_TOKEN = re.compile(r"I([0-9]+)([xyz+-])|([ab])([0-9]+)")
 
 
 def _shift_label(factors, first: int = 1) -> str:
@@ -438,58 +458,38 @@ class BaseOperatorSpec:
         if label == "E/2":
             return cls(CARTESIAN, ("e",) * n)
 
-        m = _CART_LABEL.fullmatch(label)
-        if m:
-            prefix, body = m.groups()
-            tokens = _CART_TOKEN.findall(body)
-            factors = ["e"] * n
-            last = 0
-            for spin_str, axis in tokens:
-                spin = int(spin_str)
-                if spin <= last:
-                    raise ConfigurationError(
-                        f"label {label!r}: spins must be strictly ascending"
-                    )
-                if spin > n:
-                    raise ConfigurationError(
-                        f"label {label!r}: spin {spin} exceeds system size {n}"
-                    )
-                factors[spin - 1] = axis
-                last = spin
+        cart = _CART_LABEL.fullmatch(label)
+        if not cart and not _SHIFT_LABEL.fullmatch(label):
+            raise ConfigurationError(f"unparseable base operator label {label!r}")
+        # a Cartesian prefactor holds no token, so both kinds scan the whole label
+        tokens = _TOKEN.findall(label)
+        factors = ["e" if cart else None] * n
+        last = 0
+        for i_spin, i_factor, ab_factor, ab_spin in tokens:
+            spin, factor = int(i_spin or ab_spin), i_factor or ab_factor
+            if spin <= last:
+                raise ConfigurationError(
+                    f"label {label!r}: spins must be strictly ascending"
+                )
+            if spin > n:
+                raise ConfigurationError(
+                    f"label {label!r}: spin {spin} exceeds system size {n}"
+                )
+            factors[spin - 1] = factor
+            last = spin
+        if cart:
             q = len(tokens)
             expected = "" if q == 1 else str(2 ** (q - 1))
-            if prefix != expected:
+            if cart[1] != expected:
                 raise ConfigurationError(
-                    f"label {label!r}: prefactor {prefix or '1'!r} does not match "
+                    f"label {label!r}: prefactor {cart[1] or '1'!r} does not match "
                     f"the canonical 2**(q-1) convention for q={q}"
                 )
-            return cls(CARTESIAN, tuple(factors))
-
-        if _SHIFT_LABEL.fullmatch(label):
-            factors: list[str | None] = [None] * n
-            last = 0
-            for proj, pspin, sspin, updown in _SHIFT_TOKEN.findall(label):
-                if proj:
-                    spin, factor = int(pspin), proj
-                else:
-                    spin, factor = int(sspin), updown
-                if spin <= last:
-                    raise ConfigurationError(
-                        f"label {label!r}: spins must be strictly ascending"
-                    )
-                if spin > n:
-                    raise ConfigurationError(
-                        f"label {label!r}: spin {spin} exceeds system size {n}"
-                    )
-                factors[spin - 1] = factor
-                last = spin
-            if any(f is None for f in factors):
-                raise ConfigurationError(
-                    f"label {label!r}: shift labels must mention every spin once"
-                )
-            return cls(SHIFT, tuple(factors))
-
-        raise ConfigurationError(f"unparseable base operator label {label!r}")
+        elif None in factors:
+            raise ConfigurationError(
+                f"label {label!r}: shift labels must mention every spin once"
+            )
+        return cls(CARTESIAN if cart else SHIFT, tuple(factors))
 
 
 def build_operator(system: SpinSystem, spec: BaseOperatorSpec) -> Operator:
@@ -659,14 +659,17 @@ def coherence_order_of_element(system: SpinSystem, row: int, col: int) -> int:
     """Coherence order ``popcount(col) - popcount(row)`` of one element.
 
     Equivalently the difference ``m(row) - m(col)`` of total z quantum
-    numbers, so elements of raising type carry positive order.
+    numbers, so elements of raising type carry positive order. ``row``
+    and ``col`` follow :func:`_integer`: a float or a bool is refused,
+    never truncated.
     """
+    row, col = _integer(row, "row index"), _integer(col, "column index")
     dim = system.dim
     if not (0 <= row < dim and 0 <= col < dim):
         raise ConfigurationError(
             f"element ({row}, {col}) outside the 0..{dim - 1} index range"
         )
-    return int(col).bit_count() - int(row).bit_count()
+    return col.bit_count() - row.bit_count()
 
 
 def order_components(q: Operator) -> dict[int, Operator]:
@@ -689,7 +692,12 @@ def order_components(q: Operator) -> dict[int, Operator]:
 
 
 def spin_operator(system: SpinSystem, k: int, factor: str) -> Operator:
-    """Single-spin operator for spin ``k`` (1-indexed) embedded in the register."""
+    """Single-spin operator for spin ``k`` (1-indexed) embedded in the register.
+
+    ``k`` follows :func:`_integer`: a float or a bool is refused, never
+    truncated.
+    """
+    k = _integer(k, "spin index")
     if not 1 <= k <= system.n:
         raise ConfigurationError(f"spin index {k} outside 1..{system.n}")
     if factor not in _SINGLE_SPIN:

@@ -257,6 +257,44 @@ def test_evolve_config_rejects_non_finite_times(capsys, tmp_path):
     assert "finite" in err
 
 
+# JSON texts that are not finite JSON numbers; V marks where one goes
+MALFORMED_NUMBERS = {"string": '"0.5"', "bool": "true", "401-digits": "1" + "0" * 400, "nan": "NaN"}
+EVOLVE_PAIR = '{"n": 2, "hamiltonian": {"model": "flipflop", "couplings": [[1, 2, 1]]}, '
+NUMBER_SLOTS = {
+    "coupling": (
+        "evolve",
+        '{"n": 2, "hamiltonian": {"model": "flipflop", "couplings": [[1, 2, V]]}, "times": [0, 1]}',
+    ),
+    "offset": (
+        "evolve",
+        '{"n": 2, "hamiltonian": {"model": "offsets", "offsets": [[1, V]]}, "times": [0, 1]}',
+    ),
+    "times-entry": ("evolve", EVOLVE_PAIR + '"times": [0, V]}'),
+    "times-start": ("evolve", EVOLVE_PAIR + '"times": {"start": V, "end": 2, "points": 3}}'),
+    "times-end": ("evolve", EVOLVE_PAIR + '"times": {"start": 0, "end": V, "points": 3}}'),
+    "membership": ("verify", '{"n": 2, "tolerances": {"membership": V}}'),
+}
+
+
+@pytest.mark.parametrize("number", MALFORMED_NUMBERS)
+@pytest.mark.parametrize("slot", NUMBER_SLOTS)
+def test_config_numbers_that_are_not_finite_json_numbers_exit_config(
+    capsys, tmp_path, slot, number
+):
+    # run in process, so any exception other than ConfigurationError, the one
+    # main turns into exit 2, would escape with its traceback and fail the test
+    command, template = NUMBER_SLOTS[slot]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(template.replace("V", MALFORMED_NUMBERS[number]))
+    out = tmp_path / "out.json"
+    code, stdout, err = run_cli(capsys, [command, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evolve_explicit_time_list_flag(capsys):
     code, out, _ = run_cli(
         capsys,

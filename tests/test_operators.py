@@ -153,6 +153,34 @@ def test_label_parse_rejections(label):
         BaseOperatorSpec.from_label(label, 2)
 
 
+PREFACTOR = "does not match the canonical 2**(q-1) convention"
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("2I2zI1x", "label '2I2zI1x': spins must be strictly ascending"),
+        ("b2a1", "label 'b2a1': spins must be strictly ascending"),
+        ("I3z", "label 'I3z': spin 3 exceeds system size 2"),
+        ("a1b2I3+", "label 'a1b2I3+': spin 3 exceeds system size 2"),
+        ("I1zI2y", f"label 'I1zI2y': prefactor '1' {PREFACTOR} for q=2"),
+        ("2I2x", f"label '2I2x': prefactor '2' {PREFACTOR} for q=1"),
+        ("I1-", "label 'I1-': shift labels must mention every spin once"),
+        ("2I1zI2+", "unparseable base operator label '2I1zI2+'"),
+        ("a1b", "unparseable base operator label 'a1b'"),
+    ],
+    ids=[
+        "cartesian-descending", "shift-descending", "cartesian-past-n",
+        "shift-past-n", "prefactor-missing", "prefactor-extra",
+        "shift-spin-missing", "mixed-kinds", "shift-no-spin",
+    ],
+)
+def test_label_rejection_messages(label, message):
+    with pytest.raises(ConfigurationError) as exc:
+        BaseOperatorSpec.from_label(label, 2)
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "label",
     ["I01z", "2I01zI2z", "a01b2", "I1+I02-", "I\u0661z", "I1z\n", "E/2\n", "I0z"],
