@@ -57,6 +57,7 @@ from .operators import (
     _ensure_hermitian,
     _hermitian_part,
     _integer,
+    _real,
 )
 from .subspaces import Membership, SubspaceTag, is_member, selective_blocks
 
@@ -234,8 +235,10 @@ def stage_reduce(
     them too.
 
     Each cell index follows :func:`~mqspace.operators._integer` (a float
-    or a bool is refused, never truncated) and must lie in ``0..dim - 1``.
+    or a bool is refused, never truncated) and must lie in ``0..dim - 1``;
+    ``tol`` is checked as in :func:`~mqspace.subspaces.is_member`.
     """
+    _real(tol, "tol", 0)
     dim = h.system.dim
     try:
         cells = [
@@ -444,8 +447,10 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     ``eigh`` of the whole input plus the stages' small SVDs and products.
     Raises :class:`InvariantError` if any stage residual, membership
     or the spectrum comparison fails its tolerance; for a Hermitian
-    input this indicates an internal defect, not a data problem.
+    input this indicates an internal defect, not a data problem. ``tol``
+    is checked as in :func:`~mqspace.subspaces.is_member`, once per call.
     """
+    _real(tol, "tol", 0)
     system = h.system
     _ensure_hermitian(h, 1e-10, "cascade input")
     scale = max(h.norm(), 1.0)

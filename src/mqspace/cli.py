@@ -18,7 +18,10 @@ CSV and JSON so output round-trips doubles exactly; identical inputs
 produce byte-identical output. A document is built as a list of
 string pieces and written, to the ``--out`` file or standard output,
 only once every piece exists, so a serialization error leaves no
-partial output; in JSON, equal float series share one formatted text.
+partial output; in JSON, equal float series share one formatted text,
+found without keeping a copy of any series' bytes.
+``evolve`` formats its document after the trace it comes from is gone:
+the document holds the channel table, never the stored cells.
 Exit codes: 0 success, 2 configuration or parse error (malformed config
 values and an unwritable ``--out`` file included), 3 numerical tolerance
 failure, 4 invariant breach.
@@ -106,17 +109,22 @@ def _json_pieces(value: Any) -> list[str]:
     dict, list, tuple or array items) stay on one line and complex numbers
     become ``[re, im]``. Each 1-D float64 array is formatted once per
     document: arrays with the same bytes share one text, which enters the
-    list by reference. The document ends with a newline.
+    list by reference. Arrays are found through a hash of their bytes and
+    compared byte for byte, so the cache keeps each array and its text but
+    no copy of its bytes. The document ends with a newline.
     """
     pieces: list[str] = []
-    formatted: dict[bytes, str] = {}
+    # hash of a series' bytes to the (array, text) of each series with it
+    formatted: dict[int, list[tuple[np.ndarray, str]]] = {}
 
     def write(value: Any, indent: int) -> None:
         if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-            key = value.tobytes()
-            text = formatted.get(key)
+            data = value.tobytes()
+            bucket = formatted.setdefault(hash(data), [])
+            text = next((t for v, t in bucket if v.tobytes() == data), None)
             if text is None:
-                text = formatted[key] = "[" + _fmt_join(value.tolist(), ", ") + "]"
+                text = "[" + _fmt_join(value.tolist(), ", ") + "]"
+                bucket.append((value, text))
             pieces.append(text)
         elif isinstance(value, dict) and value:
             pad = "  " * indent
@@ -471,34 +479,31 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
             f"engine must be full, blockwise or both, got {engine!r}"
         )
 
+    trace = run_blockwise(config) if engine == "blockwise" else run_diffusion(config)
     discrepancy = None
-    if engine == "full":
-        trace = run_diffusion(config)
-    elif engine == "blockwise":
-        trace = run_blockwise(config)
-    else:
-        trace = run_diffusion(config)
-        other = run_blockwise(config)
-        discrepancy = channel_discrepancy(trace, other)
-        del other  # only the dense trace is written out
+    if engine == "both":
+        # the block trace lives only for the comparison; the dense one is written
+        discrepancy = channel_discrepancy(trace, run_blockwise(config))
 
+    # the document is formatted after the trace, and its stored cells, are gone
     if csv:
-        header = ["t"] + list(trace.channels)
-        if discrepancy is not None:
-            header.append("max_channel_discrepancy")
-        columns = [trace.times] + list(trace.channels.values())
-        if discrepancy is not None:
-            columns.append(discrepancy)
-        table = np.column_stack(columns)
-        # each row is formatted whole, one at a time, and handed over as one cell
-        rows = ([_fmt_join(row.tolist(), ",")] for row in table)
-        return _csv_pieces(header, rows), EXIT_OK
+        labels, table, rows = trace._channel_table
+        del trace
+        tails = [] if discrepancy is None else [discrepancy]
+        header = ["t", *labels] + ["max_channel_discrepancy"] * len(tails)
+        # each row gathers its time's column of the table, is formatted whole
+        # and handed over as one cell
+        lines = (
+            [_fmt_join([t, *table[rows, i].tolist(), *(d[i] for d in tails)], ",")]
+            for i, t in enumerate(config.times)
+        )
+        return _csv_pieces(header, lines), EXIT_OK
     doc = {
         "n": system.n,
         "engine": engine,
         "initial": config.initial,
         "purge": config.purge,
-        "times": np.asarray(trace.times),
+        "times": np.asarray(config.times),
         "channels": trace.channels,
         "conserved": trace.conserved,
         "undesired": list(trace.undesired),
@@ -508,6 +513,7 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
             else {str(k): v for k, v in sorted(trace.block_sizes.items())}
         ),
     }
+    del trace
     if discrepancy is not None:
         doc["max_channel_discrepancy"] = discrepancy
     return _json_pieces(doc), EXIT_OK

@@ -137,9 +137,7 @@ class DiffusionConfig:
 
     def tracked_labels(self) -> tuple[str, ...]:
         """Tracked channel labels: longitudinal, spin-order, then coherence."""
-        if self.track != "all":
-            return self.track
-        return _every_channel_label(self.system.n)
+        return _tracked_labels(self.system.n, self.track)
 
 
 @lru_cache(maxsize=16)
@@ -152,6 +150,11 @@ def _every_channel_label(n: int) -> tuple[str, ...]:
     """
     (_, longitudinal), (_, orders) = _diagonal_groups(n)
     return longitudinal + orders + zq_offdiagonal_cells(n)[2]
+
+
+def _tracked_labels(n: int, track: TrackSpec) -> tuple[str, ...]:
+    """The labels that ``track`` names for ``n`` spins, in channel order."""
+    return _every_channel_label(n) if track == "all" else track
 
 
 @dataclass(frozen=True)
@@ -192,10 +195,15 @@ class DiffusionTrace:
     Under ``track="all"`` it names all ``binomial(2n, n) - 1`` channel
     labels, so a trace whose channels are read holds about ``T * cells *
     12`` bytes: 16 per stored cell and 8 per channel array, for half the
-    cells each. ``undesired`` lists the tracked labels other than the
-    single-spin longitudinal ones, and ``profiles`` presents the binned
-    numbers as one :class:`~mqspace.dynamics.AmplitudeProfile` per grid
-    point; it reads ``coherences``.
+    cells each. The channel arrays are rows of one ``(channels, T)``
+    table, filled in place with no temporary of its size, and they outlive
+    the trace: once the channels are taken, dropping the trace frees the
+    16 bytes per stored cell. :func:`channel_discrepancy` reads the stored
+    cells and builds neither view. ``undesired`` lists the tracked labels
+    other than the single-spin longitudinal ones, and ``profiles``
+    presents the binned numbers as one
+    :class:`~mqspace.dynamics.AmplitudeProfile` per grid point; it reads
+    ``coherences``.
     """
 
     times: tuple[float, ...]
@@ -221,26 +229,14 @@ class DiffusionTrace:
         """``(labels, table, rows)``: the tracked labels, a table with a column
         per time, and each label's row of that table.
 
-        Under ``track="all"`` the table holds one magnitude row per stored
-        coherence cell, which both labels of the pair read.
+        The table is :func:`_channel_values` of the labels'
+        :func:`_channel_cells` at every time; under ``track="all"`` it has
+        one magnitude row per stored coherence cell, which both labels of
+        the pair read.
         """
-        position, _ = _zq_cell_pairs(self._n)
-        if self.track == "all":
-            (long_idx, _), (order_idx, _) = _diagonal_groups(self._n)
-            labels = _every_channel_label(self._n)
-            diagonal = self.coefficients[:, np.concatenate([long_idx, order_idx])].T
-            table = np.concatenate([diagonal, np.abs(self.upper_coherences).T])
-            rows = np.concatenate([np.arange(len(diagonal)), len(diagonal) + position])
-        else:
-            labels = self.track
-            table = np.array([
-                self.coefficients[:, i]
-                if diagonal
-                else np.abs(self.upper_coherences[:, position[i]])
-                for diagonal, i in (_label_cell(lab, self._n) for lab in labels)
-            ])
-            rows = np.arange(len(labels))
-        return labels, table, rows
+        labels = _tracked_labels(self._n, self.track)
+        cells = _channel_cells(self._n, labels)
+        return labels, _channel_values(self, cells, slice(None)), cells[2]
 
     @cached_property
     def channels(self) -> dict[str, np.ndarray]:
@@ -266,6 +262,42 @@ class DiffusionTrace:
                 self.times, self.coefficients, self.coherences, self.residuals.tolist()
             )
         )
+
+
+def _channel_cells(n: int, labels: tuple[str, ...]):
+    """``(columns, positions, rows)``: where the channels ``labels`` are stored.
+
+    A label's channel is a column of :attr:`DiffusionTrace.coefficients`,
+    listed in ``columns``, or the magnitude of a cell of
+    :attr:`DiffusionTrace.upper_coherences`, listed in ``positions``; each
+    list keeps label order. ``rows[j]`` places label ``j`` in the columns
+    followed by the positions. Every channel label of ``n`` spins gives
+    ``positions = slice(None)``: each stored cell once, read by both labels
+    of its conjugate pair.
+    """
+    position, _ = _zq_cell_pairs(n)
+    if labels == _every_channel_label(n):
+        columns = np.concatenate([idx for idx, _ in _diagonal_groups(n)])
+        return columns, slice(None), np.r_[np.arange(columns.size), columns.size + position]
+    diagonal, index = map(np.array, zip(*(_label_cell(lab, n) for lab in labels)))
+    # a stable sort puts the diagonal labels first; its inverse is each label's place
+    rows = np.argsort(np.argsort(~diagonal, kind="stable"))
+    return index[diagonal], position[index[~diagonal]], rows
+
+
+def _channel_values(trace: DiffusionTrace, cells, points) -> np.ndarray:
+    """The channels at :func:`_channel_cells` ``cells``, a column per point in ``points``.
+
+    The coefficient rows come first, then the coherence magnitudes, which
+    ``np.abs`` writes in place, so no temporary of the result's size is
+    made.
+    """
+    columns, positions, _ = cells
+    upper = trace.upper_coherences[points, positions].T
+    values = np.empty((columns.size + upper.shape[0], upper.shape[1]))
+    values[: columns.size] = trace.coefficients[points, columns].T
+    np.abs(upper, out=values[columns.size :])
+    return values
 
 
 def _full_coherences(n: int, upper: np.ndarray) -> np.ndarray:
@@ -422,21 +454,23 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     """Per-grid-point max absolute channel difference between two traces.
 
-    Traces that track the same labels in the same layout compare table
-    rows directly, so under ``track="all"`` each conjugate pair of
-    coherence channels is compared once.
+    Each tracked channel is read from the stored cell it comes from, a
+    coefficient or the magnitude of an upper coherence cell, as
+    :attr:`DiffusionTrace.channels` reads it, and the two traces are
+    compared a bounded chunk of time points at a time. No channel table
+    is built on either trace, and under ``track="all"`` each conjugate
+    pair of coherence channels is compared once.
     """
     if a.times != b.times:
         raise ConfigurationError("traces cover different time grids")
-    labels, table, rows = a._channel_table
-    labels_b, table_b, rows_b = b._channel_table
-    if labels_b != labels or not np.array_equal(rows_b, rows):
-        if set(labels_b) != set(labels):
-            raise ConfigurationError("traces track different channels")
-        # another order or layout: take each label's row of both tables
-        row = dict(zip(labels_b, rows_b.tolist()))
-        table, table_b = table[rows], table_b[[row[lab] for lab in labels]]
-    if not labels:
-        return np.zeros(len(a.times))
-    gap = table - table_b
-    return np.abs(gap, out=gap).max(axis=0)
+    labels = _tracked_labels(a._n, a.track)
+    if set(_tracked_labels(b._n, b.track)) != set(labels):
+        raise ConfigurationError("traces track different channels")
+    cells_a, cells_b = (_channel_cells(t._n, labels) for t in (a, b))
+    gap = np.empty(len(a.times))
+    step = max(1, (1 << 16) // len(labels))  # 2^16 values, 0.5 MiB, per chunk
+    for start in range(0, len(gap), step):
+        points = slice(start, start + step)
+        x = _channel_values(a, cells_a, points) - _channel_values(b, cells_b, points)
+        gap[points] = np.abs(x, out=x).max(axis=0)
+    return gap

@@ -299,8 +299,11 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
 
     The decomposition is cached on the operator instance, so sweeping
     many times over one generator pays the cubic cost once; an exactly
-    real generator is decomposed in real arithmetic.
+    real generator is decomposed in real arithmetic. ``t`` follows
+    :func:`~mqspace.operators._real`; it is checked, not converted, so a
+    numpy scalar keeps its own arithmetic.
     """
+    _real(t, "time")
     _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
     w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(_exactly_real(h.entries)))
     return _adopt(h.system, _propagator(w, v, t))
@@ -311,8 +314,10 @@ def zq_propagator(z: Operator, t: float) -> Operator:
 
     Requires ``z`` to be Hermitian and to pass the zero-quantum
     membership test; anything else is rejected. The result carries
-    weight only inside the zero-quantum pattern.
+    weight only inside the zero-quantum pattern. ``t`` follows
+    :func:`~mqspace.operators._real`, checked as in :func:`expm_hermitian`.
     """
+    _real(t, "time")
     return _adopt(z.system, _assembled_propagator(z.system.dim, _block_eigh_cached(z), t))
 
 
@@ -337,10 +342,12 @@ def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operato
     arithmetic touches ``binomial(n, k)**2`` entries instead of the full
     ``4**n``. The result is exact for block-confined operators because a
     zero-quantum propagator never mixes blocks; input support outside
-    block ``k`` is rejected at a relative 1e-12 tolerance.
+    block ``k`` is rejected at a relative 1e-12 tolerance. ``t`` follows
+    :func:`~mqspace.operators._real`, checked as in :func:`expm_hermitian`.
     """
     z._require_same_system(q_k)
     k = _integer(k, "block index")
+    _real(t, "time")
     if not 0 <= k <= z.system.n:
         raise ConfigurationError(f"block index {k} outside 0..{z.system.n}")
 
@@ -640,8 +647,10 @@ def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
     out-of-pattern weight is :func:`~mqspace.subspaces.is_member`'s
     residual; for a diagonal ``q`` the dense transfer engine reproduces
     those cells bit for bit. The longitudinal and spin-order amplitudes
-    are real within 1e-10.
+    are real within 1e-10. ``t`` follows :func:`~mqspace.operators._real`,
+    checked as in :func:`expm_hermitian`.
     """
+    _real(t, "time")
     _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
     tr = abs(q.trace())
     if tr > 1e-10 * max(q.norm(), 1.0):

@@ -30,6 +30,7 @@ from .operators import (
     _down_counts,
     _gaussian_entries,
     _integer,
+    _real,
     _shift_label,
     identity_operator,
 )
@@ -128,8 +129,11 @@ def is_member(q: Operator, tag: SubspaceTag, tol: float = MEMBERSHIP_TOL) -> Mem
 
     The residual is the Frobenius norm of the out-of-pattern part and
     membership requires ``residual <= tol * norm(q)``. The zero operator
-    belongs to every subspace.
+    belongs to every subspace. ``tol`` follows
+    :func:`~mqspace.operators._real` with minimum 0; it is checked, not
+    converted, so a numpy scalar keeps its own arithmetic.
     """
+    _real(tol, "tol", 0)
     norm = q.norm()
     residual, member = _pattern_residual(q.entries, _mask(tag, q.system.n), tol, norm)
     return Membership(tag, member, residual, norm, tol)
@@ -393,21 +397,27 @@ def verify_closure(
     and a real linear combination of a Hermitian pair; each result must
     pass the membership test. The identity operator must belong as well,
     whatever the tag: a closed operator algebra needs its unit.
-    ``trials`` must be an integer of at least 1.
+    ``trials`` must be an integer of at least 1. ``tol`` follows
+    :func:`~mqspace.operators._real`, checked, not converted; a negative
+    ``tol`` fails every check, the identity's included, which exercises
+    the failure report.
 
     A trial works on plain ``2^n x 2^n`` arrays: four members drawn one
     at a time and the three results, so it holds a few dense matrices
     at once and builds no ``Operator``.
     """
     trials = _integer(trials, "trials", 1)
+    _real(tol, "tol")
     n = system.n
     rng = np.random.default_rng(seed)
     report = ClosureReport(tag, n, trials, tol)
-    report.identity_member = bool(is_member(identity_operator(system), tag, tol))
+    mask = _mask(tag, n)
+    # is_member's rule, which would refuse a negative tol
+    identity = identity_operator(system)
+    _, member = _pattern_residual(identity.entries, mask, tol, identity.norm())
+    report.identity_member = bool(member)
     if not report.identity_member:
         report.violations.append("identity operator failed membership")
-
-    mask = _mask(tag, n)
 
     def _check(name: str, q: np.ndarray):
         residual, member = _pattern_residual(q, mask, tol, float(np.linalg.norm(q)))

@@ -8,6 +8,8 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -934,6 +936,60 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
     assert len(calls) == len({a.tobytes() for a in arrays}) == 8
     first = pieces.index("[0.10000000000000001, 0.33333333333333331, -2.5]")
     assert sum(p is pieces[first] for p in pieces) == 3
+
+
+@pytest.mark.parametrize("engine", ["full", "both"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_evolve_formats_after_every_trace_is_gone(capsys, monkeypatch, engine, fmt):
+    from mqspace import cli
+
+    traces = []
+    for name in ("run_diffusion", "run_blockwise"):
+
+        def recording(config, run=getattr(cli, name)):
+            trace = run(config)
+            traces.append(weakref.ref(trace))
+            return trace
+
+        monkeypatch.setattr(cli, name, recording)
+    fmt_join = cli._fmt_join
+    alive = []  # the traces alive at each formatting call
+
+    def checking(values, sep):
+        alive.append(sum(ref() is not None for ref in traces))
+        return fmt_join(values, sep)
+
+    monkeypatch.setattr(cli, "_fmt_join", checking)
+    code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", engine, "--format", fmt])
+    assert code == EXIT_OK, err
+    assert len(traces) == (2 if engine == "both" else 1)
+    assert alive and not any(alive)
+
+
+# One run's bound is what it must hold at once: one trace's stored cells,
+# 65 times x (1,652 upper cells x 16 B + 128 coefficients x 8 B) = 1.7 MiB;
+# one channel table, 65 x (127 + 1,652) rows x 8 B = 0.9 MiB; and the
+# document's text. JSON text is 2.8 MiB, each distinct series formatted
+# once, so 5.4 MiB in all; the bound is 6 MiB. Formatting with the trace
+# alive and a bytes copy of each series cached reads 7.3 MiB. CSV text
+# shares nothing, 4.8 MiB, so 7.4 MiB in all; rows formatted from a stacked
+# copy of every column, with the trace alive, read 9.7 MiB.
+@pytest.mark.parametrize("fmt, bound_mib", [("json", 6.0), ("csv", 7.5)])
+def test_evolve_peak_memory_stays_within_one_trace_and_its_text(tmp_path, fmt, bound_mib):
+    n = 7
+    terms = [("--coupling", f"{k},{k + 1},{0.3 + 0.1 * k!r}") for k in range(1, n)]
+    couplings = [x for term in terms for x in term]
+    argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", *couplings,
+            "--times", "0:4:65", "--engine", "both", "--format", fmt,
+            "--out", str(tmp_path / f"trace.{fmt}")]
+    assert main(argv) == EXIT_OK  # the cached tables are built outside the traced run
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mib * 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -282,6 +282,10 @@ def test_channel_discrepancy_equals_the_per_label_maximum(track, other):
     a = run_diffusion(DiffusionConfig(system, CHAIN3, times, track=track))
     b = run_blockwise(DiffusionConfig(system, CHAIN3, times, track=other))
     gap = channel_discrepancy(a, b)
+    # the stored cells are compared where they are: neither trace builds
+    # its channel table or its channels
+    for trace in (a, b):
+        assert not {"_channel_table", "channels"} & set(vars(trace))
     assert gap.tobytes() == _per_label_discrepancy(a, b).tobytes()
     assert gap.any()  # the engines differ in roundoff, so the test compares nonzeros
     assert channel_discrepancy(b, a).tobytes() == _per_label_discrepancy(b, a).tobytes()

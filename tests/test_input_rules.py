@@ -19,13 +19,22 @@ from mqspace import (
     Encoding,
     HamiltonianSpec,
     SpinSystem,
+    SubspaceTag,
+    amplitude_profile,
+    blockwise_conjugate,
     build_hamiltonian,
+    cascade,
     coherence_order_of_element,
+    decompose_zq,
+    expm_hermitian,
+    is_member,
     linear_times,
     parity_partition,
     random_operator,
     spin_operator,
     stage_reduce,
+    verify_closure,
+    zq_propagator,
 )
 from mqspace.operators import _real
 
@@ -184,3 +193,77 @@ def test_spin_and_element_indices_take_numpy_integers():
         == spin_operator(system, 2, "x").entries.tobytes()
     )
     assert coherence_order_of_element(system, np.int64(1), np.int32(6)) == 1
+
+
+def _time_kernels():
+    """Each public kernel that takes a time, on a flip-flop pair, as ``t -> array``."""
+    system = SpinSystem(2)
+    h = build_hamiltonian(system, PAIR)
+    q = spin_operator(system, 1, "z")
+    block = dict(decompose_zq(q))[1]
+
+    def bins(t):
+        p = amplitude_profile(h, q, t)
+        values = [p.identity, *p.longitudinal.values(), *p.spin_orders.values()]
+        return np.array([*values, *p.zqc.values(), p.residual], dtype=complex)
+
+    return {
+        "zq_propagator": lambda t: zq_propagator(h, t).entries,
+        "expm_hermitian": lambda t: expm_hermitian(h, t).entries,
+        "blockwise_conjugate": lambda t: blockwise_conjugate(h, block, 1, t).entries,
+        "amplitude_profile": bins,
+    }
+
+
+TIME_KERNELS = ("zq_propagator", "expm_hermitian", "blockwise_conjugate", "amplitude_profile")
+
+
+@pytest.mark.parametrize("kernel", TIME_KERNELS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", True, HUGE])
+def test_public_kernels_refuse_malformed_times(kernel, bad):
+    with pytest.raises(ConfigurationError, match="^time "):
+        _time_kernels()[kernel](bad)
+
+
+@pytest.mark.parametrize("kernel", TIME_KERNELS)
+def test_public_kernels_take_numpy_scalar_times(kernel):
+    run = _time_kernels()[kernel]
+    for number, scalar in [(0.7, np.float64(0.7)), (2, np.int64(2)), (0.5, np.float32(0.5))]:
+        assert run(scalar).tobytes() == run(number).tobytes()
+
+
+def _tolerance_entries():
+    """Each public entry point taking ``tol``, on a flip-flop pair, as ``tol -> result``."""
+    system = SpinSystem(2)
+    h = build_hamiltonian(system, PAIR)
+    return {
+        "is_member": lambda tol: is_member(h, SubspaceTag.ZERO_QUANTUM, tol),
+        "verify_closure": lambda tol: verify_closure(
+            SubspaceTag.ZERO_QUANTUM, system, trials=2, tol=tol
+        ),
+        "stage_reduce": lambda tol: stage_reduce(h, parity_partition(system), tol=tol),
+        "cascade": lambda tol: cascade(h, tol),
+    }
+
+
+@pytest.mark.parametrize("entry", ["is_member", "verify_closure", "stage_reduce", "cascade"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", True, HUGE])
+def test_tolerances_refuse_what_is_not_a_finite_real(entry, bad):
+    # a NaN tol would call an exact zero-quantum member a non-member
+    with pytest.raises(ConfigurationError, match="^tol "):
+        _tolerance_entries()[entry](bad)
+
+
+# a sweep keeps a negative tol, which fails every check on purpose
+@pytest.mark.parametrize("entry", ["is_member", "stage_reduce", "cascade"])
+@pytest.mark.parametrize("bad", [-1, -1e-300])
+def test_membership_decisions_refuse_negative_tolerances(entry, bad):
+    with pytest.raises(ConfigurationError, match="^tol must be at least 0"):
+        _tolerance_entries()[entry](bad)
+
+
+def test_tolerances_take_zero_and_numpy_scalars():
+    member = _tolerance_entries()["is_member"]
+    # the flip-flop Hamiltonian is exactly zero-quantum: residual 0.0
+    for tol in (0, np.int64(0), np.float64(1e-12), np.float32(1e-12)):
+        assert member(tol).member and member(tol).residual == 0.0
