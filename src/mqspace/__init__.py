@@ -54,6 +54,7 @@ from .subspaces import (
 from .dynamics import (
     HAMILTONIAN_MODELS,
     AmplitudeProfile,
+    BlockSpectra,
     HamiltonianSpec,
     amplitude_profile,
     blockwise_conjugate,
@@ -139,6 +140,7 @@ __all__ = [
     "verify_closure",
     "HamiltonianSpec",
     "build_hamiltonian",
+    "BlockSpectra",
     "expm_hermitian",
     "zq_propagator",
     "conjugate",

@@ -109,48 +109,52 @@ def _json_pieces(value: Any) -> list[str]:
     dict, list, tuple or array items) stay on one line and complex numbers
     become ``[re, im]``. Each 1-D float64 array is formatted once per
     document: arrays with the same bytes share one text, which enters the
-    list by reference. Arrays are found through a hash of their bytes and
-    compared byte for byte, so the cache keeps each array and its text but
-    no copy of its bytes. The document ends with a newline.
+    list by reference. The document ends with a newline.
     """
     pieces: list[str] = []
-    # hash of a series' bytes to the (array, text) of each series with it
-    formatted: dict[int, list[tuple[np.ndarray, str]]] = {}
-
-    def write(value: Any, indent: int) -> None:
-        if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-            data = value.tobytes()
-            bucket = formatted.setdefault(hash(data), [])
-            text = next((t for v, t in bucket if v.tobytes() == data), None)
-            if text is None:
-                text = "[" + _fmt_join(value.tolist(), ", ") + "]"
-                bucket.append((value, text))
-            pieces.append(text)
-        elif isinstance(value, dict) and value:
-            pad = "  " * indent
-            lead = "{\n"
-            for k, v in value.items():
-                pieces.append(f"{lead}{pad}  {_json_string(str(k))}: ")
-                write(v, indent + 1)
-                lead = ",\n"
-            pieces.append(f"\n{pad}}}")
-        elif isinstance(value, (list, tuple)) and value:
-            if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
-                lead, sep, end = "[", ", ", "]"
-            else:
-                pad = "  " * indent
-                lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
-            for v in value:
-                pieces.append(lead)
-                write(v, indent + 1)
-                lead = sep
-            pieces.append(end)
-        else:
-            pieces.append(_json_leaf(value))
-
-    write(value, 0)
+    _json_write(value, 0, pieces, {})
     pieces.append("\n")
     return pieces
+
+
+def _json_write(value: Any, indent: int, pieces: list[str], formatted: dict) -> None:
+    """Append the pieces of ``value`` at nesting level ``indent`` to ``pieces``.
+
+    ``formatted`` maps the hash of a series' bytes to the ``(array, text)``
+    of each series with it. Arrays are found through that hash and
+    compared byte for byte, so the cache keeps each array and its text but
+    no copy of its bytes. A plain recursive function, not a closure, so a
+    finished document leaves no reference cycle holding its arrays.
+    """
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        data = value.tobytes()
+        bucket = formatted.setdefault(hash(data), [])
+        text = next((t for v, t in bucket if v.tobytes() == data), None)
+        if text is None:
+            text = "[" + _fmt_join(value.tolist(), ", ") + "]"
+            bucket.append((value, text))
+        pieces.append(text)
+    elif isinstance(value, dict) and value:
+        pad = "  " * indent
+        lead = "{\n"
+        for k, v in value.items():
+            pieces.append(f"{lead}{pad}  {_json_string(str(k))}: ")
+            _json_write(v, indent + 1, pieces, formatted)
+            lead = ",\n"
+        pieces.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)) and value:
+        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+            lead, sep, end = "[", ", ", "]"
+        else:
+            pad = "  " * indent
+            lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+        for v in value:
+            pieces.append(lead)
+            _json_write(v, indent + 1, pieces, formatted)
+            lead = sep
+        pieces.append(end)
+    else:
+        pieces.append(_json_leaf(value))
 
 
 def _json_leaf(value: Any) -> str:

@@ -1,20 +1,20 @@
 """Zero-quantum Hamiltonians, exact propagators and amplitude profiles.
 
 Propagators are built from Hermitian eigendecompositions rather than
-scaling and squaring, which keeps them exactly unitary up to roundoff
-and lets every requested time reuse one cached decomposition. For
-zero-quantum generators the exponential factorizes over the selective
-blocks, so the propagator is assembled block by block and an operator
-confined to a single block can be evolved while touching only that
-block's entries. Every block's spectrum comes from one function,
+scaling and squaring, which keeps them exactly unitary up to roundoff.
+For zero-quantum generators the exponential factorizes over the
+selective blocks, so the propagator is assembled block by block and an
+operator confined to a single block can be evolved while touching only
+that block's entries. Every block's spectrum comes from one function,
 :func:`_block_spectra`, as read-only arrays, real for an exactly real
 block: the block engine builds the spectra it needs once from the
 Hamiltonian's blocks, skipping or halving those the global spin flip
-relates, and :func:`zq_propagator` and :func:`blockwise_conjugate` share
-one copy of every block's spectrum memoized on the generator. The dense
-transfer engine builds every block's spectrum from the Hamiltonian's
-blocks, as the block engine does but with no spin-flip reduction, and
-assembles each full propagator from them as :func:`zq_propagator` does.
+relates, and a :class:`BlockSpectra` value holds every block's spectrum
+for :func:`zq_propagator`, :func:`blockwise_conjugate` and
+:func:`amplitude_profile` to share across calls. The dense transfer
+engine builds every block's spectrum from the Hamiltonian's blocks, as
+the block engine does but with no spin-flip reduction, and assembles
+each full propagator from them as :func:`zq_propagator` does.
 
 Conjugating a diagonal operator by a zero-quantum propagator scatters
 its weight over three kinds of terms: single-spin longitudinal
@@ -44,7 +44,6 @@ from .operators import (
     _ensure_hermitian,
     _hermitian_part,
     _integer,
-    _memoized,
     _real,
     reconstruct,
 )
@@ -64,6 +63,7 @@ from .subspaces import (
 
 __all__ = [
     "HamiltonianSpec",
+    "BlockSpectra",
     "AmplitudeProfile",
     "HAMILTONIAN_MODELS",
     "build_hamiltonian",
@@ -224,7 +224,7 @@ def _zq_blocks(z: Operator):
     """``(state indices, block)`` of each selective block of a dense generator.
 
     ``z`` must be Hermitian within 1e-10 and pass the zero-quantum
-    membership test, both measured once per instance; the blocks are
+    membership test, both measured on every call; the blocks are
     gathered and symmetrized.
     """
     _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
@@ -289,36 +289,65 @@ def _block_spectra(blocks):
     return spectra
 
 
-def _block_eigh_cached(z: Operator):
-    """:func:`_block_spectra` of :func:`_zq_blocks`, built once per instance of ``z``."""
-    return _memoized(z, "block_eigh", lambda: _block_spectra(_zq_blocks(z)))
+@dataclass(frozen=True, eq=False)
+class BlockSpectra:
+    """The spectrum of every selective block of one zero-quantum generator.
+
+    ``blocks`` holds the read-only ``(state indices, eigenvalues,
+    eigenvectors)`` triple of each block ``k = 0..n`` as
+    :func:`_block_spectra` gives them. Build the value once with
+    :meth:`from_spec`, which forms no ``2^n x 2^n`` matrix for a named
+    model, or :meth:`from_operator`, and pass it to :func:`zq_propagator`,
+    :func:`blockwise_conjugate` and :func:`amplitude_profile`: they then
+    decompose nothing. Given an :class:`Operator` instead, they build a
+    fresh value on every call. Values compare by identity.
+    """
+
+    system: SpinSystem
+    blocks: tuple
+
+    @classmethod
+    def from_spec(cls, system: SpinSystem, spec: HamiltonianSpec) -> BlockSpectra:
+        """The spectra of ``spec``'s Hamiltonian, from its :func:`_hamiltonian_blocks`."""
+        return cls(system, _block_spectra(_hamiltonian_blocks(system, spec)))
+
+    @classmethod
+    def from_operator(cls, z: Operator) -> BlockSpectra:
+        """The spectra of the generator ``z``, checked as :func:`_zq_blocks` checks it."""
+        return cls(z.system, _block_spectra(_zq_blocks(z)))
+
+
+def _spectra_of(z: BlockSpectra | Operator) -> BlockSpectra:
+    """``z`` itself if it is a :class:`BlockSpectra`, else a fresh one of the generator ``z``."""
+    return z if isinstance(z, BlockSpectra) else BlockSpectra.from_operator(z)
 
 
 def expm_hermitian(h: Operator, t: float) -> Operator:
     """Unitary ``exp(-i h t)`` from the eigendecomposition of ``h``.
 
-    The decomposition is cached on the operator instance, so sweeping
-    many times over one generator pays the cubic cost once; an exactly
-    real generator is decomposed in real arithmetic. ``t`` follows
+    This is the dense reference route: every call decomposes ``h``, in
+    real arithmetic for an exactly real generator. ``t`` follows
     :func:`~mqspace.operators._real`; it is checked, not converted, so a
     numpy scalar keeps its own arithmetic.
     """
     _real(t, "time")
     _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
-    w, v = _memoized(h, "eigh", lambda: np.linalg.eigh(_exactly_real(h.entries)))
+    w, v = np.linalg.eigh(_exactly_real(h.entries))
     return _adopt(h.system, _propagator(w, v, t))
 
 
-def zq_propagator(z: Operator, t: float) -> Operator:
+def zq_propagator(z: BlockSpectra | Operator, t: float) -> Operator:
     """Propagator of a zero-quantum generator, assembled block by block.
 
-    Requires ``z`` to be Hermitian and to pass the zero-quantum
-    membership test; anything else is rejected. The result carries
-    weight only inside the zero-quantum pattern. ``t`` follows
+    ``z`` is the generator's :class:`BlockSpectra`, or the generator
+    itself, which must be Hermitian and pass the zero-quantum membership
+    test; anything else is rejected. The result carries weight only
+    inside the zero-quantum pattern. ``t`` follows
     :func:`~mqspace.operators._real`, checked as in :func:`expm_hermitian`.
     """
     _real(t, "time")
-    return _adopt(z.system, _assembled_propagator(z.system.dim, _block_eigh_cached(z), t))
+    z = _spectra_of(z)
+    return _adopt(z.system, _assembled_propagator(z.system.dim, z.blocks, t))
 
 
 def conjugate(u: Operator, q: Operator) -> Operator:
@@ -334,30 +363,32 @@ def conjugate(u: Operator, q: Operator) -> Operator:
     return _adopt(u.system, r)
 
 
-def blockwise_conjugate(z: Operator, q_k: Operator, k: int, t: float) -> Operator:
+def blockwise_conjugate(
+    z: BlockSpectra | Operator, q_k: Operator, k: int, t: float
+) -> Operator:
     """Evolve an operator confined to selective block ``k``.
 
-    Only the ``binomial(n, k)`` square block of the generator is
-    exponentiated and only that block of ``q_k`` is transformed, so the
-    arithmetic touches ``binomial(n, k)**2`` entries instead of the full
-    ``4**n``. The result is exact for block-confined operators because a
-    zero-quantum propagator never mixes blocks; input support outside
-    block ``k`` is rejected at a relative 1e-12 tolerance. ``t`` follows
+    ``z`` is taken as in :func:`zq_propagator`. Only the ``binomial(n,
+    k)`` square block of the generator is exponentiated and only that
+    block of ``q_k`` is transformed, so the arithmetic touches
+    ``binomial(n, k)**2`` entries instead of the full ``4**n``. The result
+    is exact for block-confined operators because a zero-quantum
+    propagator never mixes blocks; input support outside block ``k`` is
+    rejected at a relative 1e-12 tolerance. ``t`` follows
     :func:`~mqspace.operators._real`, checked as in :func:`expm_hermitian`.
     """
-    z._require_same_system(q_k)
+    q_k._require_same_system(z)
     k = _integer(k, "block index")
     _real(t, "time")
     if not 0 <= k <= z.system.n:
         raise ConfigurationError(f"block index {k} outside 0..{z.system.n}")
 
-    idx, w, v = _block_eigh_cached(z)[k]
+    idx, w, v = _spectra_of(z).blocks[k]
     sub = q_k.entries[np.ix_(idx, idx)]
 
     # support check: when every stored nonzero sits inside the block the
-    # out-of-block weight is exactly zero and no full-size pass is needed
-    nnz_total = _memoized(q_k, "nnz", lambda: int(np.count_nonzero(q_k.entries)))
-    if int(np.count_nonzero(sub)) != nnz_total:
+    # out-of-block weight is exactly zero and no copy or norm is needed
+    if np.count_nonzero(sub) != np.count_nonzero(q_k.entries):
         outside = q_k.entries.copy()
         outside[np.ix_(idx, idx)] = 0.0
         support_residual = float(np.linalg.norm(outside))
@@ -637,18 +668,18 @@ def _blockwise_cells(blocks, q: np.ndarray, times):
         yield diag, upper, 0.0
 
 
-def amplitude_profile(z: Operator, q: Operator, t: float) -> AmplitudeProfile:
+def amplitude_profile(z: BlockSpectra | Operator, q: Operator, t: float) -> AmplitudeProfile:
     """Conjugate ``q`` by the propagator of ``z`` and bin the result.
 
-    ``z`` must satisfy the :func:`zq_propagator` preconditions; ``q``
-    must be Hermitian, traceless and a zero-quantum member. Violations
-    are rejected with the measured residual; ``q`` is checked on every
-    call. The result is ``conjugate(zq_propagator(z, t), q)``, whose
-    out-of-pattern weight is :func:`~mqspace.subspaces.is_member`'s
-    residual; for a diagonal ``q`` the dense transfer engine reproduces
-    those cells bit for bit. The longitudinal and spin-order amplitudes
-    are real within 1e-10. ``t`` follows :func:`~mqspace.operators._real`,
-    checked as in :func:`expm_hermitian`.
+    ``z`` is taken as in :func:`zq_propagator`; ``q`` must be Hermitian,
+    traceless and a zero-quantum member. Violations are rejected with the
+    measured residual; ``q`` is checked on every call. The result is
+    ``conjugate(zq_propagator(z, t), q)``, whose out-of-pattern weight is
+    :func:`~mqspace.subspaces.is_member`'s residual; for a diagonal ``q``
+    the dense transfer engine reproduces those cells bit for bit. The
+    longitudinal and spin-order amplitudes are real within 1e-10. ``t``
+    follows :func:`~mqspace.operators._real`, checked as in
+    :func:`expm_hermitian`.
     """
     _real(t, "time")
     _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")

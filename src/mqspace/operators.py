@@ -209,7 +209,7 @@ class Operator(object):
     ``False`` means known non-Hermitian; neither is checked.
     """
 
-    __slots__ = ("system", "_entries", "hermitian_hint", "_memo")
+    __slots__ = ("system", "_entries", "hermitian_hint")
 
     def __init__(self, system: SpinSystem, entries, hermitian_hint: bool | None = None):
         arr = np.array(entries, dtype=complex, copy=True)
@@ -217,7 +217,6 @@ class Operator(object):
             raise ConfigurationError(
                 f"operator shape {arr.shape} does not match system dimension {system.dim}"
             )
-        self._memo = {}  # values derived from the entries, see _memoized
         if hermitian_hint is True:
             defect = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
             scale = _frobenius(arr)
@@ -227,7 +226,6 @@ class Operator(object):
                     "hermitian_hint is set but max asymmetry "
                     f"{defect:.3e} exceeds {HERMITIAN_HINT_TOL:.0e} * {scale:.3e}"
                 )
-            self._memo["norm"] = scale
         arr.setflags(write=False)
         self.system = system
         self._entries = arr
@@ -245,8 +243,8 @@ class Operator(object):
         return complex(np.trace(self._entries))
 
     def norm(self) -> float:
-        """Frobenius norm, computed once per instance; see :func:`_frobenius`."""
-        return _memoized(self, "norm", lambda: _frobenius(self._entries))
+        """Frobenius norm of the entries; see :func:`_frobenius`."""
+        return _frobenius(self._entries)
 
     def hermiticity_defect(self) -> float:
         """Largest absolute difference between the entries and their adjoint."""
@@ -320,27 +318,7 @@ def _adopt(system: SpinSystem, arr: np.ndarray, hermitian_hint: bool | None = No
     op.system = system
     op._entries = arr
     op.hermitian_hint = hermitian_hint
-    op._memo = {}
     return op
-
-
-def _memoized(op: Operator, key: str, compute):
-    """``compute()``, evaluated once per instance and kept under ``key``.
-
-    Safe because the entries never change. The package keeps four keys,
-    each read by a public kernel called again and again on one operator:
-    ``norm`` (:meth:`Operator.norm`, seeded by a checked True hint),
-    ``eigh`` (the spectrum :func:`~mqspace.dynamics.expm_hermitian`
-    exponentiates), ``block_eigh`` (the checked block spectra that
-    :func:`~mqspace.dynamics.zq_propagator` and
-    :func:`~mqspace.dynamics.blockwise_conjugate` share) and ``nnz`` (the
-    nonzero count behind ``blockwise_conjugate``'s support check).
-    """
-    try:
-        return op._memo[key]
-    except KeyError:
-        value = op._memo[key] = compute()
-        return value
 
 
 def _frobenius(arr: np.ndarray) -> float:

@@ -260,7 +260,8 @@ def test_criterion_10_blockwise_speed_advantage():
 
     t0, t1 = 0.3, 0.7
 
-    # warm both paths so each timing sees a ready eigendecomposition
+    # one call down each path first, checked to agree; neither keeps a
+    # decomposition, so each timed call below decomposes h afresh
     moved_warm = blockwise_conjugate(h, q1, 1, t0)
     u_warm = expm_hermitian(h, t0)
     full_warm = conjugate(u_warm, q1)

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, formats, config handling."""
 
+import gc
 import importlib
 import importlib.metadata
 import json
@@ -936,6 +937,24 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
     assert len(calls) == len({a.tobytes() for a in arrays}) == 8
     first = pieces.index("[0.10000000000000001, 0.33333333333333331, -2.5]")
     assert sum(p is pieces[first] for p in pieces) == 3
+
+
+def test_json_pieces_free_their_arrays_without_the_cyclic_collector():
+    # the writer leaves no reference cycle: once the caller drops the
+    # pieces and the document, its series are freed with the collector off
+    from mqspace.cli import _json_pieces
+
+    series = np.array([0.25, -1.5, 3.0])
+    ref = weakref.ref(series)
+    gc.disable()
+    try:
+        doc = {"channels": {"I1z": series, "I2z": series.copy()}, "list": [series]}
+        pieces = _json_pieces(doc)
+        assert "".join(pieces).count("[0.25, -1.5, 3]") == 3
+        del pieces, doc, series
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("engine", ["full", "both"])

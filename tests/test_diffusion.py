@@ -387,7 +387,7 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
         (dynamics, "build_hamiltonian"),
         (dynamics, "_evolved_cells"),
         (subspaces, "is_member"),
-        (dynamics, "_block_eigh_cached"),
+        (dynamics.BlockSpectra, "__init__"),
         (dynamics, "_adopt"),
         (Operator, "__init__"),
     ]:
@@ -400,7 +400,7 @@ def test_block_run_forms_no_dense_generator(monkeypatch, model):
 @pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
 def test_dense_run_forms_no_dense_generator(monkeypatch, model):
     # the dense engine evolves the block spectra and the start's diagonal as
-    # plain arrays: no dense Hamiltonian, no Operator, no memoized spectra
+    # plain arrays: no dense Hamiltonian, no Operator, no BlockSpectra value
     n = 6
     cfg = DiffusionConfig(SpinSystem(n), _spec(model, n), linear_times(0.0, 2.0, 5))
 
@@ -409,7 +409,7 @@ def test_dense_run_forms_no_dense_generator(monkeypatch, model):
 
     for module, name in [
         (dynamics, "build_hamiltonian"),
-        (dynamics, "_block_eigh_cached"),
+        (dynamics.BlockSpectra, "__init__"),
         (dynamics, "_adopt"),
         (dynamics, "conjugate"),
         (dynamics, "zq_propagator"),

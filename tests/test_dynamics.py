@@ -11,6 +11,7 @@ from mqspace import (
     SHIFT,
     AmplitudeProfile,
     BaseOperatorSpec,
+    BlockSpectra,
     ConfigurationError,
     HamiltonianSpec,
     InvariantError,
@@ -315,10 +316,10 @@ def test_exactly_real_generators_take_real_eigh(monkeypatch):
             ref = oracles.expm(-1j * t * entries)
             assert np.max(np.abs(expm_hermitian(h, t).entries - ref)) <= 1e-12
             assert np.max(np.abs(zq_propagator(h, t).entries - ref)) <= 1e-12
-        # one dense and n + 1 block decompositions; only the twisted block
-        # and the dense twisted generator are complex
-        assert dtypes[0] == np.dtype(dtype)
-        assert dtypes[1:] == [np.dtype(dtype if k == 1 else float) for k in range(4)]
+        # per time, one dense and n + 1 block decompositions; only the
+        # twisted block and the dense twisted generator are complex
+        per_time = [np.dtype(dtype)] + [np.dtype(dtype if k == 1 else float) for k in range(4)]
+        assert dtypes == 2 * per_time
 
 
 def test_expm_hermitian_rejects_non_hermitian():
@@ -636,35 +637,42 @@ def test_reconstruct_profile_parses_no_label(monkeypatch):
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
 def test_block_spectra_equal_the_memoized_generator_spectra(model, n):
+    # the spectra built from the spec equal those of the dense generator
     system = SpinSystem(n)
     spec = _named_spec(model, n)
-    direct = dynamics._block_spectra(dynamics._hamiltonian_blocks(system, spec))
-    memoized = dynamics._block_eigh_cached(build_hamiltonian(system, spec))
-    assert len(direct) == len(memoized) == n + 1
-    for mine, theirs in zip(direct, memoized):
+    direct = BlockSpectra.from_spec(system, spec)
+    generator = BlockSpectra.from_operator(build_hamiltonian(system, spec))
+    assert direct.system == generator.system == system
+    assert len(direct.blocks) == len(generator.blocks) == n + 1
+    for mine, theirs in zip(direct.blocks, generator.blocks):
         for a, b in zip(mine, theirs, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
 
-def test_memoized_block_spectra_are_read_only():
+def test_block_spectra_value_is_read_only():
     system = SpinSystem(4)
-    h = build_hamiltonian(system, _named_spec("isotropic_j", 4))
-    spectra = dynamics._block_eigh_cached(h)
-    assert dynamics._block_eigh_cached(h) is spectra
-    for idx, w, v in spectra:
+    spectra = BlockSpectra.from_spec(system, _named_spec("isotropic_j", 4))
+    for idx, w, v in spectra.blocks:
         for arr in (idx, w, v):
             with pytest.raises(ValueError):
                 arr[0] = 0
+    with pytest.raises(AttributeError):
+        spectra.blocks = ()
+    # compared by identity, never element by element
+    assert spectra == spectra
+    assert spectra != BlockSpectra(system, spectra.blocks)
 
 
 def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
     n = 4
     system = SpinSystem(n)
-    h = build_hamiltonian(
-        system,
-        HamiltonianSpec("dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5))),
-    )
+    spec = HamiltonianSpec("dipolar_secular", couplings=((1, 2, 1.0), (2, 3, 0.7), (3, 4, 0.5)))
+    h = build_hamiltonian(system, spec)
+    q = np.zeros((16, 16), dtype=complex)
+    q[1, 2] = q[2, 1] = 1.0  # confined to the k = 1 block
+    q1 = Operator(system, q, True)
+    qz = spin_operator(system, 2, "z")
     calls = []
     eigh = np.linalg.eigh
 
@@ -673,20 +681,90 @@ def test_repeated_calls_reuse_one_eigendecomposition(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    first = expm_hermitian(h, 0.3)
-    expm_hermitian(h, 0.9)
-    assert calls == [(16, 16)]
+    builds = [lambda: BlockSpectra.from_spec(system, spec), lambda: BlockSpectra.from_operator(h)]
+    for build in builds:
+        spectra = build()
+        assert len(calls) == n + 1
+        for t in (0.3, 0.9, -1.4):
+            zq_propagator(spectra, t)
+            blockwise_conjugate(spectra, q1, 1, t)
+            amplitude_profile(spectra, qz, t)
+        # a value built once is decomposed once, whatever it is used for
+        assert len(calls) == n + 1
+        calls.clear()
 
-    calls.clear()
-    zq_propagator(h, 0.3)
-    zq_propagator(h, 0.9)
-    q = np.zeros((16, 16), dtype=complex)
-    q[1, 2] = q[2, 1] = 1.0  # confined to the k = 1 block
-    blockwise_conjugate(h, Operator(system, q, True), 1, 0.5)
-    assert len(calls) == n + 1
-    # a cached decomposition gives the same propagator as a fresh one
-    assert np.array_equal(expm_hermitian(h, 0.3).entries, first.entries)
-    assert len(calls) == n + 1
+    # a generator passed as an Operator is decomposed afresh on every call
+    for t in (0.3, 0.9):
+        for kernel, args in [
+            (zq_propagator, (h, t)),
+            (blockwise_conjugate, (h, q1, 1, t)),
+            (amplitude_profile, (h, qz, t)),
+        ]:
+            kernel(*args)
+            assert len(calls) == n + 1, kernel.__name__
+            calls.clear()
+        first = expm_hermitian(h, t)
+        assert calls == [(16, 16)]
+        # a second decomposition gives the same propagator
+        assert np.array_equal(expm_hermitian(h, t).entries, first.entries)
+        assert calls == [(16, 16)] * 2
+        calls.clear()
+
+
+def _custom_spec(n):
+    system = SpinSystem(n)
+    chain = build_hamiltonian(system, _named_spec("isotropic_j", n))
+    fields = build_hamiltonian(system, _named_spec("offsets", n))
+    return HamiltonianSpec("custom", custom=expand(chain + 0.5 * fields, CARTESIAN))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize(
+    "model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets", "custom"]
+)
+def test_kernels_give_the_same_bytes_for_a_value_and_an_operator(model, n):
+    system = SpinSystem(n)
+    spec = _custom_spec(n) if model == "custom" else _named_spec(model, n)
+    h = build_hamiltonian(system, spec)
+    spectra = BlockSpectra.from_spec(system, spec)
+    rng = np.random.default_rng(n)
+    k = n // 2
+    idx = np.nonzero(np.bitwise_count(np.arange(system.dim)) == k)[0]
+    block = rng.normal(size=(len(idx), len(idx))) + 1j * rng.normal(size=(len(idx), len(idx)))
+    entries = np.zeros((system.dim, system.dim), dtype=complex)
+    entries[np.ix_(idx, idx)] = block + block.conj().T
+    confined = Operator(system, entries, True)
+    qz = spin_operator(system, n, "z")
+    for t in (0.0, 0.35, 2.0, -1.25):
+        assert (
+            zq_propagator(h, t).entries.tobytes()
+            == zq_propagator(spectra, t).entries.tobytes()
+        )
+        assert (
+            blockwise_conjugate(h, confined, k, t).entries.tobytes()
+            == blockwise_conjugate(spectra, confined, k, t).entries.tobytes()
+        )
+        # repr keeps every float's bits, the sign of a zero too
+        assert repr(amplitude_profile(h, qz, t)) == repr(amplitude_profile(spectra, qz, t))
+
+
+@pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
+def test_named_model_spectra_form_no_dense_generator(monkeypatch, model):
+    n = 6
+    system = SpinSystem(n)
+    spec = _named_spec(model, n)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dense generator or an Operator was formed")
+
+    for module, name in [
+        (dynamics, "build_hamiltonian"),
+        (dynamics, "_zq_blocks"),
+        (dynamics, "_adopt"),
+        (Operator, "__init__"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    assert len(BlockSpectra.from_spec(system, spec).blocks) == n + 1
 
 
 def test_conjugate_adopts_its_result_without_a_copy(monkeypatch):

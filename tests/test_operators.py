@@ -31,6 +31,7 @@ from mqspace import (
     total_z,
 )
 from mqspace.operators import (
+    _adopt,
     _element_orders,
     _ensure_hermitian,
     _gaussian_entries,
@@ -435,11 +436,10 @@ def test_random_operator_hermitian_flag():
     assert g.hermitian_hint is None
 
 
-def test_hinted_construction_seeds_the_norm_and_skips_later_checks(monkeypatch):
+def test_hinted_construction_skips_later_checks(monkeypatch):
     rng = np.random.default_rng(4)
     a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     op = Operator(SpinSystem(4), a + a.conj().T, hermitian_hint=True)
-    assert op._memo == {"norm": np.linalg.norm(op.entries)}
     norm = np.linalg.norm
     calls = []
 
@@ -449,10 +449,22 @@ def test_hinted_construction_seeds_the_norm_and_skips_later_checks(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "norm", counted)
     monkeypatch.setattr(Operator, "hermiticity_defect", counted)
-    assert op.norm() == norm(op.entries)
     # a checked True hint is trusted: no asymmetry or norm pass
     _ensure_hermitian(op, 1e-10, "hinted operator")
     assert calls == []
+    # the norm is measured when asked for, one pass each time
+    assert op.norm() == norm(op.entries)
+    assert op.norm() == norm(op.entries)
+    assert len(calls) == 2
+
+
+def test_operator_holds_only_its_system_entries_and_hint():
+    system = SpinSystem(2)
+    assert Operator.__slots__ == ("system", "_entries", "hermitian_hint")
+    for op in (Operator(system, np.eye(4), True), _adopt(system, np.eye(4, dtype=complex))):
+        assert not hasattr(op, "__dict__")
+        with pytest.raises(AttributeError):
+            op.cache = {}
 
 
 @pytest.mark.parametrize("where", [(0, 0), (0, 1), (3, 2)])
