@@ -35,16 +35,26 @@ were rotated hands on nothing, since a rotated vector is an eigenvector
 only to within its cluster's spread; the next stage diagonalizes that
 block afresh.
 
-The stage unitary is block-diagonal over the constraint blocks, so the
-reduced operator ``U h U^H`` is formed block by block on ``h`` gathered
-into constraint-block order. Every off-block entry of ``h`` is carried
-through the product, so the stage residual still measures the full
-weight outside the target cells.
+The stage unitary is block-diagonal over the constraint blocks.
+:func:`stage_reduce` forms the reduced operator ``U h U^H`` densely,
+block by block on ``h`` gathered into constraint-block order: every
+off-block entry of ``h`` is carried through the product, so its residual
+measures the full weight outside the target cells. :func:`cascade` hands
+each stage only the blocks of its input on the stage's constraint blocks:
+the whole input, then the two parity blocks, then the ``n + 1`` popcount
+blocks. A stage forms ``U_b A_b U_b^H`` per block, keeps each target
+cell's block, which is the next stage's input, and carries the
+off-target weight it drops as a number. A unitary confined to the blocks
+leaves that dropped weight unchanged, so each reported residual is the
+``hypot`` of the previous one and the stage's own within-block
+off-target weight, which is the dense off-target weight of the reduced
+operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,7 +69,7 @@ from .operators import (
     _integer,
     _real,
 )
-from .subspaces import Membership, SubspaceTag, is_member, selective_blocks
+from .subspaces import Membership, SubspaceTag, _block_scatter, is_member, selective_blocks
 
 __all__ = [
     "StageReduction",
@@ -208,6 +218,99 @@ def _axis_mapping(
     return u_block
 
 
+def _block_reduction(block: np.ndarray, local_cells: list[np.ndarray], pair=None):
+    """Reduce one constraint block onto the target cells inside it.
+
+    ``block`` holds the block's entries, rows and columns in the block's
+    index order; it is read, never written. ``local_cells`` holds the rows
+    of each target cell inside the block. ``pair``, unless None, is ``(w,
+    p)`` handed on by the stage before: eigenvalues in any order and, with
+    the block's indices as rows, their eigenvectors ``p``, or ``p =
+    None``. Given eigenvectors are sorted by eigenvalue and used as they
+    are; without them the Hermitian part of ``block`` is diagonalized with
+    ``eigh``.
+
+    Degenerate clusters are rotated towards the cells, the eigenvectors
+    are assigned greedily and the block's unitary is the per-cell polar
+    factor of the direct-rotation sum, or the axis mapping when that sum
+    is near singular. Returns ``(u_block, sigma_min, fallback_used,
+    handed)``: ``handed`` holds one ``(w_c, p_c)`` pair per cell, the
+    eigenvalues assigned to the cell and, with the cell's indices as
+    rows, the eigenvectors of the reduced block on that cell. That is the
+    cell's polar factor ``polar(X_c)``, which maps the assigned
+    eigenvectors onto the cell's axes, or on a fallback the axis
+    mapping's permutation. A block whose degenerate clusters were rotated
+    hands on ``p_c = None``: a rotated vector is an eigenvector only to
+    within its cluster's spread, up to ``CLUSTER_GAP`` of the block's
+    spectrum width.
+    """
+    if pair is not None and pair[1] is not None:
+        w, p = pair
+        order = np.argsort(w, kind="stable")
+        w, v = w[order], p[:, order]
+    else:
+        # the folded copy lives only as long as eigh needs it
+        w, v = np.linalg.eigh(_hermitian_part(block.copy()))
+    m = v.shape[0]
+
+    # rotate degenerate clusters so exact block structure survives eigh
+    rotated = False
+    if m > 1:
+        gap_tol = CLUSTER_GAP * max(1.0, float(w[-1] - w[0]))
+        start = 0
+        for stop in range(1, m + 1):
+            if stop == m or w[stop] - w[stop - 1] > gap_tol:
+                if stop - start > 1:
+                    v[:, start:stop] = _align_cluster(v[:, start:stop], local_cells)
+                    rotated = True
+                start = stop
+
+    overlaps = np.stack([np.sum(np.abs(v[rows, :]) ** 2, axis=0) for rows in local_cells])
+    cand_cols, cand_cells = _assignment_order(overlaps, w)
+    capacity = [rows.size for rows in local_cells]
+    assigned_cols: list[list[int]] = [[] for _ in local_cells]
+    col_taken = [False] * m
+    for col, ci in zip(cand_cols.tolist(), cand_cells.tolist()):
+        if col_taken[col] or capacity[ci] == 0:
+            continue
+        col_taken[col] = True
+        capacity[ci] -= 1
+        assigned_cols[ci].append(col)
+
+    u_block, sigma_min, factors = _direct_rotation_polar(v, local_cells, assigned_cols)
+    fallback_used = not sigma_min > FALLBACK_SIGMA
+    if fallback_used:
+        # near-singular direct rotation: map eigenvectors straight onto
+        # cell axes, eigenvalue order inside each cell
+        u_block = _axis_mapping(v, local_cells, assigned_cols)
+        assigned_cols = [sorted(cols) for cols in assigned_cols]
+        factors = [np.eye(rows.size, dtype=complex)[:, np.argsort(rows)] for rows in local_cells]
+    handed = [
+        (w[cols], None if rotated else factor) for cols, factor in zip(assigned_cols, factors)
+    ]
+    return u_block, sigma_min, fallback_used, handed
+
+
+def _cells_by_block(dim: int, blocks, cells) -> tuple[list[list[int]], list[list[np.ndarray]]]:
+    """Which target cells each block holds, and their rows inside it.
+
+    ``blocks`` and ``cells`` are index arrays; each cell must lie inside
+    one block, and is listed under the block holding its first index.
+    """
+    block_of = np.empty(dim, dtype=int)
+    position = np.empty(dim, dtype=int)
+    for b, blk in enumerate(blocks):
+        block_of[blk] = b
+        position[blk] = np.arange(blk.size)
+    owned: list[list[int]] = [[] for _ in blocks]
+    local_cells: list[list[np.ndarray]] = [[] for _ in blocks]
+    for c, cell in enumerate(cells):
+        b = block_of[cell[0]]
+        owned[b].append(c)
+        local_cells[b].append(position[cell])
+    return owned, local_cells
+
+
 def stage_reduce(
     h: Operator,
     target_partition,
@@ -252,25 +355,11 @@ def stage_reduce(
     return _stage(h, cells, unitary_constraint, tol)[0]
 
 
-def _stage(h: Operator, target_partition, unitary_constraint, tol, given=None):
-    """:func:`stage_reduce`, taking and handing on block eigenpairs.
+def _stage(h: Operator, target_partition, unitary_constraint, tol):
+    """:func:`stage_reduce` on a dense input, with each cell's hand-off.
 
-    ``given``, unless None, holds a pair ``(w, p)`` per constraint block:
-    eigenvalues in any order and, with the block's indices as rows,
-    their eigenvectors ``p``, or ``p = None``. A block with no
-    eigenvectors given is gathered, folded and diagonalized with
-    ``eigh``; given ones are sorted by eigenvalue and used as they are,
-    and their entry of ``given`` is set to ``None`` once read.
-
-    Returns the reduction and one ``(w_c, p_c)`` pair per target cell:
-    the eigenvalues assigned to cell ``c`` and, with the cell's indices
-    as rows, the eigenvectors of the reduced operator's block on that
-    cell. That is the cell's polar factor ``polar(X_c)``, which maps the
-    assigned eigenvectors onto the cell's axes, or on a fallback the
-    axis mapping's permutation. A block whose degenerate clusters were
-    rotated hands on ``p_c = None``: a rotated vector is an eigenvector
-    only to within its cluster's spread, up to ``CLUSTER_GAP`` of the
-    block's spectrum width.
+    Returns the reduction and one ``(w_c, p_c)`` pair per target cell, as
+    :func:`_block_reduction` hands them on.
     """
     system = h.system
     dim = system.dim
@@ -312,68 +401,17 @@ def _stage(h: Operator, target_partition, unitary_constraint, tol, given=None):
     fallback_used = False
     smallest_sigma = np.inf
     handed = [None] * len(cells)
-    for b, blk in enumerate(coarse):
-        pos_of = {int(g): p for p, g in enumerate(blk)}
-        block_cells = [c for c, cell in enumerate(cells) if coarse_of[cell[0]] == b]
-        local_cells = [np.array([pos_of[int(g)] for g in cells[c]]) for c in block_cells]
-
-        if given is not None and given[b][1] is not None:
-            # read once and dropped, so the given vectors are freed before
-            # the conjugation below
-            w, p = given[b]
-            given[b] = None
-            order = np.argsort(w, kind="stable")
-            w, v = w[order], p[:, order]
-            del p
-        else:
-            w, v = np.linalg.eigh(_hermitian_part(h.entries[np.ix_(blk, blk)]))
-        m = blk.size
-
-        # rotate degenerate clusters so exact block structure survives eigh
-        rotated = False
-        if m > 1:
-            gap_tol = CLUSTER_GAP * max(1.0, float(w[-1] - w[0]))
-            start = 0
-            for stop in range(1, m + 1):
-                if stop == m or w[stop] - w[stop - 1] > gap_tol:
-                    if stop - start > 1:
-                        v[:, start:stop] = _align_cluster(
-                            v[:, start:stop], local_cells
-                        )
-                        rotated = True
-                    start = stop
-
-        overlaps = np.stack(
-            [np.sum(np.abs(v[rows, :]) ** 2, axis=0) for rows in local_cells]
+    owned, local_cells = _cells_by_block(dim, coarse, cells)
+    for blk, block_cells, local in zip(coarse, owned, local_cells):
+        u_block, sigma_min, fallback, pairs = _block_reduction(
+            h.entries[np.ix_(blk, blk)], local
         )
-        cand_cols, cand_cells = _assignment_order(overlaps, w)
-        capacity = [rows.size for rows in local_cells]
-        assigned_cols: list[list[int]] = [[] for _ in local_cells]
-        col_taken = [False] * m
-        for col, ci in zip(cand_cols.tolist(), cand_cells.tolist()):
-            if col_taken[col] or capacity[ci] == 0:
-                continue
-            col_taken[col] = True
-            capacity[ci] -= 1
-            assigned_cols[ci].append(col)
-
-        u_block, sigma_min, factors = _direct_rotation_polar(v, local_cells, assigned_cols)
         smallest_sigma = min(smallest_sigma, sigma_min)
-        if not sigma_min > FALLBACK_SIGMA:
-            # near-singular direct rotation: map eigenvectors straight
-            # onto cell axes, eigenvalue order inside each cell
-            fallback_used = True
-            u_block = _axis_mapping(v, local_cells, assigned_cols)
-            assigned_cols = [sorted(cols) for cols in assigned_cols]
-            factors = [
-                np.eye(rows.size, dtype=complex)[:, np.argsort(rows)]
-                for rows in local_cells
-            ]
-        for c, cols, factor in zip(block_cells, assigned_cols, factors):
-            handed[c] = (w[cols], None if rotated else factor)
+        fallback_used |= fallback
+        for c, pair in zip(block_cells, pairs):
+            handed[c] = pair
         unitary[np.ix_(blk, blk)] = u_block
         u_blocks.append(u_block)
-    del v  # a whole-space block's eigenvectors are as large as h
 
     # U h U^H in constraint-block order, where U is block-diagonal; each
     # full-size temporary is dropped once consumed to bound peak memory
@@ -405,28 +443,97 @@ def _stage(h: Operator, target_partition, unitary_constraint, tol, given=None):
     ), handed
 
 
-@dataclass(frozen=True)
+class _BlockStage(NamedTuple):
+    """One cascade stage held as blocks.
+
+    ``unitary`` holds ``(indices, u_b)`` per constraint block and
+    ``reduced`` holds ``(indices, block)`` per target cell, cell order;
+    ``dropped`` is the Frobenius weight of the products outside the
+    target cells, which no block keeps.
+    """
+
+    unitary: list
+    reduced: list
+    dropped: float
+    fallback_used: bool
+    smallest_sigma: float
+
+
+def _block_stage(dim: int, blocks, cells, pairs=None):
+    """One :func:`cascade` stage on the blocks of its input.
+
+    ``blocks`` holds ``(indices, a_b)`` per constraint block, ``a_b`` the
+    input's entries on those indices; ``cells`` holds the target cells as
+    index arrays, each inside one block. ``pairs``, unless None, holds
+    the eigenpairs handed on for each block, as :func:`_block_reduction`
+    takes them; an entry is set to None once read. Each block's product
+    ``U_b a_b U_b^H`` is folded to its Hermitian part.
+
+    Returns a :class:`_BlockStage` and each cell's hand-off.
+    """
+    unitary, reduced, handed = [], [None] * len(cells), [None] * len(cells)
+    dropped = 0.0
+    fallback_used = False
+    smallest_sigma = np.inf
+    owned, local_cells = _cells_by_block(dim, [blk for blk, _ in blocks], cells)
+    for b, ((blk, a), block_cells, local) in enumerate(zip(blocks, owned, local_cells)):
+        pair = None
+        if pairs is not None:
+            pair, pairs[b] = pairs[b], None
+        u_block, sigma_min, fallback, cell_pairs = _block_reduction(a, local, pair)
+        del pair
+        smallest_sigma = min(smallest_sigma, sigma_min)
+        fallback_used |= fallback
+
+        product = _hermitian_part(u_block @ a @ u_block.conj().T)
+        for c, rows, cell_pair in zip(block_cells, local, cell_pairs):
+            kept = product[np.ix_(rows, rows)]
+            product[np.ix_(rows, rows)] = 0.0
+            reduced[c] = (cells[c], kept)
+            handed[c] = cell_pair
+        dropped = float(np.hypot(dropped, np.linalg.norm(product)))
+        del product
+        unitary.append((blk, u_block))
+    for indices, block in unitary + reduced:
+        indices.setflags(write=False)
+        block.setflags(write=False)
+    return _BlockStage(unitary, reduced, dropped, fallback_used, smallest_sigma), handed
+
+
+def _dense(system: SpinSystem, blocks, hint: bool | None = None) -> Operator:
+    """A read-only dense operator holding ``(state indices, block)`` pairs."""
+    return _adopt(system, _block_scatter(system.dim, blocks), hint)
+
+
+@dataclass(frozen=True, eq=False)
 class CascadeResult:
     """Unitaries, reduced operators and diagnostics of the three stages.
 
+    ``unitary_blocks`` holds each stage's unitary as read-only ``(state
+    indices, block)`` pairs over its constraint blocks: the whole space,
+    the two parity cells, the ``n + 1`` popcount cells.
+    ``reduced_blocks`` holds each stage's reduced operator the same way
+    over its target cells: the parity cells, the popcount cells, the
+    single states. ``v1``, ``v2``, ``v3`` and ``h1``, ``h2``, ``h3`` are
+    read-only dense :class:`~mqspace.operators.Operator` views of them,
+    built afresh on each read.
+
     ``residuals`` holds the Frobenius weight each reduced operator
     carries outside the pattern its stage targets (even-order, then
-    zero-quantum, then diagonal). ``stage_classes`` records that the
-    second unitary is an even-order member and the third a zero-quantum
-    member; both hold exactly because each stage works inside the blocks
-    the previous one established. ``fallbacks`` flags the stages that
-    took the axis mapping and ``smallest_sigmas`` holds each stage's
-    smallest direct-rotation singular value. ``spectrum_error`` compares
-    the input eigenvalues that the first stage computed, sorted, with the
-    sorted diagonal of the final operator.
+    zero-quantum, then diagonal); the blocks leave that weight out.
+    ``stage_classes`` records that the second unitary is an even-order
+    member and the third a zero-quantum member; both hold exactly because
+    each stage works inside the blocks the previous one established.
+    ``fallbacks`` flags the stages that took the axis mapping and
+    ``smallest_sigmas`` holds each stage's smallest direct-rotation
+    singular value. ``spectrum_error`` compares the input eigenvalues
+    that the first stage computed, sorted, with the sorted diagonal of
+    the final operator.
     """
 
-    v1: Operator
-    v2: Operator
-    v3: Operator
-    h1: Operator
-    h2: Operator
-    h3: Operator
+    system: SpinSystem
+    unitary_blocks: tuple[list, list, list]
+    reduced_blocks: tuple[list, list, list]
     residuals: dict[str, float]
     stage_classes: dict[str, Membership]
     fallbacks: tuple[bool, bool, bool]
@@ -434,52 +541,95 @@ class CascadeResult:
     spectrum_error: float
 
     @property
+    def v1(self) -> Operator:
+        return _dense(self.system, self.unitary_blocks[0])
+
+    @property
+    def v2(self) -> Operator:
+        return _dense(self.system, self.unitary_blocks[1])
+
+    @property
+    def v3(self) -> Operator:
+        return _dense(self.system, self.unitary_blocks[2])
+
+    @property
+    def h1(self) -> Operator:
+        return _dense(self.system, self.reduced_blocks[0], True)
+
+    @property
+    def h2(self) -> Operator:
+        return _dense(self.system, self.reduced_blocks[1], True)
+
+    @property
+    def h3(self) -> Operator:
+        return _dense(self.system, self.reduced_blocks[2], True)
+
+    @property
     def overall_unitary(self) -> Operator:
         """The product ``v3 v2 v1`` taking the input straight to ``h3``."""
         return self.v3 @ self.v2 @ self.v1
 
 
+def _refuse_dropped(weight: float, constraint: SubspaceTag, limit: float) -> None:
+    """The entry check of stages 2 and 3, read from the weight dropped so far.
+
+    That weight lies outside the stage's constraint pattern, so this is
+    :func:`stage_reduce`'s check on a dense input.
+    """
+    if weight > limit:
+        raise ToleranceError(
+            f"input carries weight {weight:.3e} outside the "
+            f"{constraint.value} constraint pattern"
+        )
+
+
 def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     """Run the three reduction stages and package the diagnostics.
 
-    Each stage takes the eigenpairs of its constraint blocks from the
-    stage before (see the module notes), so a generic input costs one
-    ``eigh`` of the whole input plus the stages' small SVDs and products.
-    Raises :class:`InvariantError` if any stage residual, membership
-    or the spectrum comparison fails its tolerance; for a Hermitian
-    input this indicates an internal defect, not a data problem. ``tol``
-    is checked as in :func:`~mqspace.subspaces.is_member`, once per call.
+    Each stage takes its input's blocks on its constraint blocks, and
+    their eigenpairs, from the stage before (see the module notes), so a
+    generic input costs one ``eigh`` of the whole input plus the stages'
+    small SVDs and block products. As in :func:`stage_reduce`, stages 2
+    and 3 raise :class:`ToleranceError` for an input carrying more than
+    ``tol`` relative weight outside their constraint pattern. Raises
+    :class:`InvariantError` if any stage residual, membership or the
+    spectrum comparison fails its tolerance; for a Hermitian input this
+    indicates an internal defect, not a data problem. ``tol`` is checked
+    as in :func:`~mqspace.subspaces.is_member`, once per call.
     """
     _real(tol, "tol", 0)
     system = h.system
+    dim = system.dim
     _ensure_hermitian(h, 1e-10, "cascade input")
     scale = max(h.norm(), 1.0)
 
-    # each stage hands the next the eigenpairs of its target cells, which
-    # are the next stage's constraint blocks
-    s1, pairs = _stage(h, parity_partition(system), SubspaceTag.FULL, tol)
-    eigenvalues = np.sort(np.concatenate([w for w, _ in pairs]))
-    s2, pairs = _stage(
-        s1.reduced, popcount_partition(system), SubspaceTag.EVEN_MQ, tol, pairs
-    )
-    s3, _ = _stage(
-        s2.reduced, singleton_partition(system), SubspaceTag.ZERO_QUANTUM, tol, pairs
-    )
+    # each stage's target cells are the next stage's constraint blocks, in
+    # the same order, so its kept blocks and hand-off are the next input
+    def cells(partition):
+        return [np.asarray(cell, dtype=int) for cell in partition(system)]
 
-    residuals = {
-        "even_mq": s1.residual,
-        "zero_quantum": s2.residual,
-        "lomso": s3.residual,
-    }
+    s1, pairs = _block_stage(dim, [(np.arange(dim), h.entries)], cells(parity_partition))
+    eigenvalues = np.sort(np.concatenate([w for w, _ in pairs]))
+    r1 = s1.dropped
+    _refuse_dropped(r1, SubspaceTag.EVEN_MQ, tol * scale)
+    s2, pairs = _block_stage(dim, s1.reduced, cells(popcount_partition), pairs)
+    r2 = float(np.hypot(r1, s2.dropped))
+    _refuse_dropped(r2, SubspaceTag.ZERO_QUANTUM, tol * scale)
+    s3, _ = _block_stage(dim, s2.reduced, cells(singleton_partition), pairs)
+    r3 = float(np.hypot(r2, s3.dropped))
+    del pairs
+
+    residuals = {"even_mq": r1, "zero_quantum": r2, "lomso": r3}
     for name, value in residuals.items():
         if value > tol * scale:
             raise InvariantError(
                 f"stage residual {name} = {value:.3e} exceeds {tol:.0e} * {scale:.3e}"
             )
 
+    # measured on transient dense views, as on any operator
     stage_classes = {
-        "v2_even_mq": is_member(s2.unitary, SubspaceTag.EVEN_MQ),
-        "v3_zero_quantum": is_member(s3.unitary, SubspaceTag.ZERO_QUANTUM),
+        "v2_even_mq": is_member(_dense(system, s2.unitary), SubspaceTag.EVEN_MQ),
+        "v3_zero_quantum": is_member(_dense(system, s3.unitary), SubspaceTag.ZERO_QUANTUM),
     }
     for name, membership in stage_classes.items():
         if not membership:
@@ -487,7 +637,7 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
                 f"{name} failed: residual {membership.residual:.3e}"
             )
 
-    diagonal = np.sort(np.real(np.diag(s3.reduced.entries)))
+    diagonal = np.sort(np.real(np.concatenate([b.diagonal() for _, b in s3.reduced])))
     spectrum_error = float(np.max(np.abs(eigenvalues - diagonal)))
     if spectrum_error > tol * scale:
         raise InvariantError(
@@ -495,12 +645,9 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
         )
 
     return CascadeResult(
-        s1.unitary,
-        s2.unitary,
-        s3.unitary,
-        s1.reduced,
-        s2.reduced,
-        s3.reduced,
+        system,
+        (s1.unitary, s2.unitary, s3.unitary),
+        (s1.reduced, s2.reduced, s3.reduced),
         residuals,
         stage_classes,
         (s1.fallback_used, s2.fallback_used, s3.fallback_used),

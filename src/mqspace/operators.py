@@ -699,9 +699,13 @@ def identity_operator(system: SpinSystem) -> Operator:
 def random_operator(
     system: SpinSystem, rng: np.random.Generator, hermitian: bool = False
 ) -> Operator:
-    """Dense Gaussian random operator, optionally symmetrized."""
+    """Dense Gaussian random operator, optionally symmetrized.
+
+    The fresh entries are adopted without a copy: a Hermitian draw is
+    exactly Hermitian by construction, so its hint needs no check.
+    """
     a = _gaussian_entries(rng, system.dim, hermitian)
-    return Operator(system, a, True if hermitian else None)
+    return _adopt(system, a, True if hermitian else None)
 
 
 def _gaussian_entries(

@@ -1,6 +1,7 @@
 """Staged reduction tests: partitions, single stages, full cascades."""
 
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from mqspace import (
     singleton_partition,
     spin_operator,
     stage_reduce,
+    support_mask,
     total_z,
 )
 
@@ -311,7 +313,7 @@ def _record_polar_inputs(monkeypatch):
     """
     stages = []
     polar = cascade_module._direct_rotation_polar
-    stage = cascade_module._stage
+    stage = cascade_module._block_stage
 
     def recording_polar(v, local_cells, assigned_cols):
         u_block, sigma_min, factors = polar(v, local_cells, assigned_cols)
@@ -326,7 +328,7 @@ def _record_polar_inputs(monkeypatch):
         return stage(*args, **kwargs)
 
     monkeypatch.setattr(cascade_module, "_direct_rotation_polar", recording_polar)
-    monkeypatch.setattr(cascade_module, "_stage", recording_stage)
+    monkeypatch.setattr(cascade_module, "_block_stage", recording_stage)
     return stages
 
 
@@ -502,7 +504,7 @@ def _count_decompositions(monkeypatch):
     """
     eigh_calls, eigvalsh_calls, handed = [], [], []
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
-    stage = cascade_module._stage
+    stage = cascade_module._block_stage
 
     def counting_eigh(a, *args, **kwargs):
         eigh_calls.append((len(handed), a.shape))
@@ -519,7 +521,7 @@ def _count_decompositions(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(cascade_module, "_stage", recording_stage)
+    monkeypatch.setattr(cascade_module, "_block_stage", recording_stage)
     return eigh_calls, eigvalsh_calls, handed
 
 
@@ -609,3 +611,76 @@ def test_handed_eigenpairs_diagonalize_each_reduced_cell(n, fallback_sigma, monk
         block = stage.reduced.entries[np.ix_(cell, cell)]
         assert np.allclose(p.conj().T @ p, np.eye(len(cell)), atol=1e-12)
         assert np.max(np.abs(block @ p - p * w)) <= 1e-12 * scale
+
+
+def _uniform_chain(model, n):
+    chain = tuple((k, k + 1, 1.0) for k in range(1, n))
+    return build_hamiltonian(SpinSystem(n), HamiltonianSpec(model, couplings=chain))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_carried_residuals_equal_the_dense_off_target_weight(n):
+    # each stage drops the weight outside its target cells and carries it
+    # as a number; it must equal the weight that V h V^H, formed densely
+    # from the result's own views, holds outside each stage's pattern
+    inputs = [_random_hermitian(n, seed) for seed in range(1, 21)]
+    if n > 1:
+        inputs += [
+            _uniform_chain(model, n) for model in ("dipolar_secular", "flipflop", "isotropic_j")
+        ]
+    patterns = {
+        "even_mq": SubspaceTag.EVEN_MQ,
+        "zero_quantum": SubspaceTag.ZERO_QUANTUM,
+        "lomso": SubspaceTag.LOMSO,
+    }
+    for h in inputs:
+        result = cascade(h)
+        scale = max(h.norm(), 1.0)
+        v = np.eye(h.system.dim, dtype=complex)
+        for stage, (name, tag) in zip((result.v1, result.v2, result.v3), patterns.items()):
+            v = stage.entries @ v
+            r = v @ h.entries @ v.conj().T
+            dense = float(np.linalg.norm(np.where(support_mask(tag, h.system), 0.0, r)))
+            assert abs(result.residuals[name] - dense) <= 1e-14 * scale, name
+
+
+# in units of one dense 2^n x 2^n complex matrix: the stages hold blocks,
+# so the peak is stage 1's, below five; holding every stage's unitary,
+# reduced operator and product densely took the peak above seven
+CASCADE_PEAK_DENSE = 6
+
+
+def test_cascade_peak_memory_is_a_few_dense_matrices():
+    h = _random_hermitian(8, 1)
+    dense = h.system.dim**2 * 16
+    cascade(h)  # the one-off allocations of a first call
+    tracemalloc.start()
+    try:
+        cascade(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= CASCADE_PEAK_DENSE * dense, peak / dense
+
+
+def test_dense_views_are_read_only_and_built_on_read():
+    result = cascade(_random_hermitian(4, 2))
+    for name in ("v1", "v2", "v3", "h1", "h2", "h3"):
+        view = getattr(result, name)
+        assert not view.entries.flags.writeable, name
+        assert getattr(result, name) is not view
+        assert view.hermitian_hint is (True if name.startswith("h") else None)
+    for stage in result.unitary_blocks + result.reduced_blocks:
+        for idx, block in stage:
+            assert not idx.flags.writeable
+            assert not block.flags.writeable
+    # the blocks are what the views hold: each stage's unitary on its
+    # constraint blocks, each reduced operator on its target cells
+    system = SpinSystem(4)
+    assert [len(stage) for stage in result.unitary_blocks] == [1, 2, 5]
+    assert [len(stage) for stage in result.reduced_blocks] == [2, 5, 16]
+    for stage, partition in zip(
+        result.reduced_blocks,
+        (parity_partition(system), popcount_partition(system), singleton_partition(system)),
+    ):
+        assert [tuple(idx.tolist()) for idx, _ in stage] == partition

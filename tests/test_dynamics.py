@@ -553,6 +553,36 @@ def test_blockwise_conjugate_refuses_nan_outside_the_block():
         blockwise_conjugate(h, Operator(system, entries), 1, 0.5)
 
 
+def _k1_block_operator(system, cell=(0, 7), value=0.0):
+    """An operator inside the 3-spin k = 1 block, plus ``value`` at ``cell``."""
+    entries = np.zeros((8, 8), dtype=complex)
+    entries[1, 2] = entries[2, 1] = 1.0
+    entries[1, 1] = 0.5
+    entries[cell] = value
+    return Operator(system, entries)
+
+
+def test_support_check_counts_real_and_imaginary_parts():
+    system = SpinSystem(3)
+    spectra = BlockSpectra.from_spec(
+        system, HamiltonianSpec("flipflop", couplings=((1, 2, 1.0), (2, 3, 0.7)))
+    )
+    inside = blockwise_conjugate(spectra, _k1_block_operator(system), 1, 0.5)
+    # an outside entry whose only nonzero part is imaginary is weight
+    with pytest.raises(ToleranceError, match="outside selective block k=1"):
+        blockwise_conjugate(spectra, _k1_block_operator(system, value=1e-3j), 1, 0.5)
+    # a signed zero outside, in either part, is none; a weight below the
+    # tolerance takes the checked path; neither moves the output's bytes
+    for cell, value in (
+        ((0, 7), complex(-0.0, -0.0)),
+        ((7, 0), complex(0.0, -0.0)),
+        ((0, 7), 1e-300j),
+    ):
+        q = _k1_block_operator(system, cell, value)
+        moved = blockwise_conjugate(spectra, q, 1, 0.5)
+        assert moved.entries.tobytes() == inside.entries.tobytes(), (cell, value)
+
+
 def test_walsh_matrix_matches_oracle():
     for n in (1, 2, 3, 4, 5, 6):
         # the oracle is symmetric: unit vector i transforms to its row i

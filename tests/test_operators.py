@@ -1,6 +1,7 @@
 """Core operator tests: base operators, labels, expansions, orders."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -434,6 +435,36 @@ def test_random_operator_hermitian_flag():
     assert np.allclose(h.entries, h.entries.conj().T)
     g = random_operator(system, rng)
     assert g.hermitian_hint is None
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_random_operator_adopts_its_draw(hermitian):
+    # the fresh draw is wrapped without a copy, with the hint the checked
+    # constructor gives it
+    hint = True if hermitian else None
+    for n in range(1, 9):
+        system = SpinSystem(n)
+        drawn = random_operator(system, np.random.default_rng(n), hermitian)
+        entries = _gaussian_entries(np.random.default_rng(n), system.dim, hermitian)
+        built = Operator(system, entries, hint)
+        assert drawn.entries.tobytes() == built.entries.tobytes(), n
+        assert drawn.hermitian_hint is hint
+        assert not drawn.entries.flags.writeable
+
+
+def test_random_operator_peaks_at_three_dense_matrices():
+    # the draw and the fold's conjugate, after a first call has paid the
+    # one-off allocations; a copy of the draw and its asymmetry check took four
+    system = SpinSystem(8)
+    dense = system.dim**2 * 16
+    random_operator(system, np.random.default_rng(0), hermitian=True)
+    tracemalloc.start()
+    try:
+        random_operator(system, np.random.default_rng(0), hermitian=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * dense, peak / dense
 
 
 def test_hinted_construction_skips_later_checks(monkeypatch):
