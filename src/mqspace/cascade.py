@@ -35,20 +35,23 @@ were rotated hands on nothing, since a rotated vector is an eigenvector
 only to within its cluster's spread; the next stage diagonalizes that
 block afresh.
 
-The stage unitary is block-diagonal over the constraint blocks.
-:func:`stage_reduce` forms the reduced operator ``U h U^H`` densely,
-block by block on ``h`` gathered into constraint-block order: every
-off-block entry of ``h`` is carried through the product, so its residual
-measures the full weight outside the target cells. :func:`cascade` hands
-each stage only the blocks of its input on the stage's constraint blocks:
-the whole input, then the two parity blocks, then the ``n + 1`` popcount
-blocks. A stage forms ``U_b A_b U_b^H`` per block, keeps each target
-cell's block, which is the next stage's input, and carries the
-off-target weight it drops as a number. A unitary confined to the blocks
-leaves that dropped weight unchanged, so each reported residual is the
-``hypot`` of the previous one and the stage's own within-block
-off-target weight, which is the dense off-target weight of the reduced
-operator.
+The stage unitary is block-diagonal over the constraint blocks, and
+both callers run one block stage: each constraint block ``A_b`` of the
+stage's input yields its unitary ``U_b``, and ``U_b A_b U_b^H`` is formed
+per block. :func:`cascade` hands each stage only the blocks of its input
+on the stage's constraint blocks: the whole input, then the two parity
+blocks, then the ``n + 1`` popcount blocks. A stage keeps each target
+cell's block of those products, which is the next stage's input, and
+carries the off-target weight it drops as a number. A unitary confined
+to the blocks leaves that dropped weight unchanged, so each reported
+residual is the ``hypot`` of the previous one and the stage's own
+within-block off-target weight, which is the dense off-target weight of
+the reduced operator. ``stage_classes`` is read from the unitary blocks
+too, since the dense unitaries are zero outside them. :func:`stage_reduce`
+takes its blocks from a dense input and forms the dense ``V h V^H``:
+every off-block entry of ``h`` is carried through the product, so its
+residual, measured densely, is the full weight outside the target cells
+and an independent check on the number :func:`cascade` carries.
 """
 
 from __future__ import annotations
@@ -69,7 +72,16 @@ from .operators import (
     _integer,
     _real,
 )
-from .subspaces import Membership, SubspaceTag, _block_scatter, is_member, selective_blocks
+from .subspaces import (
+    MEMBERSHIP_TOL,
+    Membership,
+    SubspaceTag,
+    _block_scatter,
+    _mask,
+    _outside_weight,
+    is_member,
+    selective_blocks,
+)
 
 __all__ = [
     "StageReduction",
@@ -328,21 +340,19 @@ def stage_reduce(
     constraint block. The reduced operator is ``V h adjoint(V)`` with
     the same spectrum as ``h``.
 
-    Each block's unitary is the polar factor of its direct-rotation sum,
-    taken one target cell at a time (see :func:`_direct_rotation_polar`).
-    ``V h adjoint(V)`` is applied in constraint-block order: ``h`` is
-    gathered once so each block is a contiguous slice, multiplied by the
-    block's unitary from the left on its rows and by its adjoint from
-    the right on its columns, and scattered back. That is the dense
-    product, off-block entries of ``h`` included, so ``residual`` counts
-    them too.
+    ``V`` comes from one :func:`cascade` stage on ``h``'s constraint
+    blocks (see the module notes). ``V h adjoint(V)`` is then formed as
+    one dense product, off-block entries of ``h`` included, so
+    ``residual``, the dense weight outside the target cells, counts them
+    too.
 
     Each cell index follows :func:`~mqspace.operators._integer` (a float
     or a bool is refused, never truncated) and must lie in ``0..dim - 1``;
     ``tol`` is checked as in :func:`~mqspace.subspaces.is_member`.
     """
     _real(tol, "tol", 0)
-    dim = h.system.dim
+    system = h.system
+    dim = system.dim
     try:
         cells = [
             [_integer(i, "target cell index", 0) for i in cell] for cell in target_partition
@@ -352,20 +362,9 @@ def stage_reduce(
     beyond = [i for cell in cells for i in cell if i >= dim]
     if beyond:
         raise ConfigurationError(f"target cell index {beyond[0]} outside 0..{dim - 1}")
-    return _stage(h, cells, unitary_constraint, tol)[0]
-
-
-def _stage(h: Operator, target_partition, unitary_constraint, tol):
-    """:func:`stage_reduce` on a dense input, with each cell's hand-off.
-
-    Returns the reduction and one ``(w_c, p_c)`` pair per target cell, as
-    :func:`_block_reduction` hands them on.
-    """
-    system = h.system
-    dim = system.dim
     _ensure_hermitian(h, 1e-10, "stage input")
 
-    cells = [np.asarray(cell, dtype=int) for cell in target_partition]
+    cells = [np.asarray(cell, dtype=int) for cell in cells]
     cell_of = np.full(dim, -1, dtype=int)
     for c, cell in enumerate(cells):
         if cell.size == 0:
@@ -383,64 +382,24 @@ def _stage(h: Operator, target_partition, unitary_constraint, tol):
     coarse_of = np.full(dim, -1, dtype=int)
     for b, blk in enumerate(coarse):
         coarse_of[blk] = b
-    off_norm = is_member(h, unitary_constraint).residual
-    if off_norm > tol * scale:
-        raise ToleranceError(
-            f"input carries weight {off_norm:.3e} outside the "
-            f"{unitary_constraint.value} constraint pattern"
-        )
+    _refuse_dropped(is_member(h, unitary_constraint).residual, unitary_constraint, tol * scale)
     for c, cell in enumerate(cells):
-        owners = set(coarse_of[cell].tolist())
-        if len(owners) != 1:
+        if len(set(coarse_of[cell].tolist())) != 1:
             raise ConfigurationError(
                 f"target cell {c} straddles {unitary_constraint.value} blocks"
             )
 
-    unitary = np.zeros((dim, dim), dtype=complex)
-    u_blocks = []
-    fallback_used = False
-    smallest_sigma = np.inf
-    handed = [None] * len(cells)
-    owned, local_cells = _cells_by_block(dim, coarse, cells)
-    for blk, block_cells, local in zip(coarse, owned, local_cells):
-        u_block, sigma_min, fallback, pairs = _block_reduction(
-            h.entries[np.ix_(blk, blk)], local
-        )
-        smallest_sigma = min(smallest_sigma, sigma_min)
-        fallback_used |= fallback
-        for c, pair in zip(block_cells, pairs):
-            handed[c] = pair
-        unitary[np.ix_(blk, blk)] = u_block
-        u_blocks.append(u_block)
-
-    # U h U^H in constraint-block order, where U is block-diagonal; each
-    # full-size temporary is dropped once consumed to bound peak memory
-    order = np.concatenate(coarse)
-    bounds = np.cumsum([0] + [blk.size for blk in coarse])
-    slices = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-    hp = h.entries[np.ix_(order, order)]
-    left = np.empty_like(hp)
-    for u_block, sl in zip(u_blocks, slices):
-        left[sl] = u_block @ hp[sl]
-    del hp
-    product = np.empty_like(left)
-    for u_block, sl in zip(u_blocks, slices):
-        product[:, sl] = left[:, sl] @ u_block.conj().T
-    del left
-    _hermitian_part(product)
-    reduced = np.empty_like(product)
-    reduced[np.ix_(order, order)] = product
-    del product
-
+    stage, _ = _block_stage(dim, [(blk, h.entries[np.ix_(blk, blk)]) for blk in coarse], cells)
+    unitary = _block_scatter(dim, stage.unitary)
+    reduced = _hermitian_part(unitary @ h.entries @ unitary.conj().T)
     off_target = np.where(cell_of[:, None] == cell_of[None, :], 0.0, reduced)
-    residual = float(np.linalg.norm(off_target))
     return StageReduction(
         _adopt(system, unitary),
         _adopt(system, reduced, True),
-        residual,
-        fallback_used,
-        smallest_sigma,
-    ), handed
+        float(np.linalg.norm(off_target)),
+        stage.fallback_used,
+        stage.smallest_sigma,
+    )
 
 
 class _BlockStage(NamedTuple):
@@ -460,7 +419,7 @@ class _BlockStage(NamedTuple):
 
 
 def _block_stage(dim: int, blocks, cells, pairs=None):
-    """One :func:`cascade` stage on the blocks of its input.
+    """One stage of :func:`cascade` or :func:`stage_reduce` on the blocks of its input.
 
     ``blocks`` holds ``(indices, a_b)`` per constraint block, ``a_b`` the
     input's entries on those indices; ``cells`` holds the target cells as
@@ -503,6 +462,20 @@ def _block_stage(dim: int, blocks, cells, pairs=None):
 def _dense(system: SpinSystem, blocks, hint: bool | None = None) -> Operator:
     """A read-only dense operator holding ``(state indices, block)`` pairs."""
     return _adopt(system, _block_scatter(system.dim, blocks), hint)
+
+
+def _block_membership(n: int, blocks, tag: SubspaceTag) -> Membership:
+    """:func:`~mqspace.subspaces.is_member` of :func:`_dense` of ``blocks``.
+
+    The dense operator is zero outside the blocks, so its residual and
+    norm are the ``hypot`` of the blocks' own.
+    """
+    mask = _mask(tag, n)
+    residual = norm = 0.0
+    for idx, block in blocks:
+        residual = float(np.hypot(residual, _outside_weight(block, mask[np.ix_(idx, idx)])))
+        norm = float(np.hypot(norm, np.linalg.norm(block)))
+    return Membership(tag, residual <= MEMBERSHIP_TOL * norm, residual, norm, MEMBERSHIP_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,10 +544,11 @@ class CascadeResult:
 
 
 def _refuse_dropped(weight: float, constraint: SubspaceTag, limit: float) -> None:
-    """The entry check of stages 2 and 3, read from the weight dropped so far.
+    """Refuse a stage input carrying ``weight`` outside its constraint pattern.
 
-    That weight lies outside the stage's constraint pattern, so this is
-    :func:`stage_reduce`'s check on a dense input.
+    :func:`stage_reduce` measures that weight on its dense input; stages
+    2 and 3 of :func:`cascade` read it from the weight dropped so far,
+    which lies outside their constraint pattern.
     """
     if weight > limit:
         raise ToleranceError(
@@ -626,10 +600,9 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
                 f"stage residual {name} = {value:.3e} exceeds {tol:.0e} * {scale:.3e}"
             )
 
-    # measured on transient dense views, as on any operator
     stage_classes = {
-        "v2_even_mq": is_member(_dense(system, s2.unitary), SubspaceTag.EVEN_MQ),
-        "v3_zero_quantum": is_member(_dense(system, s3.unitary), SubspaceTag.ZERO_QUANTUM),
+        "v2_even_mq": _block_membership(system.n, s2.unitary, SubspaceTag.EVEN_MQ),
+        "v3_zero_quantum": _block_membership(system.n, s3.unitary, SubspaceTag.ZERO_QUANTUM),
     }
     for name, membership in stage_classes.items():
         if not membership:

@@ -598,8 +598,9 @@ def test_handed_eigenpairs_diagonalize_each_reduced_cell(n, fallback_sigma, monk
     h = _random_hermitian(n, 50 + n)
     system = h.system
     scale = max(h.norm(), 1.0)
-    stage, pairs = cascade_module._stage(
-        h, parity_partition(system), SubspaceTag.FULL, cascade_module.STAGE_TOL
+    cells = [np.array(cell) for cell in parity_partition(system)]
+    stage, pairs = cascade_module._block_stage(
+        system.dim, [(np.arange(system.dim), h.entries)], cells
     )
     assert stage.fallback_used is (fallback_sigma == 10.0)
     assert np.allclose(
@@ -607,10 +608,52 @@ def test_handed_eigenpairs_diagonalize_each_reduced_cell(n, fallback_sigma, monk
         np.linalg.eigvalsh(h.entries),
         atol=1e-12 * scale,
     )
-    for cell, (w, p) in zip(parity_partition(system), pairs):
-        block = stage.reduced.entries[np.ix_(cell, cell)]
+    for cell, (idx, block), (w, p) in zip(cells, stage.reduced, pairs):
+        assert np.array_equal(idx, cell)
         assert np.allclose(p.conj().T @ p, np.eye(len(cell)), atol=1e-12)
         assert np.max(np.abs(block @ p - p * w)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_stage_reduce_runs_one_block_stage(n, monkeypatch):
+    # stage_reduce is the cascade's block stage plus one dense product, so
+    # its stage-1 unitary is the cascade's v1, byte for byte
+    entered = []
+    block_stage = cascade_module._block_stage
+
+    def counting_stage(*args, **kwargs):
+        entered.append(True)
+        return block_stage(*args, **kwargs)
+
+    for seed in (1, 2, 3):
+        h = _random_hermitian(n, seed)
+        v1 = cascade(h).v1.entries.tobytes()
+        monkeypatch.setattr(cascade_module, "_block_stage", counting_stage)
+        entered.clear()
+        reference = oracles.cascade_by_stages(h)
+        monkeypatch.undo()
+        assert len(entered) == 3
+        assert reference.v1.entries.tobytes() == v1
+
+
+def test_cascade_reads_stage_classes_from_the_blocks(monkeypatch):
+    # no dense view is built inside cascade; the block reading equals
+    # is_member on the views
+    def refuse(*args, **kwargs):
+        raise AssertionError("cascade built a dense view")
+
+    h = _random_hermitian(6, 1)
+    monkeypatch.setattr(cascade_module, "_dense", refuse)
+    result = cascade(h)
+    monkeypatch.undo()
+    for key, view, tag in (
+        ("v2_even_mq", result.v2, SubspaceTag.EVEN_MQ),
+        ("v3_zero_quantum", result.v3, SubspaceTag.ZERO_QUANTUM),
+    ):
+        membership, dense = result.stage_classes[key], is_member(view, tag)
+        assert (membership.member, membership.residual) == (dense.member, dense.residual)
+        assert (membership.tag, membership.tolerance) == (dense.tag, dense.tolerance)
+        assert abs(membership.norm - dense.norm) <= 1e-14 * dense.norm
 
 
 def _uniform_chain(model, n):
