@@ -362,7 +362,7 @@ def stage_reduce(
     beyond = [i for cell in cells for i in cell if i >= dim]
     if beyond:
         raise ConfigurationError(f"target cell index {beyond[0]} outside 0..{dim - 1}")
-    _ensure_hermitian(h, 1e-10, "stage input")
+    _ensure_hermitian(h, "stage input")
 
     cells = [np.asarray(cell, dtype=int) for cell in cells]
     cell_of = np.full(dim, -1, dtype=int)
@@ -574,7 +574,7 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     _real(tol, "tol", 0)
     system = h.system
     dim = system.dim
-    _ensure_hermitian(h, 1e-10, "cascade input")
+    _ensure_hermitian(h, "cascade input")
     scale = max(h.norm(), 1.0)
 
     # each stage's target cells are the next stage's constraint blocks, in

@@ -36,11 +36,13 @@ import numpy as np
 from .errors import ConfigurationError, InvariantError, ToleranceError
 from .operators import (
     CARTESIAN,
+    HERMITICITY_TOL,
     BaseOperatorSpec,
     Operator,
     OperatorExpansion,
     SpinSystem,
     _adopt,
+    _complex,
     _ensure_hermitian,
     _hermitian_part,
     _integer,
@@ -76,8 +78,6 @@ __all__ = [
 ]
 
 HAMILTONIAN_MODELS = ("flipflop", "dipolar_secular", "isotropic_j", "offsets", "custom")
-
-HERMITICITY_TOL = 1e-10
 
 # a coupling of strength J between spins k and l adds
 # J * (zz * I_kz I_lz + flip * (I_k+ I_l- + I_k- I_l+)) for these (zz, flip)
@@ -176,7 +176,7 @@ def build_hamiltonian(system: SpinSystem, spec: HamiltonianSpec) -> Operator:
     """
     if spec.model == "custom":
         realized = reconstruct(system, spec.custom)
-        _ensure_hermitian(realized, HERMITICITY_TOL, "custom hamiltonian")
+        _ensure_hermitian(realized, "custom hamiltonian")
         return Operator(system, _hermitian_part(realized.entries.copy()), True)
     return _adopt(system, _block_scatter(system.dim, _hamiltonian_blocks(system, spec)), True)
 
@@ -227,7 +227,7 @@ def _zq_blocks(z: Operator):
     membership test, both measured on every call; the blocks are
     gathered and symmetrized.
     """
-    _ensure_hermitian(z, HERMITICITY_TOL, "propagator generator")
+    _ensure_hermitian(z, "propagator generator")
     _ensure_zero_quantum(z, MEMBERSHIP_TOL, "propagator generator")
     return [
         (idx, _hermitian_part(z.entries[np.ix_(idx, idx)]))
@@ -331,7 +331,7 @@ def expm_hermitian(h: Operator, t: float) -> Operator:
     numpy scalar keeps its own arithmetic.
     """
     _real(t, "time")
-    _ensure_hermitian(h, HERMITICITY_TOL, "exponential generator")
+    _ensure_hermitian(h, "exponential generator")
     w, v = np.linalg.eigh(_exactly_real(h.entries))
     return _adopt(h.system, _propagator(w, v, t))
 
@@ -692,7 +692,7 @@ def amplitude_profile(z: BlockSpectra | Operator, q: Operator, t: float) -> Ampl
     :func:`expm_hermitian`.
     """
     _real(t, "time")
-    _ensure_hermitian(q, HERMITICITY_TOL, "expanded operator")
+    _ensure_hermitian(q, "expanded operator")
     tr = abs(q.trace())
     if tr > 1e-10 * max(q.norm(), 1.0):
         raise ToleranceError(f"expanded operator has trace {tr:.3e}, expected 0")
@@ -708,24 +708,28 @@ def reconstruct_profile(system: SpinSystem, profile: AmplitudeProfile) -> Operat
     """Dense operator described by the bins of an amplitude profile.
 
     Labels are looked up in tables over the diagonal and the coherence
-    labels of ``n`` spins, built once per call.
+    labels of ``n`` spins, built once per call. The identity, longitudinal
+    and spin-order values follow :func:`~mqspace.operators._real` and the
+    coherence values :func:`~mqspace.operators._complex`.
     """
     n = system.n
     subsets = dict(zip(_diagonal_labels(n), range(1 << n)))
     rows, cols, units = zq_offdiagonal_cells(n)
     ranks = dict(zip(units, range(len(units))))
     coeff = np.zeros(1 << n)
-    coeff[0] = profile.identity
+    coeff[0] = _real(profile.identity, "identity amplitude")
     for lab, value in (profile.longitudinal | profile.spin_orders).items():
         if lab not in subsets:
             raise ConfigurationError(f"label {lab!r} is not diagonal for n={n}")
-        coeff[subsets[lab]] = value
-    for lab in profile.zqc:
+        coeff[subsets[lab]] = _real(value, f"amplitude of {lab}")
+    cells, values = [], []
+    for lab, value in profile.zqc.items():
         if lab not in ranks:
             raise ConfigurationError(
                 f"label {lab!r} is not an off-diagonal zero-quantum unit for n={n}"
             )
+        cells.append(ranks[lab])
+        values.append(_complex(value, f"amplitude of {lab}"))
     entries = np.diag((0.5 * _walsh(coeff)).astype(complex))
-    cells = [ranks[lab] for lab in profile.zqc]
-    entries[rows[cells], cols[cells]] = list(profile.zqc.values())
+    entries[rows[cells], cols[cells]] = values
     return Operator(system, entries)

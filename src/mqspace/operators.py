@@ -70,6 +70,7 @@ CARTESIAN_FACTORS = ("e", "x", "y", "z")
 SHIFT_FACTORS = ("a", "b", "+", "-")
 
 HERMITIAN_HINT_TOL = 1e-12
+HERMITICITY_TOL = 1e-10
 
 _SINGLE_SPIN = {
     # basis order (up, down); bit 0 is up
@@ -128,6 +129,23 @@ def _real(value, what: str, minimum: float | None = None) -> float:
     if minimum is not None and value < minimum:
         raise ConfigurationError(f"{what} must be at least {minimum}, got {value!r}")
     return value
+
+
+def _complex(value, what: str) -> complex:
+    """``value`` as a finite ``complex``; a Python or numpy int, float or complex.
+
+    A bool and a string are refused, and so is a value whose real or
+    imaginary part is not finite.
+    """
+    if not isinstance(value, (int, float, complex, np.number)) or isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    try:
+        number = complex(value)
+    except OverflowError:
+        raise ConfigurationError(f"{what} is too large for a float") from None
+    if not (math.isfinite(number.real) and math.isfinite(number.imag)):
+        raise ConfigurationError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def single_spin_matrix(factor: str) -> np.ndarray:
@@ -339,15 +357,18 @@ def _frobenius(arr: np.ndarray) -> float:
     return norm
 
 
-def _ensure_hermitian(op: Operator, tol: float, what: str) -> None:
-    """Accept a trusted hint or verify Hermiticity; NaN entries fail."""
+def _ensure_hermitian(op: Operator, what: str) -> None:
+    """Accept a trusted hint or verify Hermiticity within ``HERMITICITY_TOL``.
+
+    NaN entries fail.
+    """
     if op.hermitian_hint is True:
         return
     defect = op.hermiticity_defect()
-    if not defect <= tol * max(op.norm(), 1.0):
+    if not defect <= HERMITICITY_TOL * max(op.norm(), 1.0):
         raise ToleranceError(
             f"{what} is not Hermitian: measured asymmetry {defect:.3e} "
-            f"exceeds the {tol:.0e} relative tolerance"
+            f"exceeds the {HERMITICITY_TOL:.0e} relative tolerance"
         )
 
 
@@ -501,28 +522,28 @@ def enumerate_basis(system: SpinSystem, kind: str) -> list[BaseOperatorSpec]:
     return [BaseOperatorSpec(kind, fs) for fs in product(alphabet, repeat=system.n)]
 
 
-@lru_cache(maxsize=8)
-def _basis_labels(n: int, kind: str) -> tuple[str, ...]:
-    return tuple(s.label for s in enumerate_basis(SpinSystem(n), kind))
+# Per-spin factor rows, each a flattened 2x2 matrix, and the scale of their
+# products: a Cartesian base operator 2**(q-1) * (f_1 x ... x f_n) is
+# 1/2 * (g_1 x ... x g_n) with g = e, 2x, 2y, 2z, and a shift base operator
+# is the plain product of a, b, +, -. All rows of one kind share one
+# squared norm.
+_FACTOR_ROWS = {
+    CARTESIAN: (
+        np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]], dtype=complex),
+        0.5,
+    ),
+    SHIFT: (
+        np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]], dtype=complex),
+        1.0,
+    ),
+}
 
 
-def _dual_matrix(kind: str) -> np.ndarray:
-    """4x4 map from per-spin (row, col) cells onto factor coefficients."""
-    if kind == CARTESIAN:
-        duals = [
-            0.5 * _SINGLE_SPIN["e"],
-            2.0 * _SINGLE_SPIN["x"],
-            2.0 * _SINGLE_SPIN["y"],
-            2.0 * _SINGLE_SPIN["z"],
-        ]
-    else:
-        duals = [_SINGLE_SPIN[f] for f in SHIFT_FACTORS]
-    return np.conj(np.stack([d.reshape(4) for d in duals]))
-
-
-def _primal_matrix(kind: str) -> np.ndarray:
-    factors = CARTESIAN_FACTORS if kind == CARTESIAN else SHIFT_FACTORS
-    return np.stack([_SINGLE_SPIN[f].reshape(4) for f in factors])
+def _factor_rows(kind: str) -> tuple[np.ndarray, float]:
+    """The 4x4 factor rows of ``kind`` and the scale of their products."""
+    if kind not in (CARTESIAN, SHIFT):
+        raise ConfigurationError(f"unknown basis kind {kind!r}")
+    return _FACTOR_ROWS[kind]
 
 
 def _to_cells(entries: np.ndarray, n: int) -> np.ndarray:
@@ -537,35 +558,11 @@ def _from_cells(cells: np.ndarray, n: int) -> np.ndarray:
     return t.transpose(np.argsort(order)).reshape(1 << n, 1 << n)
 
 
-def _coefficient_tensor(entries: np.ndarray, n: int, kind: str) -> np.ndarray:
-    """Coefficients of the plain factor products, as a (4,)*n tensor."""
-    t = _to_cells(entries, n)
-    w = _dual_matrix(kind)
-    for k in range(n):
-        t = np.moveaxis(np.tensordot(w, t, axes=([1], [k])), 0, k)
+def _per_spin(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Apply the 4x4 matrix ``m`` along every axis of the (4,)*n tensor ``t``."""
+    for k in range(t.ndim):
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [k])), 0, k)
     return t
-
-
-def _reconstruct_tensor(coeffs: np.ndarray, n: int, kind: str) -> np.ndarray:
-    t = coeffs
-    m = _primal_matrix(kind)
-    for k in range(n):
-        t = np.moveaxis(np.tensordot(m, t, axes=([0], [k])), 0, k)
-    return _from_cells(t, n)
-
-
-@lru_cache(maxsize=16)
-def _prefactor_scale(n: int) -> np.ndarray:
-    """2**(1-q) per Cartesian factor tuple, q = number of non-e factors."""
-    counts = np.zeros((4,) * n)
-    marker = np.array([0.0, 1.0, 1.0, 1.0])
-    for k in range(n):
-        shape = [1] * n
-        shape[k] = 4
-        counts = counts + marker.reshape(shape)
-    scale = 2.0 ** (1.0 - counts)
-    scale.setflags(write=False)
-    return scale
 
 
 @dataclass(frozen=True)
@@ -587,34 +584,39 @@ def expand(q: Operator, kind: str) -> OperatorExpansion:
 
     The coefficient of each base operator ``B`` is
     ``hs_inner(B, q) / hs_inner(B, B)``, so summing
-    ``coefficient * B`` over the returned labels reproduces ``q``.
+    ``coefficient * B`` over the returned labels reproduces ``q``. The
+    transform holds one ``(4,)*n`` complex tensor of coefficients, and
+    only its nonzero entries are labelled, in :func:`enumerate_basis`
+    order.
     """
-    if kind not in (CARTESIAN, SHIFT):
-        raise ConfigurationError(f"unknown basis kind {kind!r}")
+    rows, scale = _factor_rows(kind)
     n = q.system.n
-    coeff = _coefficient_tensor(q.entries, n, kind)
-    if kind == CARTESIAN:
-        base_coeff = coeff * _prefactor_scale(n)
-    else:
-        base_coeff = coeff
-    labels = _basis_labels(n, kind)
-    flat = base_coeff.reshape(-1)
+    dual = rows.conj() / np.vdot(rows[0], rows[0]).real
+    coeff = _per_spin(_to_cells(q.entries, n), dual)
+    flat = coeff.reshape(-1)
+    nonzero = np.flatnonzero(flat)
+    alphabet = CARTESIAN_FACTORS if kind == CARTESIAN else SHIFT_FACTORS
+    # base-4 digits, spin 1 the most significant, as in enumerate_basis
+    digits = zip(*(d.tolist() for d in np.unravel_index(nonzero, coeff.shape)))
     coefficients = {
-        labels[i]: complex(flat[i]) for i in np.nonzero(flat)[0]
+        BaseOperatorSpec(kind, [alphabet[d] for d in ds]).label: value
+        for ds, value in zip(digits, (flat[nonzero] * (1 / scale)).tolist())
     }
-    recon = _reconstruct_tensor(coeff, n, kind)
+    recon = _from_cells(_per_spin(coeff, rows.T), n)
     residual = float(np.linalg.norm(q.entries - recon))
     return OperatorExpansion(kind, coefficients, residual)
 
 
 def reconstruct(system: SpinSystem, expansion: OperatorExpansion) -> Operator:
-    """Rebuild the dense operator described by an expansion."""
+    """Rebuild the dense operator described by an expansion.
+
+    Each coefficient follows :func:`_complex`.
+    """
     n = system.n
     kind = expansion.basis_kind
-    if kind not in (CARTESIAN, SHIFT):
-        raise ConfigurationError(f"unknown basis kind {kind!r}")
+    rows, scale = _factor_rows(kind)
     alphabet = CARTESIAN_FACTORS if kind == CARTESIAN else SHIFT_FACTORS
-    coeff = np.zeros((4,) * n, dtype=complex).reshape(-1)
+    coeff = np.zeros(4**n, dtype=complex)
     for label, value in expansion.coefficients.items():
         spec = BaseOperatorSpec.from_label(label, n)
         if spec.kind != kind:
@@ -626,11 +628,8 @@ def reconstruct(system: SpinSystem, expansion: OperatorExpansion) -> Operator:
         index = 0
         for f in spec.factors:
             index = 4 * index + alphabet.index(f)
-        coeff[index] = value
-    coeff = coeff.reshape((4,) * n)
-    if kind == CARTESIAN:
-        coeff = coeff / _prefactor_scale(n)
-    return Operator(system, _reconstruct_tensor(coeff, n, kind))
+        coeff[index] = _complex(value, f"coefficient of {label}") * scale
+    return Operator(system, _from_cells(_per_spin(coeff.reshape((4,) * n), rows.T), n))
 
 
 def coherence_order_of_element(system: SpinSystem, row: int, col: int) -> int:

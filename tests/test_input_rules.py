@@ -1,7 +1,8 @@
-"""One rule per kind of outside value: reals, integers and indices.
+"""One rule per kind of outside value: reals, complex numbers and indices.
 
 Every library entry point that takes a real number routes it through
-``operators._real`` and every index through ``operators._integer``, so a
+``operators._real``, every expansion or coherence amplitude through
+``operators._complex`` and every index through ``operators._integer``, so a
 malformed value is a ``ConfigurationError`` wherever it arrives, never a
 ``TypeError``, ``ValueError``, ``KeyError``, ``IndexError`` or
 ``OverflowError`` from deeper down; numpy scalars pass with the results
@@ -14,10 +15,13 @@ import numpy as np
 import pytest
 
 from mqspace import (
+    CARTESIAN,
+    AmplitudeProfile,
     ConfigurationError,
     DiffusionConfig,
     Encoding,
     HamiltonianSpec,
+    OperatorExpansion,
     SpinSystem,
     SubspaceTag,
     amplitude_profile,
@@ -31,12 +35,14 @@ from mqspace import (
     linear_times,
     parity_partition,
     random_operator,
+    reconstruct,
+    reconstruct_profile,
     spin_operator,
     stage_reduce,
     verify_closure,
     zq_propagator,
 )
-from mqspace.operators import _real
+from mqspace.operators import _complex, _real
 
 HUGE = pytest.param(10**400, id="10**400")  # a JSON integer no float can hold
 PAIR = HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),))
@@ -267,3 +273,81 @@ def test_tolerances_take_zero_and_numpy_scalars():
     # the flip-flop Hamiltonian is exactly zero-quantum: residual 0.0
     for tol in (0, np.int64(0), np.float64(1e-12), np.float32(1e-12)):
         assert member(tol).member and member(tol).residual == 0.0
+
+
+# malformed amplitudes and how each message ends, for a complex and a real value
+MALFORMED_NUMBERS = [
+    (None, "must be a number, got None", "must be a real number, got None"),
+    (True, "must be a number, got True", "must be a real number, got True"),
+    ("1", "must be a number, got '1'", "must be a real number, got '1'"),
+    ("a", "must be a number, got 'a'", "must be a real number, got 'a'"),
+    ([1, 2], "must be a number, got [1, 2]", "must be a real number, got [1, 2]"),
+    (math.inf, "must be finite, got inf", "must be finite, got inf"),
+    (math.nan, "must be finite, got nan", "must be finite, got nan"),
+    (complex(1, math.inf), "must be finite, got (1+infj)", "must be a real number, got (1+infj)"),
+]
+
+
+@pytest.mark.parametrize(
+    "value", [0, -2, 0.25, 1 - 2j, np.int64(7), np.float32(0.5), np.complex64(1j)]
+)
+def test_complex_returns_the_equal_complex(value):
+    out = _complex(value, "x")
+    assert type(out) is complex
+    assert out == complex(value)
+
+
+@pytest.mark.parametrize("value, message, _", MALFORMED_NUMBERS)
+def test_reconstruct_refuses_malformed_coefficients(value, message, _):
+    expansion = OperatorExpansion(CARTESIAN, {"I1x": 1.0, "I1z": value}, 0.0)
+    with pytest.raises(ConfigurationError) as exc:
+        reconstruct(SpinSystem(2), expansion)
+    assert str(exc.value) == f"coefficient of I1z {message}"
+
+
+def test_custom_hamiltonian_refuses_a_nan_coefficient():
+    spec = HamiltonianSpec(
+        "custom", custom=OperatorExpansion(CARTESIAN, {"I1z": math.nan}, 0.0)
+    )
+    with pytest.raises(ConfigurationError, match="^coefficient of I1z must be finite"):
+        build_hamiltonian(SpinSystem(2), spec)
+
+
+def _profile(identity=0.0, longitudinal=0.5, zqc=0.25j):
+    return AmplitudeProfile(
+        0.0, identity, {"I1z": longitudinal}, {"2I1zI2z": 0.0}, {"I1+I2-": zqc}, 0.0
+    )
+
+
+@pytest.mark.parametrize("value, complex_message, real_message", MALFORMED_NUMBERS)
+@pytest.mark.parametrize(
+    "field, what",
+    [
+        ("identity", "identity amplitude"),
+        ("longitudinal", "amplitude of I1z"),
+        ("zqc", "amplitude of I1+I2-"),
+    ],
+)
+def test_reconstruct_profile_refuses_malformed_amplitudes(
+    field, what, value, complex_message, real_message
+):
+    message = complex_message if field == "zqc" else real_message
+    with pytest.raises(ConfigurationError) as exc:
+        reconstruct_profile(SpinSystem(2), _profile(**{field: value}))
+    assert str(exc.value) == f"{what} {message}"
+
+
+@pytest.mark.parametrize("value", [0.5 + 1j, np.complex128(0.5 + 1j)])
+def test_reconstruct_profile_refuses_a_complex_longitudinal_amplitude(value):
+    # a numpy complex would be cast into the real bins, its imaginary part dropped
+    with pytest.raises(ConfigurationError) as exc:
+        reconstruct_profile(SpinSystem(2), _profile(longitudinal=value))
+    assert str(exc.value) == f"amplitude of I1z must be a real number, got {value!r}"
+
+
+def test_reconstruct_profile_takes_numpy_scalars():
+    plain = reconstruct_profile(SpinSystem(2), _profile(0, 0.5, 0.25j))
+    numpy = reconstruct_profile(
+        SpinSystem(2), _profile(np.int64(0), np.float32(0.5), np.complex128(0.25j))
+    )
+    assert numpy.entries.tobytes() == plain.entries.tobytes()

@@ -14,10 +14,12 @@ from mqspace import (
     SHIFT,
     BaseOperatorSpec,
     ConfigurationError,
+    HamiltonianSpec,
     Operator,
     OperatorExpansion,
     SpinSystem,
     ToleranceError,
+    build_hamiltonian,
     build_operator,
     coherence_order_of_element,
     commutator,
@@ -31,6 +33,7 @@ from mqspace import (
     spin_operator,
     total_z,
 )
+from mqspace import operators
 from mqspace.operators import (
     _adopt,
     _element_orders,
@@ -384,6 +387,35 @@ def test_reconstruct_rejects_a_label_of_the_other_kind(kind, label):
     assert str(info.value) == f"label {label!r} does not belong to the {kind} basis"
 
 
+def test_expand_and_reconstruct_build_no_table_of_every_base_operator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("enumerate_basis called")
+
+    system = SpinSystem(6)
+    couplings = tuple((k, k + 1, 1 / k) for k in range(1, 6))
+    h = build_hamiltonian(system, HamiltonianSpec("dipolar_secular", couplings=couplings))
+    monkeypatch.setattr(operators, "enumerate_basis", refuse)
+    for kind in (CARTESIAN, SHIFT):
+        result = expand(h, kind)
+        back = reconstruct(system, result)
+        assert np.max(np.abs(back.entries - h.entries)) <= 1e-12
+        assert result.residual <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [CARTESIAN, SHIFT])
+def test_expand_keys_follow_enumerate_basis_order(kind):
+    system = SpinSystem(3)
+    q = random_operator(system, np.random.default_rng(11))
+    result = expand(q, kind)
+    nonzero = [
+        spec.label
+        for spec in enumerate_basis(system, kind)
+        if hs_inner(build_operator(system, spec), q) != 0
+    ]
+    assert len(nonzero) == 4**3
+    assert list(result.coefficients) == nonzero
+
+
 def test_expand_drops_exact_zeros():
     system = SpinSystem(2)
     q = spin_operator(system, 1, "z")
@@ -481,7 +513,7 @@ def test_hinted_construction_skips_later_checks(monkeypatch):
     monkeypatch.setattr(np.linalg, "norm", counted)
     monkeypatch.setattr(Operator, "hermiticity_defect", counted)
     # a checked True hint is trusted: no asymmetry or norm pass
-    _ensure_hermitian(op, 1e-10, "hinted operator")
+    _ensure_hermitian(op, "hinted operator")
     assert calls == []
     # the norm is measured when asked for, one pass each time
     assert op.norm() == norm(op.entries)
