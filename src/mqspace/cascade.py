@@ -211,7 +211,9 @@ def _direct_rotation_polar(
         uu, sigma, vvh = np.linalg.svd(vc[rows, :])
         smallest = min(smallest, float(sigma[-1]))
         factor = uu @ vvh
-        u_block[rows, :] = factor @ vc.conj().T
+        # vc, a gathered copy, is conjugated in place: factor @ vc^H is the same
+        # matrix product in the same layout, without a conjugate copy of vc
+        u_block[rows, :] = factor @ np.conj(vc, out=vc).T
         factors.append(factor)
     return u_block, smallest, factors
 

@@ -15,24 +15,31 @@ and :func:`main` writes them.
 
 Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
-produce byte-identical output. A document is built as a list of
-string pieces and written, to the ``--out`` file or standard output,
-only once every piece exists, so a serialization error leaves no
-partial output; in JSON, equal float series share one formatted text,
+produce byte-identical output. A document is generated as string
+pieces into an anonymous temporary file (in ``TMPDIR``, where
+:mod:`tempfile` puts it) and copied to the ``--out`` file or standard
+output only after the last piece, so a serialization error leaves no
+partial output and no document text is held in memory; in JSON, equal
+float series share one formatted text, kept until its last use and
 found without keeping a copy of any series' bytes.
-``evolve`` formats its document after the trace it comes from is gone:
-the document holds the channel table, never the stored cells.
+``evolve`` holds one trace at a time: under ``--engine both`` it keeps
+the dense trace's channel table, drops the trace, and compares the
+block trace against that table. The document holds the channel table,
+never the stored cells, and is formatted after every trace is gone.
 Exit codes: 0 success, 2 configuration or parse error (malformed config
-values and an unwritable ``--out`` file included), 3 numerical tolerance
-failure, 4 invariant breach.
+values, an unwritable ``--out`` file and an unwritable temporary
+directory included), 3 numerical tolerance failure, 4 invariant breach.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import shutil
 import sys
-from typing import Any, Iterable, Sequence
+import tempfile
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,7 +64,7 @@ from .subspaces import (
 from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
-    channel_discrepancy,
+    _channel_gap,
     linear_times,
     run_blockwise,
     run_diffusion,
@@ -102,46 +109,73 @@ def _fmt_join(values: Sequence[float], sep: str) -> str:
     return sep.join([_DOUBLE] * len(values)) % tuple(values)
 
 
-def _json_pieces(value: Any) -> list[str]:
-    """The JSON document of ``value`` as string pieces, to be written in order.
+def _json_pieces(value: Any) -> Iterator[str]:
+    """The JSON document of ``value`` as string pieces, generated in order.
 
     Nested containers are indented two spaces per level, flat lists (no
     dict, list, tuple or array items) stay on one line and complex numbers
     become ``[re, im]``. Each 1-D float64 array is formatted once per
-    document: arrays with the same bytes share one text, which enters the
-    list by reference. The document ends with a newline.
+    document: arrays with the same bytes share one text, which is yielded
+    by reference and dropped after its last use, known from a counting
+    pass over the document first. The document ends with a newline.
     """
-    pieces: list[str] = []
-    _json_write(value, 0, pieces, {})
-    pieces.append("\n")
-    return pieces
+    uses: dict[int, int] = {}
+    _json_count(value, uses)
+    yield from _json_write(value, 0, {}, uses)
+    yield "\n"
 
 
-def _json_write(value: Any, indent: int, pieces: list[str], formatted: dict) -> None:
-    """Append the pieces of ``value`` at nesting level ``indent`` to ``pieces``.
+def _is_series(value: Any) -> bool:
+    """Whether ``value`` is a 1-D float64 array, whose text a document shares."""
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+
+
+def _json_count(value: Any, uses: dict[int, int]) -> None:
+    """Count into ``uses`` the series of ``value`` under the hash of their bytes."""
+    if _is_series(value):
+        key = hash(value.tobytes())
+        uses[key] = uses.get(key, 0) + 1
+    elif isinstance(value, dict):
+        for v in value.values():
+            _json_count(v, uses)
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _json_count(v, uses)
+
+
+def _json_write(
+    value: Any, indent: int, formatted: dict, uses: dict[int, int]
+) -> Iterator[str]:
+    """Generate the pieces of ``value`` at nesting level ``indent``.
 
     ``formatted`` maps the hash of a series' bytes to the ``(array, text)``
-    of each series with it. Arrays are found through that hash and
-    compared byte for byte, so the cache keeps each array and its text but
-    no copy of its bytes. A plain recursive function, not a closure, so a
-    finished document leaves no reference cycle holding its arrays.
+    of each series with it, and ``uses`` to the series with that hash yet
+    to be written; the entry goes when that count reaches zero. Arrays are
+    found through that hash and compared byte for byte, so the cache keeps
+    each array and its text but no copy of its bytes. A plain recursive
+    generator, not a closure, so a finished document leaves no reference
+    cycle holding its arrays.
     """
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+    if _is_series(value):
         data = value.tobytes()
-        bucket = formatted.setdefault(hash(data), [])
+        key = hash(data)
+        bucket = formatted.setdefault(key, [])
         text = next((t for v, t in bucket if v.tobytes() == data), None)
         if text is None:
             text = "[" + _fmt_join(value.tolist(), ", ") + "]"
             bucket.append((value, text))
-        pieces.append(text)
+        uses[key] -= 1
+        if not uses[key]:
+            del formatted[key], uses[key]
+        yield text
     elif isinstance(value, dict) and value:
         pad = "  " * indent
         lead = "{\n"
         for k, v in value.items():
-            pieces.append(f"{lead}{pad}  {_json_string(str(k))}: ")
-            _json_write(v, indent + 1, pieces, formatted)
+            yield f"{lead}{pad}  {_json_string(str(k))}: "
+            yield from _json_write(v, indent + 1, formatted, uses)
             lead = ",\n"
-        pieces.append(f"\n{pad}}}")
+        yield f"\n{pad}}}"
     elif isinstance(value, (list, tuple)) and value:
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
             lead, sep, end = "[", ", ", "]"
@@ -149,12 +183,12 @@ def _json_write(value: Any, indent: int, pieces: list[str], formatted: dict) -> 
             pad = "  " * indent
             lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
         for v in value:
-            pieces.append(lead)
-            _json_write(v, indent + 1, pieces, formatted)
+            yield lead
+            yield from _json_write(v, indent + 1, formatted, uses)
             lead = sep
-        pieces.append(end)
+        yield end
     else:
-        pieces.append(_json_leaf(value))
+        yield _json_leaf(value)
 
 
 def _json_leaf(value: Any) -> str:
@@ -185,24 +219,42 @@ def _json_string(text: str) -> str:
     return json.dumps(text)
 
 
-def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> list[str]:
+def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
     """The CSV table as string pieces: the header, then one line per row."""
-    pieces = [",".join(header), "\n"]
+    yield ",".join(header)
+    yield "\n"
     for row in rows:
-        pieces += (",".join(row), "\n")
-    return pieces
+        yield ",".join(row)
+        yield "\n"
 
 
-def _emit(pieces: list[str], out: str | None) -> None:
-    """Write a finished document; nothing is written before it is complete."""
-    if out is None:
-        sys.stdout.writelines(pieces)
-        return
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.writelines(pieces)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot write output {out!r}: {exc.strerror}") from exc
+def _emit(pieces: Iterable[str], out: str | None) -> None:
+    """Write a document to ``out``, or standard output, once its last piece exists.
+
+    The pieces go to an anonymous temporary file, which is copied out
+    after the last one: a failed run writes nothing, and no document text
+    is held in memory.
+    """
+    with contextlib.ExitStack() as stack:
+        try:
+            spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            spool.writelines(pieces)
+        except OSError as exc:
+            target = "" if out is None else f" {out!r}"
+            raise ConfigurationError(
+                f"cannot write output{target}: spool file in "
+                f"{tempfile.gettempdir()!r}: {exc.strerror or exc}"
+            ) from exc
+        spool.seek(0)
+        if out is None:
+            shutil.copyfileobj(spool, sys.stdout)
+            return
+        try:
+            # the spool holds the file's UTF-8 bytes; they are copied undecoded
+            with open(out, "wb") as fh:
+                shutil.copyfileobj(spool.buffer, fh)
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write output {out!r}: {exc.strerror}") from exc
 
 
 def _load_config(path: str) -> dict:
@@ -403,7 +455,7 @@ def _structural_tags(spec: BaseOperatorSpec) -> list[str]:
     return tags
 
 
-def _cmd_basis(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_basis(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     kind = resolved.get("kind") or CARTESIAN
     if kind not in (CARTESIAN, SHIFT):
         raise ConfigurationError(f"kind must be cartesian or shift, got {kind!r}")
@@ -434,7 +486,7 @@ def _cmd_basis(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str]
 # ----------------------------------------------------------------- dims
 
 
-def _cmd_dims(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_dims(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     n = system.n
     dims = subspace_dims(n)
     block_dims = [block_dimension(n, k) for k in range(n + 1)]
@@ -467,7 +519,7 @@ def _cmd_dims(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str],
 # --------------------------------------------------------------- evolve
 
 
-def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     spec = _hamiltonian_spec(resolved)
     config = DiffusionConfig(
         system=system,
@@ -484,15 +536,18 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
         )
 
     trace = run_blockwise(config) if engine == "blockwise" else run_diffusion(config)
+    # the written trace gives up its channel table and small fields and is
+    # dropped before a second engine runs, so one trace is alive at a time
+    labels, table, rows = trace._channel_table
+    channels = None if csv else trace.channels
+    conserved, undesired, block_sizes = trace.conserved, trace.undesired, trace.block_sizes
+    del trace
     discrepancy = None
     if engine == "both":
-        # the block trace lives only for the comparison; the dense one is written
-        discrepancy = channel_discrepancy(trace, run_blockwise(config))
+        # the block trace lives only for the comparison against the table
+        discrepancy = _channel_gap(lambda points: table[:, points], run_blockwise(config), labels)
 
-    # the document is formatted after the trace, and its stored cells, are gone
     if csv:
-        labels, table, rows = trace._channel_table
-        del trace
         tails = [] if discrepancy is None else [discrepancy]
         header = ["t", *labels] + ["max_channel_discrepancy"] * len(tails)
         # each row gathers its time's column of the table, is formatted whole
@@ -508,16 +563,15 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
         "initial": config.initial,
         "purge": config.purge,
         "times": np.asarray(config.times),
-        "channels": trace.channels,
-        "conserved": trace.conserved,
-        "undesired": list(trace.undesired),
+        "channels": channels,
+        "conserved": conserved,
+        "undesired": list(undesired),
         "block_sizes": (
             None
-            if trace.block_sizes is None
-            else {str(k): v for k, v in sorted(trace.block_sizes.items())}
+            if block_sizes is None
+            else {str(k): v for k, v in sorted(block_sizes.items())}
         ),
     }
-    del trace
     if discrepancy is not None:
         doc["max_channel_discrepancy"] = discrepancy
     return _json_pieces(doc), EXIT_OK
@@ -526,7 +580,7 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str
 # -------------------------------------------------------------- cascade
 
 
-def _cmd_cascade(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_cascade(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     seed = _int_of(resolved, "seed", 0, minimum=0)
     # hamiltonian terms without a model are refused, never silently dropped
     has_model = isinstance(resolved.get("hamiltonian"), dict) or any(
@@ -564,7 +618,7 @@ def _cmd_cascade(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[st
 # ----------------------------------------------------------------- perm
 
 
-def _cmd_perm(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_perm(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     want_generators = bool(resolved.get("generators") or False)
     if want_generators and system.n > GENERATOR_EMIT_MAX_N:
         raise ConfigurationError(
@@ -598,7 +652,7 @@ def _cmd_perm(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str],
 # --------------------------------------------------------------- verify
 
 
-def _cmd_verify(system: SpinSystem, resolved: dict, csv: bool) -> tuple[list[str], int]:
+def _cmd_verify(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable[str], int]:
     seed = _int_of(resolved, "seed", 0, minimum=0)
     trials = _int_of(resolved, "trials", 100, minimum=1)
     combos = _int_of(resolved, "combos", 50, minimum=0)

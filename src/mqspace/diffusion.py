@@ -466,11 +466,24 @@ def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     labels = _tracked_labels(a._n, a.track)
     if set(_tracked_labels(b._n, b.track)) != set(labels):
         raise ConfigurationError("traces track different channels")
-    cells_a, cells_b = (_channel_cells(t._n, labels) for t in (a, b))
-    gap = np.empty(len(a.times))
+    cells = _channel_cells(a._n, labels)
+    return _channel_gap(lambda points: _channel_values(a, cells, points), b, labels)
+
+
+def _channel_gap(values, b: DiffusionTrace, labels: tuple[str, ...]) -> np.ndarray:
+    """Per-grid-point max absolute difference between ``values`` and ``b``'s channels.
+
+    ``values(points)`` gives the channels ``labels`` at a slice of grid
+    points as :func:`_channel_values` lays them out, a row per
+    :func:`_channel_cells` row and a column per point: read from a trace,
+    or sliced from a channel table already taken. ``b`` is read from its
+    stored cells, a chunk of 2^16 values at a time.
+    """
+    cells = _channel_cells(b._n, labels)
+    gap = np.empty(len(b.times))
     step = max(1, (1 << 16) // len(labels))  # 2^16 values, 0.5 MiB, per chunk
     for start in range(0, len(gap), step):
         points = slice(start, start + step)
-        x = _channel_values(a, cells_a, points) - _channel_values(b, cells_b, points)
+        x = values(points) - _channel_values(b, cells, points)
         gap[points] = np.abs(x, out=x).max(axis=0)
     return gap

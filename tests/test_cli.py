@@ -928,7 +928,7 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
         return value
 
     calls = _counting_fmt_join(monkeypatch)
-    pieces = _json_pieces(doc)
+    pieces = list(_json_pieces(doc))
     assert "".join(pieces) == oracles.json_text(listed(doc)) + "\n"
     # equal bytes share one text; -0.0 against 0.0 and different NaN
     # payloads are different bytes, so each is formatted on its own
@@ -955,6 +955,25 @@ def test_json_pieces_free_their_arrays_without_the_cyclic_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_json_pieces_drop_each_text_after_its_last_use():
+    # 2,000 distinct series, each written under two labels in a row: a text
+    # is about 2 kB, 4 MB for all of them, but each is dropped once its
+    # second label is written, so the writer holds a few at a time
+    from mqspace.cli import _json_pieces
+
+    rng = np.random.default_rng(3)
+    doc = {f"{i}{side}": s for i, s in enumerate(rng.random((2000, 100))) for side in "ab"}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        written = sum(len(piece) for piece in _json_pieces(doc))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert written > 7 * 2**20
+    assert peak < 2**20, peak / 2**20
 
 
 @pytest.mark.parametrize("engine", ["full", "both"])
@@ -985,15 +1004,16 @@ def test_evolve_formats_after_every_trace_is_gone(capsys, monkeypatch, engine, f
     assert alive and not any(alive)
 
 
-# One run's bound is what it must hold at once: one trace's stored cells,
-# 65 times x (1,652 upper cells x 16 B + 128 coefficients x 8 B) = 1.7 MiB;
-# one channel table, 65 x (127 + 1,652) rows x 8 B = 0.9 MiB; and the
-# document's text. JSON text is 2.8 MiB, each distinct series formatted
-# once, so 5.4 MiB in all; the bound is 6 MiB. Formatting with the trace
-# alive and a bytes copy of each series cached reads 7.3 MiB. CSV text
-# shares nothing, 4.8 MiB, so 7.4 MiB in all; rows formatted from a stacked
-# copy of every column, with the trace alive, read 9.7 MiB.
-@pytest.mark.parametrize("fmt, bound_mib", [("json", 6.0), ("csv", 7.5)])
+# One run holds one trace and one channel table at once, and its peak is
+# the --engine both comparison: the block trace's stored cells, 65 times x
+# (1,652 upper cells x 16 B + 128 coefficients x 8 B) = 1.7 MiB; the dense
+# trace's channel table, 65 x (127 + 1,652) rows x 8 B = 0.9 MiB; and one
+# chunk of the comparison, under 1 MiB. JSON also keeps the table's 3,431
+# label views, 0.3 MiB. That reads 3.85 MiB in JSON and 3.55 MiB in CSV; the
+# bounds add 0.65 MiB. The document text goes to a spool file and counts
+# for nothing here: with both traces alive and the text held in memory the
+# peaks read 4.8 and 6.0 MiB.
+@pytest.mark.parametrize("fmt, bound_mib", [("json", 4.5), ("csv", 4.2)])
 def test_evolve_peak_memory_stays_within_one_trace_and_its_text(tmp_path, fmt, bound_mib):
     n = 7
     terms = [("--coupling", f"{k},{k + 1},{0.3 + 0.1 * k!r}") for k in range(1, n)]
@@ -1009,6 +1029,78 @@ def test_evolve_peak_memory_stays_within_one_trace_and_its_text(tmp_path, fmt, b
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_evolve_both_drops_the_dense_trace_before_the_block_engine(capsys, monkeypatch, fmt):
+    from mqspace import cli
+
+    dense = []
+    alive = []  # whether the dense trace is alive as the block engine starts
+
+    def recording(config, run=cli.run_diffusion):
+        trace = run(config)
+        dense.append(weakref.ref(trace))
+        return trace
+
+    def checking(config, run=cli.run_blockwise):
+        alive.append(dense[0]() is not None)
+        return run(config)
+
+    monkeypatch.setattr(cli, "run_diffusion", recording)
+    monkeypatch.setattr(cli, "run_blockwise", checking)
+    gc.disable()  # the trace must be freed by its last reference going
+    try:
+        code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", "both", "--format", fmt])
+    finally:
+        gc.enable()
+    assert code == EXIT_OK, err
+    assert len(dense) == 1
+    assert alive == [False]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("spool_dir", ["missing", "a_file"])
+def test_unwritable_spool_directory_exits_config(capsys, monkeypatch, tmp_path, fmt, spool_dir):
+    import tempfile
+
+    where = tmp_path / spool_dir
+    if spool_dir == "a_file":
+        where.write_text("")
+    monkeypatch.setattr(tempfile, "tempdir", str(where))
+    target = tmp_path / "trace.out"
+    for out in ([], ["--out", str(target)]):
+        code, stdout, err = run_cli(capsys, EVOLVE_ARGS + ["--format", fmt] + out)
+        assert code == EXIT_CONFIG
+        assert stdout == ""
+        assert err.startswith("error: cannot write output")
+        assert repr(str(where)) in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.exists()
+
+
+SUBCOMMAND_ARGS = {
+    "basis": ["basis", "--n", "2"],
+    "dims": ["dims", "--n", "3"],
+    "evolve": EVOLVE_ARGS + ["--engine", "both"],
+    "cascade": ["cascade", "--n", "3", "--seed", "1"],
+    "perm": ["perm", "--n", "3"],
+    "verify": ["verify", "--n", "2", "--trials", "3", "--combos", "3"],
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_stdout_and_out_file_hold_the_same_bytes(capsysbinary, tmp_path, command, fmt):
+    argv = SUBCOMMAND_ARGS[command] + ["--format", fmt]
+    assert main(argv) == EXIT_OK
+    stdout = capsysbinary.readouterr().out
+    target = tmp_path / f"{command}.{fmt}"
+    assert main(argv + ["--out", str(target)]) == EXIT_OK
+    assert capsysbinary.readouterr().out == b""
+    assert stdout and stdout.endswith(b"\n")
+    assert target.read_bytes() == stdout
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
