@@ -10,10 +10,12 @@ combination. Each product is formed exactly on its support (a shift
 base operator has a single nonzero element, so its products with a
 matrix fill one row, one column or one vector entry) and its weight at
 other orders is measured with the element-order mask; no residual is
-derived from index bookkeeping alone. The order sweep takes the units
-a block of rows at a time: a pass spans at most 2^16 product entries,
-or one unit row where a row alone is larger, so every row fits in one
-pass up to n = 5 and a pass holds one row from n = 8 on.
+derived from index bookkeeping alone. Z E_rc is column c holding
+Z[:, r], whose elements leave the unit's order exactly where the states
+i and r differ in popcount, whatever c is; E_rc Z is row r holding
+Z[c, :], out of order where j and c differ. So the order sweep sums
+Z's masked squared entries down each column and along each row once
+per trial, and every unit's three leaks are read from those two sums.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import SpinSystem, _element_orders, _hermitian_part, _integer
+from .operators import SpinSystem, _element_orders, _hermitian_part, _integer, _real
 from .subspaces import SubspaceTag, _random_member, zq_offdiagonal_cells
 
 __all__ = [
@@ -57,11 +59,6 @@ class PropertyReport:
             self.violations.append(f"{context}: {key} residual {value:.3e} > {tol:.0e}")
 
 
-# entries of one (rows, 2^n, 2^n) pass of _order_leaks: n <= 5 takes
-# every row in one pass, n >= 8 one row per pass
-_PASS_ENTRIES = 1 << 16
-
-
 def _order_leaks(zm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Out-of-order weight of ``Z E_rc``, ``E_rc Z`` and ``[Z, E_rc]`` per unit.
 
@@ -72,50 +69,20 @@ def _order_leaks(zm: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.nda
     and ``Z[r, r] delta_jc - Z[c, j]`` along row r, the shared element
     (r, c) counted once, in the column. Entry [r, c] of each returned
     ``(2^n, 2^n)`` array is the Frobenius norm of the product's elements
-    whose order differs from that of ``E_rc``: the squared magnitudes of
-    its elements summed against the boolean order mask, so a leak is
-    exactly 0 when every out-of-order element is.
+    whose order differs from that of ``E_rc``.
 
-    A pass takes a block of consecutive rows r, with r, c and the free
-    index vectorized: two boolean order masks and the commutator's
-    columns, ``rows * 4^n`` entries each, capped at 2^16 (0.5 MB of
-    floats) and never below one row. That is every row in one pass for
-    n <= 5 and one row per pass for n >= 8.
+    Element (i, c) of the column leaves the order of ``E_rc`` exactly
+    when element (i, r) of Z is off order 0, and element (r, j) of the
+    row exactly when element (c, j) of Z is. With ``off`` the squared
+    magnitudes of Z's entries summed against the element-order mask,
+    the left leak is the root of column r's sum and the right leak that
+    of row c's. The commutator's delta terms and its shared element all
+    sit at the unit's own order, so its leak is the root of both sums.
     """
-    orders = _element_orders(n)
-    orders_t = np.ascontiguousarray(orders.T)
-    dim = 1 << n
-    step = max(1, min(dim, _PASS_ENTRIES // (dim * dim)))
-    # row r of E_rc Z holds Z[c, j] and that of the commutator -Z[c, j],
-    # its shared element j = c left to the column; neither depends on r
-    row_comm = -zm
-    np.fill_diagonal(row_comm, 0.0)
-    rows_sq = _squared(np.stack([zm, row_comm]))
-    # [r, i] = |Z[i, r]|^2: column c of Z E_rc, whatever c
-    cols_sq = rows_sq[0].T
-    diagonal = np.diagonal(zm)
-    leaks = np.empty((3, dim, dim))
-    for start in range(0, dim, step):
-        rs = np.arange(start, min(start + step, dim))
-        unit_orders = orders[rs]
-        # [r, c, i]: element (i, c) of a column-c product leaves E_rc's order
-        col_off = orders_t[None] != unit_orders[:, :, None]
-        # [r, c, j]: element (r, j) of a row-r product leaves E_rc's order
-        row_off = unit_orders[:, None, :] != unit_orders[:, :, None]
-        # column c of the commutator: [r, c, i] = |Z[i, r] - delta_ir Z[c, c]|^2
-        comm_col = np.empty((len(rs), dim, dim))
-        comm_col[:] = cols_sq[rs, None, :]
-        comm_col[np.arange(len(rs)), :, rs] = _squared(zm[rs, rs][:, None] - diagonal)
-        leaks[0, rs] = np.einsum("rci,ri->rc", col_off, cols_sq[rs])
-        leaks[1, rs] = np.einsum("rcj,cj->rc", row_off, rows_sq[0])
-        leaks[2, rs] = np.einsum("rci,rci->rc", col_off, comm_col) + np.einsum(
-            "rcj,cj->rc", row_off, rows_sq[1]
-        )
-    return tuple(np.sqrt(leaks))
-
-
-def _squared(entries: np.ndarray) -> np.ndarray:
-    return entries.real ** 2 + entries.imag ** 2
+    off = np.where(_element_orders(n) != 0, zm.real ** 2 + zm.imag ** 2, 0.0)
+    col = off.sum(axis=0)[:, None]
+    row = off.sum(axis=1)[None, :]
+    return tuple(np.broadcast_to(np.sqrt(sums), zm.shape) for sums in (col, row, col + row))
 
 
 def verify_order_preservation(
@@ -132,12 +99,15 @@ def verify_order_preservation(
     weight at orders other than p is measured. All three residuals must
     stay below ``tol``. ``trials`` must be an integer of at least 1.
 
-    A trial costs O(8^n) time and O(4^n) memory. Its units are taken in
-    passes over blocks of unit rows of at most 2^16 product entries
-    (every row at once for n <= 5, one row at a time for n >= 8), and a
-    pass adds about 0.6 MB at most up to n = 8.
+    ``seed`` must be an integer of at least 0 and ``tol`` a finite real;
+    a negative ``tol`` fails every check.
+
+    A trial costs O(4^n) time and memory: every unit's leaks follow from
+    one column sum and one row sum of Z's out-of-order weight.
     """
     trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
+    tol = _real(tol, "tol")
     n = system.n
     report = PropertyReport("order_preservation", n)
     rng = np.random.default_rng(seed)
@@ -164,9 +134,12 @@ def verify_extreme_states(
     first and last basis vectors, demanding exact zeros, then draws
     Hermitian combinations of those operators and checks that both
     extreme states remain eigenvectors with eigenvalue 0 within ``tol``.
-    ``combos`` must be an integer of at least 0.
+    ``combos`` must be an integer of at least 0, ``seed`` an integer of
+    at least 0 and ``tol`` a finite real.
     """
     combos = _integer(combos, "combos", 0)
+    seed = _integer(seed, "seed", 0)
+    tol = _real(tol, "tol")
     n = system.n
     dim = system.dim
     report = PropertyReport("extreme_states", n)

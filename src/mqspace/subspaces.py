@@ -397,16 +397,17 @@ def verify_closure(
     and a real linear combination of a Hermitian pair; each result must
     pass the membership test. The identity operator must belong as well,
     whatever the tag: a closed operator algebra needs its unit.
-    ``trials`` must be an integer of at least 1. ``tol`` follows
-    :func:`~mqspace.operators._real`, checked, not converted; a negative
-    ``tol`` fails every check, the identity's included, which exercises
-    the failure report.
+    ``trials`` must be an integer of at least 1 and ``seed`` one of at
+    least 0. ``tol`` follows :func:`~mqspace.operators._real`, checked,
+    not converted; a negative ``tol`` fails every check, the identity's
+    included, which exercises the failure report.
 
     A trial works on plain ``2^n x 2^n`` arrays: four members drawn one
     at a time and the three results, so it holds a few dense matrices
     at once and builds no ``Operator``.
     """
     trials = _integer(trials, "trials", 1)
+    seed = _integer(seed, "seed", 0)
     _real(tol, "tol")
     n = system.n
     rng = np.random.default_rng(seed)

@@ -1,6 +1,7 @@
 """Structural verification sweeps and their reporting."""
 
 import importlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -69,6 +70,30 @@ def test_extreme_sweep_refuses_a_combination_count_below_zero(bad):
         verify_extreme_states(SpinSystem(2), combos=bad)
 
 
+# numpy would take True as seed 1, and a NaN tol would pass a leaking
+# generator; verify_closure's tol is checked in test_input_rules
+BAD_SEEDS = [("seed", bad) for bad in (1.5, "3", -1, True, None)]
+BAD_SEEDS_AND_TOLS = BAD_SEEDS + [("tol", bad) for bad in (math.nan, math.inf, "1e-3", None, True)]
+
+
+@pytest.mark.parametrize("key, bad", BAD_SEEDS_AND_TOLS)
+def test_order_preservation_sweep_refuses_a_bad_seed_or_tol(key, bad):
+    with pytest.raises(ConfigurationError, match=f"^{key} "):
+        verify_order_preservation(SpinSystem(2), trials=1, **{key: bad})
+
+
+@pytest.mark.parametrize("key, bad", BAD_SEEDS_AND_TOLS)
+def test_extreme_sweep_refuses_a_bad_seed_or_tol(key, bad):
+    with pytest.raises(ConfigurationError, match=f"^{key} "):
+        verify_extreme_states(SpinSystem(2), combos=1, **{key: bad})
+
+
+@pytest.mark.parametrize("key, bad", BAD_SEEDS)
+def test_closure_sweep_refuses_a_bad_seed(key, bad):
+    with pytest.raises(ConfigurationError, match=f"^{key} "):
+        verify_closure(SubspaceTag.ZERO_QUANTUM, SpinSystem(2), trials=1, **{key: bad})
+
+
 def test_sweeps_take_numpy_counts_and_zero_combinations():
     system = SpinSystem(2)
     assert verify_order_preservation(system, trials=np.int64(2)).checks == 2 * 3 * 16
@@ -77,6 +102,8 @@ def test_sweeps_take_numpy_counts_and_zero_combinations():
     # n = 2 has two off-diagonal zero-quantum cells, each applied to both states
     extreme = verify_extreme_states(system, combos=0)
     assert extreme.passed and extreme.checks == 4
+    seeded = verify_order_preservation(system, trials=1, seed=np.int64(3), tol=np.float32(1e-10))
+    assert seeded == verify_order_preservation(system, trials=1, seed=3, tol=1e-10)
 
 
 def test_specific_commutator_stays_inside_one_order():
@@ -138,7 +165,7 @@ def _planted_operators(n, rng):
 
 
 def _sampled_units(n, rng, count=48):
-    """Units spread over every row pass, the corners and a diagonal cell among them.
+    """Units spread over the whole grid, the corners and a diagonal cell among them.
 
     Units in row 1 and column 0 meet the element (0, 1) that
     ``_planted_operators`` plants, in Z E and in E Z.
@@ -151,9 +178,8 @@ def _sampled_units(n, rng, count=48):
     return sorted(picked)
 
 
-# n = 5 takes every unit row in one pass of _order_leaks, n = 6 several
-# rows per pass and n = 8 one row per pass; above n = 5 the dense stack
-# (16**n work) is formed for a sample of units only
+# above n = 5 the dense stack (16**n work) is formed for a sample of
+# units only
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 8])
 def test_order_leaks_match_dense_unit_stack(n):
     rng = np.random.default_rng(40 + n)
@@ -175,6 +201,19 @@ def test_order_leaks_match_dense_unit_stack(n):
                 assert want.max() > 1e-3, (name, key)
         if units is not None and name == "zero_quantum":
             assert not any(got.any() for got in fast_all)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dense_order_leaks_follow_one_column_and_one_row_of_z(n):
+    # brute force over every unit: the left leak of E_rc depends on r
+    # only, the right leak on c only, and the commutator's squared leak
+    # is their sum, for leaking Z as well as order-0 ones
+    rng = np.random.default_rng(80 + n)
+    for name, z in _planted_operators(n, rng).items():
+        left, right, comm = oracles.order_leaks_dense(z / np.linalg.norm(z), n)
+        assert np.abs(left - left[:, :1]).max() <= 1e-15, name
+        assert np.abs(right - right[:1, :]).max() <= 1e-15, name
+        assert np.abs(comm**2 - left**2 - right**2).max() <= 1e-15, name
 
 
 @pytest.mark.parametrize("n", [1, 5, 6, 7, 8])
