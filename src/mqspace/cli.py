@@ -20,12 +20,13 @@ pieces into an anonymous temporary file (in ``TMPDIR``, where
 :mod:`tempfile` puts it) and copied to the ``--out`` file or standard
 output only after the last piece, so a serialization error leaves no
 partial output and no document text is held in memory; in JSON, equal
-float series share one formatted text, kept until its last use and
-found without keeping a copy of any series' bytes.
-``evolve`` holds one trace at a time: under ``--engine both`` it keeps
-the dense trace's channel table, drops the trace, and compares the
-block trace against that table. The document holds the channel table,
-never the stored cells, and is formatted after every trace is gone.
+float series are formatted once, and each later one is copied back from
+the temporary file, found without keeping a copy of any series' bytes.
+``evolve`` builds no trace: each engine's cells are binned, one time at
+a time, straight into the run's channel table, and under ``--engine
+both`` each block-engine time is compared with its column as it
+arrives. The document holds that table and is formatted after both
+engines are done.
 Exit codes: 0 success, 2 configuration or parse error (malformed config
 values, an unwritable ``--out`` file and an unwritable temporary
 directory included), 3 numerical tolerance failure, 4 invariant breach.
@@ -64,10 +65,13 @@ from .subspaces import (
 from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
-    _channel_gap,
+    _block_sizes,
+    _engine_cells,
+    _label_series,
+    _stream_gap,
+    _stream_table,
+    _undesired,
     linear_times,
-    run_blockwise,
-    run_diffusion,
 )
 from .cascade import cascade
 from .encodings import iz_sorted_encoding, synthesize_permutation
@@ -109,71 +113,76 @@ def _fmt_join(values: Sequence[float], sep: str) -> str:
     return sep.join([_DOUBLE] * len(values)) % tuple(values)
 
 
-def _json_pieces(value: Any) -> Iterator[str]:
-    """The JSON document of ``value`` as string pieces, generated in order.
+class _Copy:
+    """A document piece that repeats the ``length`` characters written from ``offset``.
+
+    ``len`` of it is ``length``, the characters it stands for.
+    """
+
+    __slots__ = ("offset", "length")
+
+    def __init__(self, offset: int, length: int):
+        self.offset, self.length = offset, length
+
+    def __len__(self) -> int:
+        return self.length
+
+
+def _json_pieces(value: Any) -> Iterator[str | _Copy]:
+    """The JSON document of ``value`` as pieces, generated in order.
 
     Nested containers are indented two spaces per level, flat lists (no
     dict, list, tuple or array items) stay on one line and complex numbers
     become ``[re, im]``. Each 1-D float64 array is formatted once per
-    document: arrays with the same bytes share one text, which is yielded
-    by reference and dropped after its last use, known from a counting
-    pass over the document first. The document ends with a newline.
+    document: a later array with the same bytes is a :class:`_Copy` of
+    that text, which :func:`_emit` copies back from the spool, so the
+    writer keeps each series' place in the document but no text. The
+    document ends with a newline.
     """
-    uses: dict[int, int] = {}
-    _json_count(value, uses)
-    yield from _json_write(value, 0, {}, uses)
+    # hash of a series' bytes -> the first series with it and its copy piece
+    formatted: dict[int, tuple[np.ndarray, _Copy]] = {}
+    offset = 0
+    for piece in _json_write(value, 0):
+        if not isinstance(piece, str):
+            piece = _series_piece(piece, offset, formatted)
+        offset += len(piece)
+        yield piece
     yield "\n"
 
 
-def _is_series(value: Any) -> bool:
-    """Whether ``value`` is a 1-D float64 array, whose text a document shares."""
-    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+def _series_piece(series: np.ndarray, offset: int, formatted: dict) -> str | _Copy:
+    """The text of ``series`` written at ``offset``, or the copy of an equal one's.
+
+    Series are found through the hash of their bytes and compared byte
+    for byte, so ``formatted`` keeps each array, which the document holds
+    anyway, but no copy of its bytes. A series whose hash an unequal one
+    took first is formatted again.
+    """
+    data = series.tobytes()
+    key = hash(data)
+    if key in formatted and formatted[key][0].tobytes() == data:
+        return formatted[key][1]
+    text = "[" + _fmt_join(series.tolist(), ", ") + "]"
+    formatted.setdefault(key, (series, _Copy(offset, len(text))))
+    return text
 
 
-def _json_count(value: Any, uses: dict[int, int]) -> None:
-    """Count into ``uses`` the series of ``value`` under the hash of their bytes."""
-    if _is_series(value):
-        key = hash(value.tobytes())
-        uses[key] = uses.get(key, 0) + 1
-    elif isinstance(value, dict):
-        for v in value.values():
-            _json_count(v, uses)
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _json_count(v, uses)
-
-
-def _json_write(
-    value: Any, indent: int, formatted: dict, uses: dict[int, int]
-) -> Iterator[str]:
+def _json_write(value: Any, indent: int) -> Iterator[str | np.ndarray]:
     """Generate the pieces of ``value`` at nesting level ``indent``.
 
-    ``formatted`` maps the hash of a series' bytes to the ``(array, text)``
-    of each series with it, and ``uses`` to the series with that hash yet
-    to be written; the entry goes when that count reaches zero. Arrays are
-    found through that hash and compared byte for byte, so the cache keeps
-    each array and its text but no copy of its bytes. A plain recursive
-    generator, not a closure, so a finished document leaves no reference
-    cycle holding its arrays.
+    A 1-D float64 array, a series, is yielded as itself, for
+    :func:`_json_pieces` to write. A plain recursive generator, not a
+    closure, so a finished document leaves no reference cycle holding its
+    arrays.
     """
-    if _is_series(value):
-        data = value.tobytes()
-        key = hash(data)
-        bucket = formatted.setdefault(key, [])
-        text = next((t for v, t in bucket if v.tobytes() == data), None)
-        if text is None:
-            text = "[" + _fmt_join(value.tolist(), ", ") + "]"
-            bucket.append((value, text))
-        uses[key] -= 1
-        if not uses[key]:
-            del formatted[key], uses[key]
-        yield text
+    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        yield value
     elif isinstance(value, dict) and value:
         pad = "  " * indent
         lead = "{\n"
         for k, v in value.items():
             yield f"{lead}{pad}  {_json_string(str(k))}: "
-            yield from _json_write(v, indent + 1, formatted, uses)
+            yield from _json_write(v, indent + 1)
             lead = ",\n"
         yield f"\n{pad}}}"
     elif isinstance(value, (list, tuple)) and value:
@@ -184,7 +193,7 @@ def _json_write(
             lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
         for v in value:
             yield lead
-            yield from _json_write(v, indent + 1, formatted, uses)
+            yield from _json_write(v, indent + 1)
             lead = sep
         yield end
     else:
@@ -228,17 +237,28 @@ def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
         yield "\n"
 
 
-def _emit(pieces: Iterable[str], out: str | None) -> None:
+def _emit(pieces: Iterable[str | _Copy], out: str | None) -> None:
     """Write a document to ``out``, or standard output, once its last piece exists.
 
     The pieces go to an anonymous temporary file, which is copied out
     after the last one: a failed run writes nothing, and no document text
-    is held in memory.
+    is held in memory. A :class:`_Copy` is read back from that file's
+    bytes; its offset counts characters, which are bytes here since a JSON
+    document is ASCII (:func:`_json_string` escapes the rest).
     """
     with contextlib.ExitStack() as stack:
         try:
             spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
-            spool.writelines(pieces)
+            for piece in pieces:
+                if isinstance(piece, str):
+                    spool.write(piece)
+                    continue
+                spool.flush()
+                raw = spool.buffer
+                raw.seek(piece.offset)
+                text = raw.read(piece.length)
+                raw.seek(0, 2)  # the end, where the text layer writes on
+                raw.write(text)
         except OSError as exc:
             target = "" if out is None else f" {out!r}"
             raise ConfigurationError(
@@ -535,17 +555,14 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
             f"engine must be full, blockwise or both, got {engine!r}"
         )
 
-    trace = run_blockwise(config) if engine == "blockwise" else run_diffusion(config)
-    # the written trace gives up its channel table and small fields and is
-    # dropped before a second engine runs, so one trace is alive at a time
-    labels, table, rows = trace._channel_table
-    channels = None if csv else trace.channels
-    conserved, undesired, block_sizes = trace.conserved, trace.undesired, trace.block_sizes
-    del trace
+    # the written engine's channels go straight into one table; under
+    # "both" each block-engine time is compared with its column as it
+    # arrives, so no trace and no second table exist
+    written = "blockwise" if engine == "blockwise" else "full"
+    labels, table, rows, conserved = _stream_table(config, _engine_cells(config, written))
     discrepancy = None
     if engine == "both":
-        # the block trace lives only for the comparison against the table
-        discrepancy = _channel_gap(lambda points: table[:, points], run_blockwise(config), labels)
+        discrepancy = _stream_gap(config, _engine_cells(config, "blockwise"), table)
 
     if csv:
         tails = [] if discrepancy is None else [discrepancy]
@@ -557,19 +574,18 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
             for i, t in enumerate(config.times)
         )
         return _csv_pieces(header, lines), EXIT_OK
+    block_sizes = _block_sizes(system.n, written)
     doc = {
         "n": system.n,
         "engine": engine,
         "initial": config.initial,
         "purge": config.purge,
         "times": np.asarray(config.times),
-        "channels": channels,
+        "channels": _label_series(labels, table, rows),
         "conserved": conserved,
-        "undesired": list(undesired),
+        "undesired": list(_undesired(system.n, config.track)),
         "block_sizes": (
-            None
-            if block_sizes is None
-            else {str(k): v for k, v in sorted(block_sizes.items())}
+            None if block_sizes is None else {str(k): v for k, v in block_sizes.items()}
         ),
     }
     if discrepancy is not None:

@@ -157,6 +157,20 @@ def _tracked_labels(n: int, track: TrackSpec) -> tuple[str, ...]:
     return _every_channel_label(n) if track == "all" else track
 
 
+def _undesired(n: int, track: TrackSpec) -> tuple[str, ...]:
+    """The labels ``track`` names other than the single-spin longitudinal ones."""
+    if track == "all":
+        return _every_channel_label(n)[n:]
+    (_, longitudinal), _ = _diagonal_groups(n)
+    return tuple(lab for lab in track if lab not in longitudinal)
+
+
+def _label_series(labels: tuple[str, ...], table: np.ndarray, rows: np.ndarray) -> dict:
+    """Each label's row of a channel table, the two labels of a shared row one array."""
+    series = list(table)
+    return {lab: series[r] for lab, r in zip(labels, rows.tolist())}
+
+
 @dataclass(frozen=True)
 class DiffusionTrace:
     """Time series produced by one run.
@@ -236,22 +250,17 @@ class DiffusionTrace:
         """
         labels = _tracked_labels(self._n, self.track)
         cells = _channel_cells(self._n, labels)
-        return labels, _channel_values(self, cells, slice(None)), cells[2]
+        return labels, _channel_values(self.coefficients, self.upper_coherences, cells), cells[2]
 
     @cached_property
     def channels(self) -> dict[str, np.ndarray]:
         """Tracked label to channel series, built on first access."""
-        labels, table, rows = self._channel_table
-        series = list(table)
-        return {lab: series[r] for lab, r in zip(labels, rows.tolist())}
+        return _label_series(*self._channel_table)
 
     @cached_property
     def undesired(self) -> tuple[str, ...]:
         """Tracked labels other than single-spin longitudinal ones."""
-        if self.track == "all":
-            return _every_channel_label(self._n)[self._n:]
-        (_, longitudinal), _ = _diagonal_groups(self._n)
-        return tuple(lab for lab in self.track if lab not in longitudinal)
+        return _undesired(self._n, self.track)
 
     @cached_property
     def profiles(self) -> tuple[AmplitudeProfile, ...]:
@@ -285,17 +294,19 @@ def _channel_cells(n: int, labels: tuple[str, ...]):
     return index[diagonal], position[index[~diagonal]], rows
 
 
-def _channel_values(trace: DiffusionTrace, cells, points) -> np.ndarray:
-    """The channels at :func:`_channel_cells` ``cells``, a column per point in ``points``.
+def _channel_values(coefficients: np.ndarray, upper: np.ndarray, cells) -> np.ndarray:
+    """The channels at :func:`_channel_cells` ``cells``, a column per point.
 
-    The coefficient rows come first, then the coherence magnitudes, which
-    ``np.abs`` writes in place, so no temporary of the result's size is
-    made.
+    ``coefficients`` and ``upper`` hold a row per point, laid out as
+    :attr:`DiffusionTrace.coefficients` and
+    :attr:`DiffusionTrace.upper_coherences`. The coefficient rows come
+    first, then the coherence magnitudes, which ``np.abs`` writes in place,
+    so no temporary of the result's size is made.
     """
     columns, positions, _ = cells
-    upper = trace.upper_coherences[points, positions].T
+    upper = upper[:, positions].T
     values = np.empty((columns.size + upper.shape[0], upper.shape[1]))
-    values[: columns.size] = trace.coefficients[points, columns].T
+    values[: columns.size] = coefficients[:, columns].T
     np.abs(upper, out=values[columns.size :])
     return values
 
@@ -344,48 +355,126 @@ def _initial_diagonal(config: DiffusionConfig) -> np.ndarray:
     return 0.5 - (np.bitwise_count(subset & np.arange(1 << n)) & 1)
 
 
-def _assemble(
-    config: DiffusionConfig,
-    cells,
-    engine: str,
-    block_sizes: dict[int, int] | None,
-) -> DiffusionTrace:
-    """Bin each time's ``(diag, upper, residual)`` cells into the trace.
+def _binned(n: int, cells, purge: bool):
+    """Each time's ``(coefficients, upper, residual)`` as a trace stores them.
 
-    ``upper`` holds the cells ``(i, j)`` with ``i < j`` in
-    :func:`~mqspace.subspaces._zq_stored_cells` order, the order the trace
-    stores.
+    ``cells`` yields ``(diag, upper, residual)`` per time, ``upper`` the
+    cells ``(i, j)`` with ``i < j`` in
+    :func:`~mqspace.subspaces._zq_stored_cells` order, a new array each
+    time. ``diag`` is binned by :func:`~mqspace.dynamics._walsh_bin`, whose
+    norm check sees the evolved cells; ``purge`` then zeroes the spin-order
+    coefficients and, in place, the coherence cells.
     """
+    _, (order_idx, _) = _diagonal_groups(n)
+    for diag, upper, residual in cells:
+        coefficients = _walsh_bin(n, diag, upper, residual)
+        if purge:
+            coefficients[order_idx] = 0.0
+            upper[:] = 0.0
+        yield coefficients, upper, residual
+
+
+def _conserved(n: int, longitudinal: np.ndarray) -> np.ndarray:
+    """``<F_z, rho(t)>`` per time from the C-contiguous ``(n, T)`` longitudinal
+    coefficients.
+
+    Each ``I_kz`` has squared norm ``2^(n-2)``; the rows are summed one
+    after another, in label order.
+    """
+    return 2.0 ** (n - 2) * longitudinal.sum(axis=0)
+
+
+def _block_sizes(n: int, engine: str) -> dict[int, int] | None:
+    """:attr:`DiffusionTrace.block_sizes` of a run of ``engine``."""
+    return None if engine == "full" else {k: math.comb(n, k) ** 2 for k in range(n + 1)}
+
+
+def _engine_cells(config: DiffusionConfig, engine: str):
+    """The per-time cells of ``engine``, ``"full"`` or ``"blockwise"``, on ``config``.
+
+    Yields ``(diag, upper, residual)`` per grid time as :func:`_binned`
+    takes them. No reference to the Hamiltonian blocks is kept here: the
+    full engine keeps their spectra, and the block engine's generator
+    frees them before its first cell.
+    """
+    blocks = _hamiltonian_blocks(config.system, config.hamiltonian)
+    q = _initial_diagonal(config)
+    if engine == "full":
+        spectra = _block_spectra(blocks)
+        return (_dense_cells(spectra, q, t) for t in config.times)
+    return _blockwise_cells(blocks, q, config.times)
+
+
+def _assemble(config: DiffusionConfig, engine: str) -> DiffusionTrace:
+    """The trace of ``engine`` on ``config``: its :func:`_engine_cells`, binned."""
     n = config.system.n
-    (long_idx, _), (order_idx, _) = _diagonal_groups(n)
+    (long_idx, _), _ = _diagonal_groups(n)
+    cells = _engine_cells(config, engine)
     points = len(config.times)
     coefficients = np.empty((points, 1 << n))
     # the off-diagonal zero-quantum cells (i, j) with i < j
     upper_coherences = np.empty((points, (math.comb(2 * n, n) - (1 << n)) // 2), dtype=complex)
     residuals = np.empty(points)
-    for i, (diag, upper, residual) in enumerate(cells):
-        coefficients[i] = _walsh_bin(n, diag, upper, residual)
-        upper_coherences[i] = upper
-        residuals[i] = residual
-    if config.purge:
-        coefficients[:, order_idx] = 0.0
-        upper_coherences[:] = 0.0
+    for i, binned in enumerate(_binned(n, cells, config.purge)):
+        coefficients[i], upper_coherences[i], residuals[i] = binned
     for arr in (coefficients, upper_coherences, residuals):
         arr.setflags(write=False)
-
-    # conserved = <F_z, rho(t)>; each I_kz has squared norm 2^(n-2); the
-    # rows are summed one after another, in label order
-    longitudinal = np.ascontiguousarray(coefficients[:, long_idx].T)
     return DiffusionTrace(
         times=config.times,
         coefficients=coefficients,
         upper_coherences=upper_coherences,
         residuals=residuals,
-        conserved=2.0 ** (n - 2) * longitudinal.sum(axis=0),
+        conserved=_conserved(n, np.ascontiguousarray(coefficients[:, long_idx].T)),
         track=config.track,
         engine=engine,
-        block_sizes=block_sizes,
+        block_sizes=_block_sizes(n, engine),
     )
+
+
+def _stream_columns(config: DiffusionConfig, cells):
+    """Each time's channels, as :func:`_channel_values` lays out one point, and
+    its coefficients, binned from ``cells`` one time at a time."""
+    n = config.system.n
+    where = _channel_cells(n, config.tracked_labels())
+    for coefficients, upper, _ in _binned(n, cells, config.purge):
+        yield _channel_values(coefficients[None], upper[None], where)[:, 0], coefficients
+
+
+def _stream_table(config: DiffusionConfig, cells):
+    """``(labels, table, rows, conserved)`` of a run, with no trace built.
+
+    ``cells`` is an :func:`_engine_cells` generator; each time's channels
+    go straight into its column of the table, so only the ``(rows, T)``
+    table and the ``(n, T)`` longitudinal coefficients grow with the run.
+    Equal bit for bit to the trace's :attr:`DiffusionTrace._channel_table`
+    and :attr:`DiffusionTrace.conserved`.
+    """
+    n = config.system.n
+    (long_idx, _), _ = _diagonal_groups(n)
+    labels = config.tracked_labels()
+    rows = _channel_cells(n, labels)[2]
+    points = len(config.times)
+    # every table row is some label's
+    table = np.empty((int(rows.max()) + 1, points))
+    longitudinal = np.empty((n, points))
+    for i, (column, coefficients) in enumerate(_stream_columns(config, cells)):
+        table[:, i] = column
+        longitudinal[:, i] = coefficients[long_idx]
+    return labels, table, rows, _conserved(n, longitudinal)
+
+
+def _stream_gap(config: DiffusionConfig, cells, table: np.ndarray) -> np.ndarray:
+    """Per-time max absolute difference between ``table``'s columns and the
+    channels binned from ``cells``, each time compared as it arrives.
+
+    ``table`` is a :func:`_stream_table` table of ``config``; equal bit for
+    bit to :func:`channel_discrepancy` of the two runs' traces.
+    """
+    gap = np.empty(len(config.times))
+    for i, (column, _) in enumerate(_stream_columns(config, cells)):
+        x = table[:, i] - column
+        gap[i] = np.abs(x, out=x).max()
+    return gap
 
 
 def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
@@ -400,10 +489,7 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
     weight left outside the zero-quantum pattern. It works on plain
     arrays and builds no dense Hamiltonian.
     """
-    spectra = _block_spectra(_hamiltonian_blocks(config.system, config.hamiltonian))
-    q = _initial_diagonal(config)
-    cells = (_dense_cells(spectra, q, t) for t in config.times)
-    return _assemble(config, cells, "full", None)
+    return _assemble(config, "full")
 
 
 def _dense_cells(spectra, q: np.ndarray, t: float):
@@ -439,16 +525,7 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
     ``2^n x 2^n`` matrix; a custom one is realized densely once, to be
     checked and split.
     """
-    n = config.system.n
-    # no reference to the blocks is kept here: the cell generator frees
-    # them before binning
-    cells = _blockwise_cells(
-        _hamiltonian_blocks(config.system, config.hamiltonian),
-        _initial_diagonal(config),
-        config.times,
-    )
-    sizes = {k: math.comb(n, k) ** 2 for k in range(n + 1)}
-    return _assemble(config, cells, "blockwise", sizes)
+    return _assemble(config, "blockwise")
 
 
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
@@ -467,23 +544,11 @@ def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     if set(_tracked_labels(b._n, b.track)) != set(labels):
         raise ConfigurationError("traces track different channels")
     cells = _channel_cells(a._n, labels)
-    return _channel_gap(lambda points: _channel_values(a, cells, points), b, labels)
-
-
-def _channel_gap(values, b: DiffusionTrace, labels: tuple[str, ...]) -> np.ndarray:
-    """Per-grid-point max absolute difference between ``values`` and ``b``'s channels.
-
-    ``values(points)`` gives the channels ``labels`` at a slice of grid
-    points as :func:`_channel_values` lays them out, a row per
-    :func:`_channel_cells` row and a column per point: read from a trace,
-    or sliced from a channel table already taken. ``b`` is read from its
-    stored cells, a chunk of 2^16 values at a time.
-    """
-    cells = _channel_cells(b._n, labels)
-    gap = np.empty(len(b.times))
+    gap = np.empty(len(a.times))
     step = max(1, (1 << 16) // len(labels))  # 2^16 values, 0.5 MiB, per chunk
     for start in range(0, len(gap), step):
         points = slice(start, start + step)
-        x = values(points) - _channel_values(b, cells, points)
+        x = _channel_values(a.coefficients[points], a.upper_coherences[points], cells)
+        x -= _channel_values(b.coefficients[points], b.upper_coherences[points], cells)
         gap[points] = np.abs(x, out=x).max(axis=0)
     return gap

@@ -803,11 +803,26 @@ EDGE_DOUBLES = [
 ]
 
 
+def _resolved(pieces):
+    """The document's pieces, each copy replaced by the piece written at its offset."""
+    from mqspace.cli import _Copy
+
+    out, at, offset = [], {}, 0
+    for piece in pieces:
+        if isinstance(piece, _Copy):
+            piece, length = at[piece.offset], piece.length
+            assert len(piece) == length
+        at[offset] = piece
+        out.append(piece)
+        offset += len(piece)
+    return out
+
+
 def _json_text(value):
     """The JSON text of ``value`` without the document's final newline."""
     from mqspace.cli import _json_pieces
 
-    text = "".join(_json_pieces(value))
+    text = "".join(_resolved(_json_pieces(value)))
     assert text.endswith("\n")
     return text[:-1]
 
@@ -928,7 +943,7 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
         return value
 
     calls = _counting_fmt_join(monkeypatch)
-    pieces = list(_json_pieces(doc))
+    pieces = _resolved(_json_pieces(doc))
     assert "".join(pieces) == oracles.json_text(listed(doc)) + "\n"
     # equal bytes share one text; -0.0 against 0.0 and different NaN
     # payloads are different bytes, so each is formatted on its own
@@ -950,7 +965,7 @@ def test_json_pieces_free_their_arrays_without_the_cyclic_collector():
     try:
         doc = {"channels": {"I1z": series, "I2z": series.copy()}, "list": [series]}
         pieces = _json_pieces(doc)
-        assert "".join(pieces).count("[0.25, -1.5, 3]") == 3
+        assert "".join(_resolved(pieces)).count("[0.25, -1.5, 3]") == 3
         del pieces, doc, series
         assert ref() is None
     finally:
@@ -959,8 +974,8 @@ def test_json_pieces_free_their_arrays_without_the_cyclic_collector():
 
 def test_json_pieces_drop_each_text_after_its_last_use():
     # 2,000 distinct series, each written under two labels in a row: a text
-    # is about 2 kB, 4 MB for all of them, but each is dropped once its
-    # second label is written, so the writer holds a few at a time
+    # is about 2 kB, 4 MB for all of them, but the writer keeps none once
+    # it is handed on; the second label's piece is a copy of the first's
     from mqspace.cli import _json_pieces
 
     rng = np.random.default_rng(3)
@@ -976,45 +991,97 @@ def test_json_pieces_drop_each_text_after_its_last_use():
     assert peak < 2**20, peak / 2**20
 
 
-@pytest.mark.parametrize("engine", ["full", "both"])
+def test_json_series_repeated_in_reverse_are_copied_back_from_the_spool(tmp_path):
+    # 2,000 distinct series, each written twice, the second pass in reverse
+    # order: every text is about 2 kB, 4 MB for all of them, and keeping
+    # each until its last use would hold all of them at the turn; each later
+    # use is copied back from the spool instead
+    from mqspace.cli import _emit, _json_pieces
+
+    rng = np.random.default_rng(4)
+    series = rng.random((2000, 100))
+    doc = {f"{i}a": s for i, s in enumerate(series)}
+    doc |= {f"{i}b": series[i] for i in reversed(range(len(series)))}
+    reference = oracles.json_text({k: v.tolist() for k, v in doc.items()}) + "\n"
+    target = tmp_path / "doc.json"
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _emit(_json_pieces(doc), str(target))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(reference) > 7 * 2**20
+    assert target.read_bytes() == reference.encode()
+    assert peak < 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_evolve_formats_after_every_trace_is_gone(capsys, monkeypatch, engine, fmt):
+def test_evolve_formats_after_every_cell_generator_is_closed(capsys, monkeypatch, engine, fmt):
+    # each engine's cell generator is freed once its cells are binned: the
+    # dense one before the block engine's is made, and both before the
+    # first series is formatted
     from mqspace import cli
 
-    traces = []
-    for name in ("run_diffusion", "run_blockwise"):
+    made = []  # a weak reference to each cell generator the run makes
+    alive_at_make = []
 
-        def recording(config, run=getattr(cli, name)):
-            trace = run(config)
-            traces.append(weakref.ref(trace))
-            return trace
+    def recording(config, which, cells=cli._engine_cells):
+        alive_at_make.append([ref() is not None for ref in made])
+        generator = cells(config, which)
+        made.append(weakref.ref(generator))
+        return generator
 
-        monkeypatch.setattr(cli, name, recording)
+    monkeypatch.setattr(cli, "_engine_cells", recording)
     fmt_join = cli._fmt_join
-    alive = []  # the traces alive at each formatting call
+    alive = []  # the generators alive at each formatting call
 
     def checking(values, sep):
-        alive.append(sum(ref() is not None for ref in traces))
+        alive.append(sum(ref() is not None for ref in made))
         return fmt_join(values, sep)
 
     monkeypatch.setattr(cli, "_fmt_join", checking)
-    code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", engine, "--format", fmt])
+    gc.disable()  # a generator must be freed by its last reference going
+    try:
+        code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", engine, "--format", fmt])
+    finally:
+        gc.enable()
     assert code == EXIT_OK, err
-    assert len(traces) == (2 if engine == "both" else 1)
+    assert alive_at_make == ([[], [False]] if engine == "both" else [[]])
     assert alive and not any(alive)
 
 
-# One run holds one trace and one channel table at once, and its peak is
-# the --engine both comparison: the block trace's stored cells, 65 times x
-# (1,652 upper cells x 16 B + 128 coefficients x 8 B) = 1.7 MiB; the dense
-# trace's channel table, 65 x (127 + 1,652) rows x 8 B = 0.9 MiB; and one
-# chunk of the comparison, under 1 MiB. JSON also keeps the table's 3,431
-# label views, 0.3 MiB. That reads 3.85 MiB in JSON and 3.55 MiB in CSV; the
-# bounds add 0.65 MiB. The document text goes to a spool file and counts
-# for nothing here: with both traces alive and the text held in memory the
-# peaks read 4.8 and 6.0 MiB.
-@pytest.mark.parametrize("fmt, bound_mib", [("json", 4.5), ("csv", 4.2)])
-def test_evolve_peak_memory_stays_within_one_trace_and_its_text(tmp_path, fmt, bound_mib):
+@pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_evolve_builds_no_trace(capsys, monkeypatch, engine, fmt):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a trace was built")
+
+    monkeypatch.setattr(mqspace.DiffusionTrace, "__init__", refuse)
+    with pytest.raises(AssertionError, match="a trace was built"):
+        pair = HamiltonianSpec("flipflop", couplings=((1, 2, 1.0),))
+        run_diffusion(DiffusionConfig(SpinSystem(2), pair, (0.0, 1.0)))
+    argv = ["evolve", "--n", "4", "--model", "dipolar_secular", "--times", "0:2:5",
+            "--coupling", "1,2,1.0", "--coupling", "2,3,0.7", "--coupling", "3,4,0.5",
+            "--engine", engine, "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert code == EXIT_OK, err
+    assert out
+
+
+# A run holds its channel table and one time's working arrays, and no
+# trace. Its peak is the dense engine's last time points, with the table
+# filled: 65 times x (127 + 1,652) rows x 8 B = 0.88 MiB of table, and the
+# three 128 x 128 complex arrays, 0.75 MiB, alive at once in
+# _dense_cells. JSON's 3,431 label views and its series offsets come once
+# both engines are done, below that. That reads 1.82 MiB in JSON and 1.81
+# MiB in CSV; the bounds add 0.28 MiB. The document text goes to a spool
+# file and counts for nothing here. Binning into a whole trace first, and
+# keeping each shared series' text until its last use, the peaks read 3.85
+# and 3.55 MiB.
+@pytest.mark.parametrize("fmt, bound_mib", [("json", 2.1), ("csv", 2.1)])
+def test_evolve_peak_memory_stays_within_the_channel_table_and_one_time(tmp_path, fmt, bound_mib):
     n = 7
     terms = [("--coupling", f"{k},{k + 1},{0.3 + 0.1 * k!r}") for k in range(1, n)]
     couplings = [x for term in terms for x in term]
@@ -1029,34 +1096,6 @@ def test_evolve_peak_memory_stays_within_one_trace_and_its_text(tmp_path, fmt, b
     finally:
         tracemalloc.stop()
     assert peak <= bound_mib * 2**20, peak / 2**20
-
-
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_evolve_both_drops_the_dense_trace_before_the_block_engine(capsys, monkeypatch, fmt):
-    from mqspace import cli
-
-    dense = []
-    alive = []  # whether the dense trace is alive as the block engine starts
-
-    def recording(config, run=cli.run_diffusion):
-        trace = run(config)
-        dense.append(weakref.ref(trace))
-        return trace
-
-    def checking(config, run=cli.run_blockwise):
-        alive.append(dense[0]() is not None)
-        return run(config)
-
-    monkeypatch.setattr(cli, "run_diffusion", recording)
-    monkeypatch.setattr(cli, "run_blockwise", checking)
-    gc.disable()  # the trace must be freed by its last reference going
-    try:
-        code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", "both", "--format", fmt])
-    finally:
-        gc.enable()
-    assert code == EXIT_OK, err
-    assert len(dense) == 1
-    assert alive == [False]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1155,7 +1194,7 @@ def _refuse(*args, **kwargs):
 def test_bad_format_is_reported_before_any_run(capsys, monkeypatch, tmp_path):
     from mqspace import cli
 
-    monkeypatch.setattr(cli, "run_diffusion", _refuse)
+    monkeypatch.setattr(cli, "_engine_cells", _refuse)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"format": "xml"}))
     for argv in (EVOLVE_ARGS, ["evolve", "--n", "2"]):

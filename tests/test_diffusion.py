@@ -997,3 +997,58 @@ def test_block_run_builds_its_pair_table_without_labels(monkeypatch):
     cells = run_blockwise(cfg).coherences
     monkeypatch.undo()
     assert np.max(np.abs(cells - reference.coherences)) <= 1e-10
+
+
+def _custom_spec(n):
+    """A custom zero-quantum generator: z offsets and complex flip-flop pairs."""
+    terms = {}
+    for k in range(n):
+        terms[("e",) * k + ("z",) + ("e",) * (n - k - 1)] = 0.3 * k - 0.5
+    for k in range(n - 1):
+        c = 0.25 + 0.1 * k
+        for a, b, coeff in (("x", "x", 0.6), ("y", "y", 0.6), ("x", "y", c), ("y", "x", -c)):
+            factors = ["e"] * n
+            factors[k], factors[k + 1] = a, b
+            terms[tuple(factors)] = coeff
+    expansion = OperatorExpansion(
+        CARTESIAN, {BaseOperatorSpec(CARTESIAN, fs).label: c for fs, c in terms.items()}, 0.0
+    )
+    return HamiltonianSpec("custom", custom=expansion)
+
+
+STREAM_CASES = [(1, "offsets"), (1, "custom")] + [
+    (n, model)
+    for n in range(2, 7)
+    for model in ("dipolar_secular", "flipflop", "isotropic_j", "offsets", "custom")
+]
+
+
+@pytest.mark.parametrize("subset", [False, True], ids=["all", "subset"])
+@pytest.mark.parametrize("purge_bins", [False, True])
+@pytest.mark.parametrize("n, model", STREAM_CASES)
+def test_streamed_channels_equal_the_trace_route_bytewise(n, model, purge_bins, subset):
+    # the channel table, its row map and the conserved sum binned one time
+    # at a time, with no trace, are the trace's own bytes; so is the
+    # --engine both discrepancy taken one block-engine time at a time
+    every = diffusion._every_channel_label(n)
+    track = "all"
+    if subset:  # three labels, out of channel order: coherence, longitudinal, spin order
+        track = (every[-1], every[0], every[n]) if n > 1 else every
+    spec = _custom_spec(n) if model == "custom" else _spec(model, n)
+    cfg = DiffusionConfig(
+        SpinSystem(n), spec, linear_times(0.0, 3.0, 6), purge=purge_bins, track=track
+    )
+    traces = {"full": run_diffusion(cfg), "blockwise": run_blockwise(cfg)}
+    tables = {}
+    for engine, trace in traces.items():
+        labels, table, rows, conserved = tables[engine] = diffusion._stream_table(
+            cfg, diffusion._engine_cells(cfg, engine)
+        )
+        want_labels, want_table, want_rows = trace._channel_table
+        assert labels == want_labels == cfg.tracked_labels()
+        assert table.shape == want_table.shape
+        assert table.tobytes() == want_table.tobytes(), engine
+        assert rows.tobytes() == want_rows.tobytes()
+        assert conserved.tobytes() == trace.conserved.tobytes(), engine
+    gap = diffusion._stream_gap(cfg, diffusion._engine_cells(cfg, "blockwise"), tables["full"][1])
+    assert gap.tobytes() == channel_discrepancy(traces["full"], traces["blockwise"]).tobytes()
