@@ -22,11 +22,13 @@ output only after the last piece, so a serialization error leaves no
 partial output and no document text is held in memory; in JSON, equal
 float series are formatted once, and each later one is copied back from
 the temporary file, found without keeping a copy of any series' bytes.
-``evolve`` builds no trace: each engine's cells are binned, one time at
-a time, straight into the run's channel table, and under ``--engine
-both`` each block-engine time is compared with its column as it
-arrives. The document holds that table and is formatted after both
-engines are done.
+``evolve`` builds no trace. Its engines' binned times go through the
+two loops that serve a trace too: :func:`~mqspace.diffusion._stream_table`
+fills the run's read-only channel table one time at a time, and under
+``--engine both`` :func:`~mqspace.diffusion._stream_gap` compares each
+block-engine time with its column as it arrives, as
+:func:`~mqspace.diffusion.channel_discrepancy` compares two traces. The
+document holds that table and is formatted after both engines are done.
 Exit codes: 0 success, 2 configuration or parse error (malformed config
 values, an unwritable ``--out`` file and an unwritable temporary
 directory included), 3 numerical tolerance failure, 4 invariant breach.
@@ -66,7 +68,7 @@ from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
     DiffusionConfig,
     _block_sizes,
-    _engine_cells,
+    _engine_rows,
     _label_series,
     _stream_gap,
     _stream_table,
@@ -555,14 +557,17 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
             f"engine must be full, blockwise or both, got {engine!r}"
         )
 
-    # the written engine's channels go straight into one table; under
+    # the written engine's rows go straight into one channel table; under
     # "both" each block-engine time is compared with its column as it
     # arrives, so no trace and no second table exist
     written = "blockwise" if engine == "blockwise" else "full"
-    labels, table, rows, conserved = _stream_table(config, _engine_cells(config, written))
+    labels = config.tracked_labels()
+    table, rows, conserved = _stream_table(
+        system.n, labels, _engine_rows(config, written), len(config.times)
+    )
     discrepancy = None
     if engine == "both":
-        discrepancy = _stream_gap(config, _engine_cells(config, "blockwise"), table)
+        discrepancy = _stream_gap(system.n, labels, table.T, _engine_rows(config, "blockwise"))
 
     if csv:
         tails = [] if discrepancy is None else [discrepancy]

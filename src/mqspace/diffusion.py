@@ -187,9 +187,10 @@ class DiffusionTrace:
     contiguous run; ``residuals`` is ``(T,)``, the Frobenius weight outside
     the zero-quantum pattern. The evolved operator is Hermitian, so cell
     ``(j, i)`` is the conjugate of ``(i, j)`` and is not stored.
-    ``conserved`` is the inner product of the total-z operator with the
-    evolved state, constant whenever the Hamiltonian commutes with total
-    z. ``track`` is the run's :attr:`DiffusionConfig.track`.
+    ``conserved``, read only as well, is the inner product of the total-z
+    operator with the evolved state, constant whenever the Hamiltonian
+    commutes with total z. ``track`` is the run's
+    :attr:`DiffusionConfig.track`.
     ``block_sizes`` maps each magnetization block ``k`` to its d(k)^2
     entries for the block-wise engine, and is None otherwise; it counts
     entries, not the arithmetic done, which the spin-flip reductions of
@@ -203,19 +204,20 @@ class DiffusionTrace:
     Hermitian fold writes there.
 
     The label-keyed views are built from the stored arrays on first read
-    and kept. ``channels`` maps each tracked label to a real array over
-    the grid; coherence channels report magnitudes since their amplitudes
-    are complex, and the two labels of a conjugate pair share one array.
-    Under ``track="all"`` it names all ``binomial(2n, n) - 1`` channel
-    labels, so a trace whose channels are read holds about ``T * cells *
-    12`` bytes: 16 per stored cell and 8 per channel array, for half the
-    cells each. The channel arrays are rows of one ``(channels, T)``
-    table, filled in place with no temporary of its size, and they outlive
-    the trace: once the channels are taken, dropping the trace frees the
-    16 bytes per stored cell. :func:`channel_discrepancy` reads the stored
-    cells and builds neither view. ``undesired`` lists the tracked labels
-    other than the single-spin longitudinal ones, and ``profiles``
-    presents the binned numbers as one
+    and kept. ``channels`` maps each tracked label to a read-only real
+    array over the grid; coherence channels report magnitudes since their
+    amplitudes are complex, and the two labels of a conjugate pair share
+    one array. Under ``track="all"`` it names all ``binomial(2n, n) - 1``
+    channel labels, so a trace whose channels are read holds about ``T *
+    cells * 12`` bytes: 16 per stored cell and 8 per channel array, for
+    half the cells each. The channel arrays are rows of one ``(channels,
+    T)`` table stored time-major, each time's channels contiguous, which
+    :func:`_stream_table` fills one time at a time as it fills the table
+    of ``mqspace evolve``; they outlive the trace: once the channels are
+    taken, dropping the trace frees the 16 bytes per stored cell.
+    :func:`channel_discrepancy` keeps neither view. ``undesired`` lists
+    the tracked labels other than the single-spin longitudinal ones, and
+    ``profiles`` presents the binned numbers as one
     :class:`~mqspace.dynamics.AmplitudeProfile` per grid point; it reads
     ``coherences``.
     """
@@ -238,19 +240,18 @@ class DiffusionTrace:
         """Every off-diagonal zero-quantum cell per grid point, built on first read."""
         return _full_coherences(self._n, self.upper_coherences)
 
+    def _points(self):
+        """Each grid time's stored ``(coefficients, upper, residual)``, as
+        :func:`_binned` yields them."""
+        return zip(self.coefficients, self.upper_coherences, self.residuals)
+
     @cached_property
     def _channel_table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
-        """``(labels, table, rows)``: the tracked labels, a table with a column
-        per time, and each label's row of that table.
-
-        The table is :func:`_channel_values` of the labels'
-        :func:`_channel_cells` at every time; under ``track="all"`` it has
-        one magnitude row per stored coherence cell, which both labels of
-        the pair read.
-        """
+        """``(labels, table, rows)``: the tracked labels, the read-only
+        :func:`_stream_table` of the stored points, and each label's row of it."""
         labels = _tracked_labels(self._n, self.track)
-        cells = _channel_cells(self._n, labels)
-        return labels, _channel_values(self.coefficients, self.upper_coherences, cells), cells[2]
+        table, rows, _ = _stream_table(self._n, labels, self._points(), len(self.times))
+        return labels, table, rows
 
     @cached_property
     def channels(self) -> dict[str, np.ndarray]:
@@ -294,21 +295,57 @@ def _channel_cells(n: int, labels: tuple[str, ...]):
     return index[diagonal], position[index[~diagonal]], rows
 
 
-def _channel_values(coefficients: np.ndarray, upper: np.ndarray, cells) -> np.ndarray:
-    """The channels at :func:`_channel_cells` ``cells``, a column per point.
+def _channel_column(coefficients: np.ndarray, upper: np.ndarray, cells, out: np.ndarray):
+    """Write one time's channels at :func:`_channel_cells` ``cells`` into ``out``.
 
-    ``coefficients`` and ``upper`` hold a row per point, laid out as
+    ``coefficients`` and ``upper`` are one time's rows of
     :attr:`DiffusionTrace.coefficients` and
-    :attr:`DiffusionTrace.upper_coherences`. The coefficient rows come
-    first, then the coherence magnitudes, which ``np.abs`` writes in place,
-    so no temporary of the result's size is made.
+    :attr:`DiffusionTrace.upper_coherences`. The coefficients come first,
+    then the coherence magnitudes, which ``np.abs`` writes in place.
     """
     columns, positions, _ = cells
-    upper = upper[:, positions].T
-    values = np.empty((columns.size + upper.shape[0], upper.shape[1]))
-    values[: columns.size] = coefficients[:, columns].T
-    np.abs(upper, out=values[columns.size :])
-    return values
+    out[: columns.size] = coefficients[columns]
+    np.abs(upper[positions], out=out[columns.size :])
+    return out
+
+
+def _stream_table(n: int, labels: tuple[str, ...], points, count: int):
+    """``(table, rows, conserved)`` of ``count`` points, binned one time at a time.
+
+    ``points`` yields each time's ``(coefficients, upper, residual)``, as
+    :func:`_binned` yields them or :meth:`DiffusionTrace._points` reads
+    them. Each time's :func:`_channel_column` of the ``labels`` is one
+    contiguous row of a time-major ``(count, rows)`` buffer, handed out
+    read-only as its ``(rows, count)`` transpose; ``rows[j]`` is label
+    ``j``'s row. ``conserved`` is :func:`_conserved` of the points.
+    """
+    (long_idx, _), _ = _diagonal_groups(n)
+    cells = _channel_cells(n, labels)
+    # every table row is some label's
+    table = np.empty((count, int(cells[2].max()) + 1))
+    longitudinal = np.empty((n, count))
+    for i, (coefficients, upper, _) in enumerate(points):
+        _channel_column(coefficients, upper, cells, table[i])
+        longitudinal[:, i] = coefficients[long_idx]
+    table.setflags(write=False)
+    return table.T, cells[2], _conserved(n, longitudinal)
+
+
+def _stream_gap(n: int, labels: tuple[str, ...], columns, points) -> np.ndarray:
+    """Per-time max absolute difference between ``columns``, one channel
+    column per time, and the channels of ``labels`` of ``points``.
+
+    ``points`` is as :func:`_stream_table` takes it and ``columns`` as the
+    transpose of its table gives them; each time is compared as it arrives,
+    in one scratch column.
+    """
+    cells = _channel_cells(n, labels)
+    gap = np.empty(len(columns))
+    x = np.empty(columns.shape[1])
+    for i, ((coefficients, upper, _), column) in enumerate(zip(points, columns)):
+        np.subtract(column, _channel_column(coefficients, upper, cells, x), out=x)
+        gap[i] = np.abs(x, out=x).max()
+    return gap
 
 
 def _full_coherences(n: int, upper: np.ndarray) -> np.ndarray:
@@ -379,9 +416,11 @@ def _conserved(n: int, longitudinal: np.ndarray) -> np.ndarray:
     coefficients.
 
     Each ``I_kz`` has squared norm ``2^(n-2)``; the rows are summed one
-    after another, in label order.
+    after another, in label order. Returns a read-only ``(T,)`` array.
     """
-    return 2.0 ** (n - 2) * longitudinal.sum(axis=0)
+    conserved = 2.0 ** (n - 2) * longitudinal.sum(axis=0)
+    conserved.setflags(write=False)
+    return conserved
 
 
 def _block_sizes(n: int, engine: str) -> dict[int, int] | None:
@@ -389,34 +428,35 @@ def _block_sizes(n: int, engine: str) -> dict[int, int] | None:
     return None if engine == "full" else {k: math.comb(n, k) ** 2 for k in range(n + 1)}
 
 
-def _engine_cells(config: DiffusionConfig, engine: str):
-    """The per-time cells of ``engine``, ``"full"`` or ``"blockwise"``, on ``config``.
+def _engine_rows(config: DiffusionConfig, engine: str):
+    """Each grid time's ``(coefficients, upper, residual)`` from ``engine``,
+    ``"full"`` or ``"blockwise"``, on ``config``: its cells, :func:`_binned`.
 
-    Yields ``(diag, upper, residual)`` per grid time as :func:`_binned`
-    takes them. No reference to the Hamiltonian blocks is kept here: the
-    full engine keeps their spectra, and the block engine's generator
-    frees them before its first cell.
+    No reference to the Hamiltonian blocks is kept here: the full engine
+    keeps their spectra, and the block engine's generator frees them before
+    its first cell.
     """
     blocks = _hamiltonian_blocks(config.system, config.hamiltonian)
     q = _initial_diagonal(config)
     if engine == "full":
         spectra = _block_spectra(blocks)
-        return (_dense_cells(spectra, q, t) for t in config.times)
-    return _blockwise_cells(blocks, q, config.times)
+        cells = (_dense_cells(spectra, q, t) for t in config.times)
+    else:
+        cells = _blockwise_cells(blocks, q, config.times)
+    return _binned(config.system.n, cells, config.purge)
 
 
 def _assemble(config: DiffusionConfig, engine: str) -> DiffusionTrace:
-    """The trace of ``engine`` on ``config``: its :func:`_engine_cells`, binned."""
+    """The trace of ``engine`` on ``config``: its :func:`_engine_rows`, stored."""
     n = config.system.n
     (long_idx, _), _ = _diagonal_groups(n)
-    cells = _engine_cells(config, engine)
     points = len(config.times)
     coefficients = np.empty((points, 1 << n))
     # the off-diagonal zero-quantum cells (i, j) with i < j
     upper_coherences = np.empty((points, (math.comb(2 * n, n) - (1 << n)) // 2), dtype=complex)
     residuals = np.empty(points)
-    for i, binned in enumerate(_binned(n, cells, config.purge)):
-        coefficients[i], upper_coherences[i], residuals[i] = binned
+    for i, row in enumerate(_engine_rows(config, engine)):
+        coefficients[i], upper_coherences[i], residuals[i] = row
     for arr in (coefficients, upper_coherences, residuals):
         arr.setflags(write=False)
     return DiffusionTrace(
@@ -429,52 +469,6 @@ def _assemble(config: DiffusionConfig, engine: str) -> DiffusionTrace:
         engine=engine,
         block_sizes=_block_sizes(n, engine),
     )
-
-
-def _stream_columns(config: DiffusionConfig, cells):
-    """Each time's channels, as :func:`_channel_values` lays out one point, and
-    its coefficients, binned from ``cells`` one time at a time."""
-    n = config.system.n
-    where = _channel_cells(n, config.tracked_labels())
-    for coefficients, upper, _ in _binned(n, cells, config.purge):
-        yield _channel_values(coefficients[None], upper[None], where)[:, 0], coefficients
-
-
-def _stream_table(config: DiffusionConfig, cells):
-    """``(labels, table, rows, conserved)`` of a run, with no trace built.
-
-    ``cells`` is an :func:`_engine_cells` generator; each time's channels
-    go straight into its column of the table, so only the ``(rows, T)``
-    table and the ``(n, T)`` longitudinal coefficients grow with the run.
-    Equal bit for bit to the trace's :attr:`DiffusionTrace._channel_table`
-    and :attr:`DiffusionTrace.conserved`.
-    """
-    n = config.system.n
-    (long_idx, _), _ = _diagonal_groups(n)
-    labels = config.tracked_labels()
-    rows = _channel_cells(n, labels)[2]
-    points = len(config.times)
-    # every table row is some label's
-    table = np.empty((int(rows.max()) + 1, points))
-    longitudinal = np.empty((n, points))
-    for i, (column, coefficients) in enumerate(_stream_columns(config, cells)):
-        table[:, i] = column
-        longitudinal[:, i] = coefficients[long_idx]
-    return labels, table, rows, _conserved(n, longitudinal)
-
-
-def _stream_gap(config: DiffusionConfig, cells, table: np.ndarray) -> np.ndarray:
-    """Per-time max absolute difference between ``table``'s columns and the
-    channels binned from ``cells``, each time compared as it arrives.
-
-    ``table`` is a :func:`_stream_table` table of ``config``; equal bit for
-    bit to :func:`channel_discrepancy` of the two runs' traces.
-    """
-    gap = np.empty(len(config.times))
-    for i, (column, _) in enumerate(_stream_columns(config, cells)):
-        x = table[:, i] - column
-        gap[i] = np.abs(x, out=x).max()
-    return gap
 
 
 def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
@@ -531,24 +525,16 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     """Per-grid-point max absolute channel difference between two traces.
 
-    Each tracked channel is read from the stored cell it comes from, a
-    coefficient or the magnitude of an upper coherence cell, as
-    :attr:`DiffusionTrace.channels` reads it, and the two traces are
-    compared a bounded chunk of time points at a time. No channel table
-    is built on either trace, and under ``track="all"`` each conjugate
-    pair of coherence channels is compared once.
+    Trace ``a``'s stored points fill a :func:`_stream_table`, and
+    :func:`_stream_gap` compares its columns with ``b``'s stored points,
+    one time at a time; neither trace keeps a channel table, and under
+    ``track="all"`` each conjugate pair of coherence channels is compared
+    once.
     """
     if a.times != b.times:
         raise ConfigurationError("traces cover different time grids")
     labels = _tracked_labels(a._n, a.track)
     if set(_tracked_labels(b._n, b.track)) != set(labels):
         raise ConfigurationError("traces track different channels")
-    cells = _channel_cells(a._n, labels)
-    gap = np.empty(len(a.times))
-    step = max(1, (1 << 16) // len(labels))  # 2^16 values, 0.5 MiB, per chunk
-    for start in range(0, len(gap), step):
-        points = slice(start, start + step)
-        x = _channel_values(a.coefficients[points], a.upper_coherences[points], cells)
-        x -= _channel_values(b.coefficients[points], b.upper_coherences[points], cells)
-        gap[points] = np.abs(x, out=x).max(axis=0)
-    return gap
+    table, _, _ = _stream_table(a._n, labels, a._points(), len(a.times))
+    return _stream_gap(a._n, labels, table.T, b._points())

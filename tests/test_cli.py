@@ -1027,13 +1027,13 @@ def test_evolve_formats_after_every_cell_generator_is_closed(capsys, monkeypatch
     made = []  # a weak reference to each cell generator the run makes
     alive_at_make = []
 
-    def recording(config, which, cells=cli._engine_cells):
+    def recording(config, which, cells=cli._engine_rows):
         alive_at_make.append([ref() is not None for ref in made])
         generator = cells(config, which)
         made.append(weakref.ref(generator))
         return generator
 
-    monkeypatch.setattr(cli, "_engine_cells", recording)
+    monkeypatch.setattr(cli, "_engine_rows", recording)
     fmt_join = cli._fmt_join
     alive = []  # the generators alive at each formatting call
 
@@ -1050,6 +1050,24 @@ def test_evolve_formats_after_every_cell_generator_is_closed(capsys, monkeypatch
     assert code == EXIT_OK, err
     assert alive_at_make == ([[], [False]] if engine == "both" else [[]])
     assert alive and not any(alive)
+
+
+@pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
+def test_evolve_fills_and_compares_through_the_module_bindings(capsys, monkeypatch, engine):
+    # a wrapper on these names of mqspace.cli sees every table fill and
+    # every comparison that evolve makes
+    from mqspace import cli
+
+    calls = {"_stream_table": 0, "_stream_gap": 0}
+    for name in calls:
+        def counting(*args, _name=name, _wrapped=getattr(cli, name)):
+            calls[_name] += 1
+            return _wrapped(*args)
+
+        monkeypatch.setattr(cli, name, counting)
+    code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", engine])
+    assert code == EXIT_OK, err
+    assert calls == {"_stream_table": 1, "_stream_gap": int(engine == "both")}
 
 
 @pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
@@ -1194,7 +1212,7 @@ def _refuse(*args, **kwargs):
 def test_bad_format_is_reported_before_any_run(capsys, monkeypatch, tmp_path):
     from mqspace import cli
 
-    monkeypatch.setattr(cli, "_engine_cells", _refuse)
+    monkeypatch.setattr(cli, "_engine_rows", _refuse)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"format": "xml"}))
     for argv in (EVOLVE_ARGS, ["evolve", "--n", "2"]):

@@ -269,16 +269,18 @@ def _per_label_discrepancy(a, b):
 
 
 @pytest.mark.parametrize(
-    "track, other",
+    "track, other, points",
     [
-        ("all", "all"),
-        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("I2z", "I1+I2-a3", "4I1zI2zI3z")),
-        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("4I1zI2zI3z", "I2z", "I1+I2-a3")),
+        ("all", "all", 5),
+        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("I2z", "I1+I2-a3", "4I1zI2zI3z"), 5),
+        (("I2z", "I1+I2-a3", "4I1zI2zI3z"), ("4I1zI2zI3z", "I2z", "I1+I2-a3"), 5),
+        # 3,500 times of n = 3's 19 labels: more than 2^16 channel values
+        ("all", "all", 3500),
     ],
 )
-def test_channel_discrepancy_equals_the_per_label_maximum(track, other):
+def test_channel_discrepancy_equals_the_per_label_maximum(track, other, points):
     system = SpinSystem(3)
-    times = linear_times(0.0, 2.0, 5)
+    times = linear_times(0.0, 2.0, points)
     a = run_diffusion(DiffusionConfig(system, CHAIN3, times, track=track))
     b = run_blockwise(DiffusionConfig(system, CHAIN3, times, track=other))
     gap = channel_discrepancy(a, b)
@@ -289,6 +291,24 @@ def test_channel_discrepancy_equals_the_per_label_maximum(track, other):
     assert gap.tobytes() == _per_label_discrepancy(a, b).tobytes()
     assert gap.any()  # the engines differ in roundoff, so the test compares nonzeros
     assert channel_discrepancy(b, a).tobytes() == _per_label_discrepancy(b, a).tobytes()
+
+
+@pytest.mark.parametrize("track", ["all", ("I1-I2+", "I1z", "I1+I2-")])
+def test_channels_and_conserved_are_read_only(track):
+    trace = run_diffusion(DiffusionConfig(SpinSystem(2), PAIR, (0.0, 0.7, 1.4), track=track))
+    before = {lab: s.copy() for lab, s in trace.channels.items()}
+    conserved = trace.conserved.copy()
+    for lab in ("I1+I2-", "I1z"):
+        with pytest.raises(ValueError):
+            trace.channels[lab][1] = 99.0
+    with pytest.raises(ValueError):
+        trace.conserved[1] = 99.0
+    with pytest.raises(ValueError):
+        trace._channel_table[1][0, 0] = 99.0
+    assert {lab: s.tobytes() for lab, s in trace.channels.items()} == {
+        lab: s.tobytes() for lab, s in before.items()
+    }
+    assert trace.conserved.tobytes() == conserved.tobytes()
 
 
 def test_track_subset_limits_channels():
@@ -1040,9 +1060,10 @@ def test_streamed_channels_equal_the_trace_route_bytewise(n, model, purge_bins, 
     )
     traces = {"full": run_diffusion(cfg), "blockwise": run_blockwise(cfg)}
     tables = {}
+    labels = cfg.tracked_labels()
     for engine, trace in traces.items():
-        labels, table, rows, conserved = tables[engine] = diffusion._stream_table(
-            cfg, diffusion._engine_cells(cfg, engine)
+        table, rows, conserved = tables[engine] = diffusion._stream_table(
+            n, labels, diffusion._engine_rows(cfg, engine), len(cfg.times)
         )
         want_labels, want_table, want_rows = trace._channel_table
         assert labels == want_labels == cfg.tracked_labels()
@@ -1050,5 +1071,7 @@ def test_streamed_channels_equal_the_trace_route_bytewise(n, model, purge_bins, 
         assert table.tobytes() == want_table.tobytes(), engine
         assert rows.tobytes() == want_rows.tobytes()
         assert conserved.tobytes() == trace.conserved.tobytes(), engine
-    gap = diffusion._stream_gap(cfg, diffusion._engine_cells(cfg, "blockwise"), tables["full"][1])
+    gap = diffusion._stream_gap(
+        n, labels, tables["full"][0].T, diffusion._engine_rows(cfg, "blockwise")
+    )
     assert gap.tobytes() == channel_discrepancy(traces["full"], traces["blockwise"]).tobytes()
