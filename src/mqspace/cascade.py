@@ -52,6 +52,16 @@ takes its blocks from a dense input and forms the dense ``V h V^H``:
 every off-block entry of ``h`` is carried through the product, so its
 residual, measured densely, is the full weight outside the target cells
 and an independent check on the number :func:`cascade` carries.
+
+Stage 1 is the one dense step, and each of its phases holds the input
+and little more. ``eigh`` reads an exactly Hermitian input as it is; only
+an input that is Hermitian within tolerance is folded, on a copy that
+lives as long as ``eigh`` needs it. The cells' SVDs then run on their
+small ``X_c``, and only after them is the unitary allocated, beside the
+input and the eigenvectors, and filled one cell at a time. Last, the
+eigenvectors are gone and ``U A U^H`` is formed as ``conj(conj(U A)
+U^T)``: the same bytes, from the input, the unitary and two products,
+without a conjugate copy of ``U``.
 """
 
 from __future__ import annotations
@@ -201,20 +211,28 @@ def _direct_rotation_polar(
     over cells of ``sigma_min(X_c)``. Each cell's ``polar(X_c)`` is
     returned too: its columns are the eigenvectors of the reduced block
     on that cell's rows, for the eigenvalues of ``cols_c`` in order.
+
+    Every cell's SVD runs first, on a gathered ``X_c``, and keeps only
+    ``polar(X_c)`` and ``sigma_min(X_c)``. The unitary is allocated after
+    them and filled one cell's rows at a time, from that cell's gathered
+    eigenvector columns, conjugated in place and freed before the next
+    cell's are gathered.
     """
-    m = v.shape[0]
-    u_block = np.empty((m, m), dtype=complex)
     smallest = np.inf
     factors = []
     for rows, cols in zip(local_cells, assigned_cols):
-        vc = v[:, cols]
-        uu, sigma, vvh = np.linalg.svd(vc[rows, :])
+        uu, sigma, vvh = np.linalg.svd(v[np.ix_(rows, cols)])
         smallest = min(smallest, float(sigma[-1]))
-        factor = uu @ vvh
+        factors.append(uu @ vvh)
+        del uu, vvh
+    m = v.shape[0]
+    u_block = np.empty((m, m), dtype=complex)
+    for rows, cols, factor in zip(local_cells, assigned_cols, factors):
+        vc = v[:, cols]
         # vc, a gathered copy, is conjugated in place: factor @ vc^H is the same
         # matrix product in the same layout, without a conjugate copy of vc
         u_block[rows, :] = factor @ np.conj(vc, out=vc).T
-        factors.append(factor)
+        del vc
     return u_block, smallest, factors
 
 
@@ -241,8 +259,10 @@ def _block_reduction(block: np.ndarray, local_cells: list[np.ndarray], pair=None
     p)`` handed on by the stage before: eigenvalues in any order and, with
     the block's indices as rows, their eigenvectors ``p``, or ``p =
     None``. Given eigenvectors are sorted by eigenvalue and used as they
-    are; without them the Hermitian part of ``block`` is diagonalized with
-    ``eigh``.
+    are; without them ``eigh`` diagonalizes the Hermitian part of
+    ``block``. ``eigh`` reads only the lower triangle, which an exactly
+    Hermitian block shares value for value with its fold, so such a block
+    is passed as it is; any other block is folded on a copy first.
 
     Degenerate clusters are rotated towards the cells, the eigenvectors
     are assigned greedily and the block's unitary is the per-cell polar
@@ -263,8 +283,10 @@ def _block_reduction(block: np.ndarray, local_cells: list[np.ndarray], pair=None
         order = np.argsort(w, kind="stable")
         w, v = w[order], p[:, order]
     else:
-        # the folded copy lives only as long as eigh needs it
-        w, v = np.linalg.eigh(_hermitian_part(block.copy()))
+        # the folded copy, when one is needed, lives only as long as eigh
+        # needs it
+        exact = np.array_equal(block, block.conj().T)
+        w, v = np.linalg.eigh(block if exact else _hermitian_part(block.copy()))
     m = v.shape[0]
 
     # rotate degenerate clusters so exact block structure survives eigh
@@ -446,7 +468,13 @@ def _block_stage(dim: int, blocks, cells, pairs=None):
         smallest_sigma = min(smallest_sigma, sigma_min)
         fallback_used |= fallback
 
-        product = _hermitian_part(u_block @ a @ u_block.conj().T)
+        # U a U^H as conj(conj(U a) U^T), which has the same bytes and needs
+        # no conjugate copy of U
+        product = u_block @ a
+        np.conj(product, out=product)
+        product = product @ u_block.T
+        np.conj(product, out=product)
+        product = _hermitian_part(product)
         for c, rows, cell_pair in zip(block_cells, local, cell_pairs):
             kept = product[np.ix_(rows, rows)]
             product[np.ix_(rows, rows)] = 0.0

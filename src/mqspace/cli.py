@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import shutil
 import sys
 import tempfile
@@ -164,7 +165,7 @@ def _series_piece(series: np.ndarray, offset: int, formatted: dict) -> str | _Co
     key = hash(data)
     if key in formatted and formatted[key][0].tobytes() == data:
         return formatted[key][1]
-    text = "[" + _fmt_join(series.tolist(), ", ") + "]"
+    text = "[" + _fmt_join(np.frombuffer(data).tolist(), ", ") + "]"
     formatted.setdefault(key, (series, _Copy(offset, len(text))))
     return text
 
@@ -245,22 +246,24 @@ def _emit(pieces: Iterable[str | _Copy], out: str | None) -> None:
     The pieces go to an anonymous temporary file, which is copied out
     after the last one: a failed run writes nothing, and no document text
     is held in memory. A :class:`_Copy` is read back from that file's
-    bytes; its offset counts characters, which are bytes here since a JSON
+    bytes with ``os.pread``, which leaves the file position alone; the
+    spool is flushed first only when the copied range is not yet in the
+    file. Its offset counts characters, which are bytes here since a JSON
     document is ASCII (:func:`_json_string` escapes the rest).
     """
     with contextlib.ExitStack() as stack:
         try:
             spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            fd = spool.fileno()
+            written = flushed = 0  # characters written, and those already in the file
             for piece in pieces:
-                if isinstance(piece, str):
-                    spool.write(piece)
-                    continue
-                spool.flush()
-                raw = spool.buffer
-                raw.seek(piece.offset)
-                text = raw.read(piece.length)
-                raw.seek(0, 2)  # the end, where the text layer writes on
-                raw.write(text)
+                if not isinstance(piece, str):
+                    if piece.offset + piece.length > flushed:
+                        spool.flush()
+                        flushed = written
+                    piece = os.pread(fd, piece.length, piece.offset).decode("ascii")
+                spool.write(piece)
+                written += len(piece)
         except OSError as exc:
             target = "" if out is None else f" {out!r}"
             raise ConfigurationError(

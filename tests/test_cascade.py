@@ -8,9 +8,11 @@ import pytest
 
 import oracles
 from mqspace import (
+    CARTESIAN,
     ConfigurationError,
     HamiltonianSpec,
     Operator,
+    OperatorExpansion,
     SpinSystem,
     SubspaceTag,
     ToleranceError,
@@ -614,6 +616,94 @@ def test_handed_eigenpairs_diagonalize_each_reduced_cell(n, fallback_sigma, monk
         assert np.max(np.abs(block @ p - p * w)) <= 1e-12 * scale
 
 
+def test_stage_one_folds_only_an_input_that_is_not_exactly_hermitian(monkeypatch):
+    # eigh reads one triangle, which an exactly Hermitian input shares with
+    # its fold, so stage 1 hands it the input itself; an input Hermitian only
+    # within tolerance is handed its fold, an exactly Hermitian copy
+    inputs = []  # the array each eigh call is given, in call order
+    eigh = np.linalg.eigh
+
+    def recording_eigh(a, *args, **kwargs):
+        inputs.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    h = _random_hermitian(6, 3)
+    cascade(h)
+    assert np.shares_memory(inputs[0], h.entries)
+
+    skew = 1e-13 * random_operator(h.system, np.random.default_rng(4)).entries
+    entries = h.entries + skew
+    inexact = Operator(h.system, entries)
+    assert inexact.hermitian_hint is None and inexact.hermiticity_defect() > 0.0
+    inputs.clear()
+    result = cascade(inexact)
+    folded = inputs[0]
+    assert not np.shares_memory(folded, inexact.entries)
+    assert np.array_equal(folded, folded.conj().T)
+    assert folded.tobytes() == (0.5 * (entries + entries.conj().T)).tobytes()
+    limit = cascade_module.STAGE_TOL * max(inexact.norm(), 1.0)
+    assert max(result.residuals.values()) <= limit
+    assert result.spectrum_error <= limit
+
+
+def _custom_model(n):
+    """A custom Hamiltonian with complex exchange and single-quantum terms."""
+    terms = {"I1x": 0.3, "I1z": -0.2}
+    for k in range(1, n):
+        terms |= {
+            f"2I{k}xI{k + 1}x": 0.6 / k, f"2I{k}yI{k + 1}y": 0.6 / k,
+            f"2I{k}xI{k + 1}y": 0.35, f"2I{k}yI{k + 1}x": -0.35,
+        }
+    spec = HamiltonianSpec("custom", custom=OperatorExpansion(CARTESIAN, terms, 0.0))
+    return build_hamiltonian(SpinSystem(n), spec)
+
+
+_BLOCK_STAGE_INPUTS = [
+    pytest.param(lambda n=n: _random_hermitian(n, 60 + n), id=f"random-n{n}")
+    for n in range(1, 7)
+] + [pytest.param(lambda: _custom_model(4), id="custom-n4")]
+
+
+@pytest.mark.parametrize("make_input", _BLOCK_STAGE_INPUTS)
+def test_block_stage_products_equal_the_dense_conjugate_route(make_input, monkeypatch):
+    # each constraint block's U a U^H is formed without a conjugate copy of
+    # U; its target-cell blocks and dropped weight must equal those of the
+    # folded dense product u @ a @ u.conj().T, in stage_reduce's one stage
+    # and in each of the cascade's three
+    h = make_input()
+    scale = max(h.norm(), 1.0)
+    calls = []
+    block_stage = cascade_module._block_stage
+
+    def recording_stage(dim, blocks, cells, pairs=None):
+        stage, handed = block_stage(dim, blocks, cells, pairs)
+        calls.append((blocks, cells, stage))
+        return stage, handed
+
+    monkeypatch.setattr(cascade_module, "_block_stage", recording_stage)
+    stage_reduce(h, parity_partition(h.system))
+    cascade(h)
+    assert len(calls) == 4
+    for blocks, cells, stage in calls:
+        dropped = 0.0
+        for (blk, a), (idx, u) in zip(blocks, stage.unitary):
+            assert np.array_equal(idx, blk)
+            r = u @ a @ u.conj().T
+            product = 0.5 * (r + r.conj().T)
+            position = {int(i): row for row, i in enumerate(blk)}
+            for cell, (cell_idx, kept) in zip(cells, stage.reduced):
+                if int(cell[0]) not in position:
+                    continue
+                assert np.array_equal(cell_idx, cell)
+                rows = [position[int(i)] for i in cell]
+                dense = product[np.ix_(rows, rows)]
+                assert np.max(np.abs(kept - dense)) <= 1e-14 * scale
+                product[np.ix_(rows, rows)] = 0.0
+            dropped = float(np.hypot(dropped, np.linalg.norm(product)))
+        assert abs(stage.dropped - dropped) <= 1e-14 * scale
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_stage_reduce_runs_one_block_stage(n, monkeypatch):
     # stage_reduce is the cascade's block stage plus one dense product, so
@@ -687,10 +777,13 @@ def test_carried_residuals_equal_the_dense_off_target_weight(n):
             assert abs(result.residuals[name] - dense) <= 1e-14 * scale, name
 
 
-# in units of one dense 2^n x 2^n complex matrix: the stages hold blocks,
-# so the peak is stage 1's, below five; holding every stage's unitary,
-# reduced operator and product densely took the peak above seven
-CASCADE_PEAK_DENSE = 6
+# in units of one dense 2^n x 2^n complex matrix, the input and eigh's
+# LAPACK workspace not counted: the peak is stage 1's U A U^H, with the
+# unitary, two dense products (U A and the product, or the product and its
+# fold's conjugate) and the cells' polar factors, half a matrix, alive;
+# 3.6 at n = 8. A conjugate copy of U, or the last cell's SVD factors kept
+# while the unitary is filled, takes it past 4.5
+CASCADE_PEAK_DENSE = 4
 
 
 def test_cascade_peak_memory_is_a_few_dense_matrices():

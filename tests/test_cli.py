@@ -3,12 +3,14 @@
 import gc
 import importlib
 import importlib.metadata
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -1014,6 +1016,43 @@ def test_json_series_repeated_in_reverse_are_copied_back_from_the_spool(tmp_path
     assert len(reference) > 7 * 2**20
     assert target.read_bytes() == reference.encode()
     assert peak < 2**20, peak / 2**20
+
+
+def test_json_copies_flush_the_spool_only_for_text_not_yet_in_the_file(tmp_path, monkeypatch):
+    # a copy of text still buffered in the spool needs a flush before it is
+    # read back; a copy of text an earlier flush already wrote needs none
+    from mqspace import cli
+
+    make = tempfile.TemporaryFile
+    taken, flushes = [], []  # the pieces read so far; len(taken) at each flush
+
+    class Spool(io.TextIOWrapper):
+        def flush(self):
+            flushes.append(len(taken))
+            super().flush()
+
+    def spool(mode, encoding=None):
+        assert mode == "w+"
+        return Spool(make("w+b"), encoding=encoding)
+
+    rng = np.random.default_rng(5)
+    one, two = rng.random(3), rng.random(3)
+    doc = {"a": one, "b": one.copy(), "c": two, "d": two.copy(), "e": one.copy()}
+
+    def pieces():
+        for piece in cli._json_pieces(doc):
+            taken.append(piece)
+            yield piece
+
+    monkeypatch.setattr(cli.tempfile, "TemporaryFile", spool)
+    target = tmp_path / "doc.json"
+    cli._emit(pieces(), str(target))
+    reference = oracles.json_text({k: v.tolist() for k, v in doc.items()}) + "\n"
+    assert target.read_bytes() == reference.encode()
+    copies = [i + 1 for i, piece in enumerate(taken) if isinstance(piece, cli._Copy)]
+    assert len(copies) == 3
+    # "b" and "d" copy buffered text, "e" copies "a", flushed for "b"
+    assert [f for f in flushes if f < len(taken)] == copies[:2]
 
 
 @pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
