@@ -197,26 +197,20 @@ def _assignment_order(
     return col[order], ci[order]
 
 
-def _direct_rotation_polar(
+def _polar_factors(
     v: np.ndarray, local_cells: list[np.ndarray], assigned_cols: list[list[int]]
-) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """Polar factor and smallest singular value of a direct-rotation sum.
+) -> tuple[list[np.ndarray], float]:
+    """Each cell's polar factor and the smallest singular value of a direct-rotation sum.
 
     ``v`` holds one constraint block's eigenvectors, ``local_cells`` the
     rows of each target cell and ``assigned_cols`` the columns assigned
     to it, as many as it has rows. The sum ``sum_c P_c V_c V_c^H`` is a
     row permutation of ``blockdiag(X_c)`` times a unitary, with
-    ``X_c = v[rows_c, cols_c]``, so its polar factor has rows
-    ``polar(X_c) V_c^H`` and its smallest singular value is the least
-    over cells of ``sigma_min(X_c)``. Each cell's ``polar(X_c)`` is
-    returned too: its columns are the eigenvectors of the reduced block
-    on that cell's rows, for the eigenvalues of ``cols_c`` in order.
-
-    Every cell's SVD runs first, on a gathered ``X_c``, and keeps only
-    ``polar(X_c)`` and ``sigma_min(X_c)``. The unitary is allocated after
-    them and filled one cell's rows at a time, from that cell's gathered
-    eigenvector columns, conjugated in place and freed before the next
-    cell's are gathered.
+    ``X_c = v[rows_c, cols_c]``, so its smallest singular value is the
+    least over cells of ``sigma_min(X_c)``. Each cell's ``polar(X_c)`` is
+    returned: its columns are the eigenvectors of the reduced block on
+    that cell's rows, for the eigenvalues of ``cols_c`` in order. Every
+    cell's SVD runs on a gathered ``X_c`` and keeps only those two.
     """
     smallest = np.inf
     factors = []
@@ -225,6 +219,21 @@ def _direct_rotation_polar(
         smallest = min(smallest, float(sigma[-1]))
         factors.append(uu @ vvh)
         del uu, vvh
+    return factors, smallest
+
+
+def _direct_rotation_polar(
+    v: np.ndarray,
+    local_cells: list[np.ndarray],
+    assigned_cols: list[list[int]],
+    factors: list[np.ndarray],
+) -> np.ndarray:
+    """Polar factor of the direct-rotation sum, from :func:`_polar_factors`' ``factors``.
+
+    Its rows are ``polar(X_c) V_c^H``. It is filled one cell's rows at a
+    time, from that cell's gathered eigenvector columns, conjugated in
+    place and freed before the next cell's are gathered.
+    """
     m = v.shape[0]
     u_block = np.empty((m, m), dtype=complex)
     for rows, cols, factor in zip(local_cells, assigned_cols, factors):
@@ -233,7 +242,7 @@ def _direct_rotation_polar(
         # matrix product in the same layout, without a conjugate copy of vc
         u_block[rows, :] = factor @ np.conj(vc, out=vc).T
         del vc
-    return u_block, smallest, factors
+    return u_block
 
 
 def _axis_mapping(
@@ -313,14 +322,17 @@ def _block_reduction(block: np.ndarray, local_cells: list[np.ndarray], pair=None
         capacity[ci] -= 1
         assigned_cols[ci].append(col)
 
-    u_block, sigma_min, factors = _direct_rotation_polar(v, local_cells, assigned_cols)
+    factors, sigma_min = _polar_factors(v, local_cells, assigned_cols)
     fallback_used = not sigma_min > FALLBACK_SIGMA
     if fallback_used:
         # near-singular direct rotation: map eigenvectors straight onto
-        # cell axes, eigenvalue order inside each cell
+        # cell axes, eigenvalue order inside each cell; the direct rotation
+        # is never filled
         u_block = _axis_mapping(v, local_cells, assigned_cols)
         assigned_cols = [sorted(cols) for cols in assigned_cols]
         factors = [np.eye(rows.size, dtype=complex)[:, np.argsort(rows)] for rows in local_cells]
+    else:
+        u_block = _direct_rotation_polar(v, local_cells, assigned_cols, factors)
     handed = [
         (w[cols], None if rotated else factor) for cols, factor in zip(assigned_cols, factors)
     ]

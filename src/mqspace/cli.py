@@ -15,13 +15,17 @@ and :func:`main` writes them.
 
 Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
-produce byte-identical output. A document is generated as string
-pieces into an anonymous temporary file (in ``TMPDIR``, where
-:mod:`tempfile` puts it) and copied to the ``--out`` file or standard
-output only after the last piece, so a serialization error leaves no
-partial output and no document text is held in memory; in JSON, equal
-float series are formatted once, and each later one is copied back from
-the temporary file, found without keeping a copy of any series' bytes.
+produce byte-identical output. Arrays of them are formatted by
+:mod:`~mqspace.doubles` a chunk of values at a time, exactly as ``%.17g``
+formats each. A document is generated as string pieces into an
+anonymous temporary file (in ``TMPDIR``, where :mod:`tempfile` puts it)
+and copied to the ``--out`` file or standard output only after the last
+piece, so a serialization error leaves no partial output and no document
+text is held in memory. JSON is written a chunk at a time, one piece per
+chunk; equal float series are formatted once, and a later one is
+written again from its chunk's text or, when an earlier chunk holds it,
+copied back from the temporary file, found without keeping a copy of any
+series' bytes.
 ``evolve`` builds no trace. Its engines' binned times go through the
 two loops that serve a trace too: :func:`~mqspace.diffusion._stream_table`
 fills the run's read-only channel table one time at a time, and under
@@ -77,6 +81,7 @@ from .diffusion import (
     linear_times,
 )
 from .cascade import cascade
+from .doubles import ROW_BYTES, SEP_COLUMN, format_rows, rows_text
 from .encodings import iz_sorted_encoding, synthesize_permutation
 from .properties import verify_extreme_states, verify_order_preservation
 
@@ -105,15 +110,31 @@ _TOLERANCE_KEYS = {"membership"}
 
 _DOUBLE = "%.17g"  # 17 significant digits, enough to reproduce any double exactly
 
+_CHUNK = 2048  # values per kernel call: its temporaries stay near 300 kB
+_TEXT_CHARS = 16  # characters of other text that a chunk counts as one value
+_LIST_ITEMS = 256  # items of a flat list joined at a time
+
 
 def _fmt(x: float) -> str:
     """One double in the output's number format."""
     return _DOUBLE % float(x)
 
 
-def _fmt_join(values: Sequence[float], sep: str) -> str:
-    """``sep.join(_fmt(v) for v in values)``, formatted in one pass."""
-    return sep.join([_DOUBLE] * len(values)) % tuple(values)
+def _series_texts(series: list[np.ndarray]) -> list[str]:
+    """The JSON text of each 1-D float64 array without its opening bracket,
+    ``v, v, ...]``, formatted ``_CHUNK`` values per kernel call."""
+    sizes = [s.size for s in series]
+    values = np.concatenate(series)
+    # each series' last value ends in "]" and a line break, which splits them
+    ends = np.cumsum([s for s in sizes if s]) - 1
+    text = []
+    for j in range(0, values.size, _CHUNK):
+        rows = format_rows(values[j : j + _CHUNK], ", ")
+        last = ends[(ends >= j) & (ends < j + _CHUNK)] - j
+        rows[last, SEP_COLUMN : SEP_COLUMN + 2] = np.frombuffer(b"]\n", np.uint8)
+        text.append(rows_text(rows))
+    texts = iter("".join(text).split("\n"))
+    return [next(texts) if size else "]" for size in sizes]
 
 
 class _Copy:
@@ -136,38 +157,80 @@ def _json_pieces(value: Any) -> Iterator[str | _Copy]:
 
     Nested containers are indented two spaces per level, flat lists (no
     dict, list, tuple or array items) stay on one line and complex numbers
-    become ``[re, im]``. Each 1-D float64 array is formatted once per
-    document: a later array with the same bytes is a :class:`_Copy` of
-    that text, which :func:`_emit` copies back from the spool, so the
-    writer keeps each series' place in the document but no text. The
-    document ends with a newline.
+    become ``[re, im]``. The document is written a chunk at a time: the
+    1-D float64 arrays, series, of a chunk of about ``_CHUNK`` values are
+    formatted together by :mod:`~mqspace.doubles`, and the chunk is one
+    text. Each series
+    is formatted once per document: a later one with the same bytes is
+    written again from the chunk's texts, or, when an earlier chunk wrote
+    it, is a :class:`_Copy` of that text, which :func:`_emit` copies back
+    from the spool; the writer keeps each series' place in the document
+    but no text of an earlier chunk. The document ends with a newline.
     """
-    # hash of a series' bytes -> the first series with it and its copy piece
-    formatted: dict[int, tuple[np.ndarray, _Copy]] = {}
-    offset = 0
+    # hash of a series' bytes -> the first series with it and the offset and
+    # length of its text, or, while its chunk is open, its index in `fresh`
+    formatted: dict[int, tuple] = {}
+    parts: list[str | int] = []  # the open chunk: text, or an index in `fresh`
+    fresh: list[tuple[np.ndarray, int | None]] = []  # its new series and their keys
+    # the open chunk's size in values, other text counting one per _TEXT_CHARS
+    # characters; and the characters yielded before it
+    size = offset = 0
     for piece in _json_write(value, 0):
-        if not isinstance(piece, str):
-            piece = _series_piece(piece, offset, formatted)
-        offset += len(piece)
-        yield piece
-    yield "\n"
+        if isinstance(piece, str):
+            parts.append(piece)
+            size += len(piece) // _TEXT_CHARS
+        else:
+            data = piece.tobytes()
+            key = hash(data)
+            first = formatted.get(key)
+            if first is None or first[0].tobytes() != data:
+                # a series whose hash an unequal one took first is formatted again
+                parts.append(len(fresh))
+                fresh.append((piece, None if first else key))
+                if first is None:
+                    formatted[key] = (piece, len(fresh) - 1)
+            elif len(first) == 2:
+                parts.append(first[1])
+            else:
+                text = _chunk_text(parts, fresh, formatted, offset)
+                if text:
+                    yield text
+                offset += len(text) + first[2]
+                parts, fresh, size = [], [], 0
+                yield _Copy(*first[1:])
+                continue
+            size += piece.size
+        if size >= _CHUNK:
+            text = _chunk_text(parts, fresh, formatted, offset)
+            yield text
+            offset += len(text)
+            parts, fresh, size = [], [], 0
+    parts.append("\n")
+    yield _chunk_text(parts, fresh, formatted, offset)
 
 
-def _series_piece(series: np.ndarray, offset: int, formatted: dict) -> str | _Copy:
-    """The text of ``series`` written at ``offset``, or the copy of an equal one's.
+def _chunk_text(parts: list, fresh: list, formatted: dict, offset: int) -> str:
+    """The text of a chunk of :func:`_json_pieces` written at ``offset``.
 
-    Series are found through the hash of their bytes and compared byte
-    for byte, so ``formatted`` keeps each array, which the document holds
-    anyway, but no copy of its bytes. A series whose hash an unequal one
-    took first is formatted again.
+    Each new series that ``formatted`` registers gets the offset and
+    length of its text's first place.
     """
-    data = series.tobytes()
-    key = hash(data)
-    if key in formatted and formatted[key][0].tobytes() == data:
-        return formatted[key][1]
-    text = "[" + _fmt_join(np.frombuffer(data).tolist(), ", ") + "]"
-    formatted.setdefault(key, (series, _Copy(offset, len(text))))
-    return text
+    if not fresh:
+        return "".join(parts)
+    texts = _series_texts([series for series, _ in fresh])
+    out = []
+    for part in parts:
+        if not isinstance(part, str):
+            series, key = fresh[part]
+            text = texts[part]
+            if key is not None and len(formatted[key]) == 2:
+                formatted[key] = (series, offset, len(text) + 1)
+            out.append("[")
+            offset += 1
+            part = text
+        out.append(part)
+        offset += len(part)
+    return "".join(out)
 
 
 def _json_write(value: Any, indent: int) -> Iterator[str | np.ndarray]:
@@ -178,22 +241,31 @@ def _json_write(value: Any, indent: int) -> Iterator[str | np.ndarray]:
     closure, so a finished document leaves no reference cycle holding its
     arrays.
     """
-    if isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+    if _is_series(value):
         yield value
     elif isinstance(value, dict) and value:
         pad = "  " * indent
         lead = "{\n"
         for k, v in value.items():
             yield f"{lead}{pad}  {_json_string(str(k))}: "
-            yield from _json_write(v, indent + 1)
+            # a series, the common value, is handed on without a generator of its own
+            if _is_series(v):
+                yield v
+            else:
+                yield from _json_write(v, indent + 1)
             lead = ",\n"
         yield f"\n{pad}}}"
     elif isinstance(value, (list, tuple)) and value:
         if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
-            lead, sep, end = "[", ", ", "]"
-        else:
-            pad = "  " * indent
-            lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
+            # a long list is joined _LIST_ITEMS items at a time
+            lead = "["
+            for i in range(0, len(value), _LIST_ITEMS):
+                yield lead + ", ".join(map(_json_leaf, value[i : i + _LIST_ITEMS]))
+                lead = ", "
+            yield "]"
+            return
+        pad = "  " * indent
+        lead, sep, end = f"[\n{pad}  ", f",\n{pad}  ", f"\n{pad}]"
         for v in value:
             yield lead
             yield from _json_write(v, indent + 1)
@@ -203,8 +275,15 @@ def _json_write(value: Any, indent: int) -> Iterator[str | np.ndarray]:
         yield _json_leaf(value)
 
 
+def _is_series(value: Any) -> bool:
+    """Whether ``value`` is a 1-D float64 array, which a JSON document writes as a series."""
+    return isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64
+
+
 def _json_leaf(value: Any) -> str:
     """The JSON text of a value written as one piece: a scalar or an empty container."""
+    if isinstance(value, str):
+        return _json_string(value)
     if isinstance(value, dict):
         return "{}"
     if isinstance(value, (list, tuple)):
@@ -219,8 +298,6 @@ def _json_leaf(value: Any) -> str:
         return _fmt(value)
     if isinstance(value, (complex, np.complexfloating)):
         return "[" + _fmt(value.real) + ", " + _fmt(value.imag) + "]"
-    if isinstance(value, str):
-        return _json_string(value)
     raise InvariantError(f"cannot serialize {type(value).__name__} to JSON")
 
 
@@ -575,13 +652,7 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
     if csv:
         tails = [] if discrepancy is None else [discrepancy]
         header = ["t", *labels] + ["max_channel_discrepancy"] * len(tails)
-        # each row gathers its time's column of the table, is formatted whole
-        # and handed over as one cell
-        lines = (
-            [_fmt_join([t, *table[rows, i].tolist(), *(d[i] for d in tails)], ",")]
-            for i, t in enumerate(config.times)
-        )
-        return _csv_pieces(header, lines), EXIT_OK
+        return _csv_pieces(header, _table_lines(config.times, table, rows, tails)), EXIT_OK
     block_sizes = _block_sizes(system.n, written)
     doc = {
         "n": system.n,
@@ -599,6 +670,28 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
     if discrepancy is not None:
         doc["max_channel_discrepancy"] = discrepancy
     return _json_pieces(doc), EXIT_OK
+
+
+def _table_lines(
+    times: Sequence[float], table: np.ndarray, rows: np.ndarray, tails: list[np.ndarray]
+) -> Iterator[list[str]]:
+    """Each time's CSV cells: the time, each label's row of its column of
+    ``table``, then each tail's value at that time.
+
+    A line's values are formatted ``_CHUNK`` at a time, each table row
+    once though two labels may share it, and joined ``_CHUNK`` labels at a
+    time.
+    """
+    order = np.concatenate([[0], rows + 1, table.shape[0] + 1 + np.arange(len(tails))])
+    for i, t in enumerate(times):
+        values = np.concatenate([[t], table[:, i], [d[i] for d in tails]])
+        cells = np.empty((values.size, ROW_BYTES), np.uint8)
+        for j in range(0, values.size, _CHUNK):
+            cells[j : j + _CHUNK] = format_rows(values[j : j + _CHUNK], ",")
+        yield [
+            rows_text(cells[part])[:-1]
+            for part in np.split(order, range(_CHUNK, order.size, _CHUNK))
+        ]
 
 
 # -------------------------------------------------------------- cascade

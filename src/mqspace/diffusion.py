@@ -286,7 +286,9 @@ def _channel_cells(n: int, labels: tuple[str, ...]):
     of its conjugate pair.
     """
     position, _ = _zq_cell_pairs(n)
-    if labels == _every_channel_label(n):
+    # a track names each label at most once, so only a track of the full count
+    # can equal every label; a shorter one is told apart without the table
+    if len(labels) == math.comb(2 * n, n) - 1 and labels == _every_channel_label(n):
         columns = np.concatenate([idx for idx, _ in _diagonal_groups(n)])
         return columns, slice(None), np.r_[np.arange(columns.size), columns.size + position]
     diagonal, index = map(np.array, zip(*(_label_cell(lab, n) for lab in labels)))

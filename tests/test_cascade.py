@@ -307,28 +307,34 @@ def test_assignment_order_uses_every_tie_breaking_key():
 
 
 def _record_polar_inputs(monkeypatch):
-    """Record each stage's ``_direct_rotation_polar`` inputs and outputs.
+    """Record each stage's ``_polar_factors`` inputs and ``_direct_rotation_polar`` output.
 
     Returns a list with one entry per stage, each a list of ``(v,
     local_cells, assigned_cols, u_block, sigma_min)`` per constraint
-    block.
+    block; ``u_block`` is None for a block that took the axis mapping.
     """
     stages = []
+    factors_of = cascade_module._polar_factors
     polar = cascade_module._direct_rotation_polar
     stage = cascade_module._block_stage
 
-    def recording_polar(v, local_cells, assigned_cols):
-        u_block, sigma_min, factors = polar(v, local_cells, assigned_cols)
+    def recording_factors(v, local_cells, assigned_cols):
+        factors, sigma_min = factors_of(v, local_cells, assigned_cols)
         stages[-1].append(
-            (v.copy(), [r.copy() for r in local_cells],
-             [list(c) for c in assigned_cols], u_block, sigma_min)
+            [v.copy(), [r.copy() for r in local_cells],
+             [list(c) for c in assigned_cols], None, sigma_min]
         )
-        return u_block, sigma_min, factors
+        return factors, sigma_min
+
+    def recording_polar(*args):
+        stages[-1][-1][3] = u_block = polar(*args)
+        return u_block
 
     def recording_stage(*args, **kwargs):
         stages.append([])
         return stage(*args, **kwargs)
 
+    monkeypatch.setattr(cascade_module, "_polar_factors", recording_factors)
     monkeypatch.setattr(cascade_module, "_direct_rotation_polar", recording_polar)
     monkeypatch.setattr(cascade_module, "_block_stage", recording_stage)
     return stages
@@ -402,8 +408,14 @@ def test_axis_mapping_matches_outer_product_loop(make_input, monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_forced_fallback_still_reduces(n, monkeypatch):
     # no input reaches the near-singular branch on its own; a threshold
-    # above every singular value sends every block through it
+    # above every singular value sends every block through it, and no
+    # block fills the direct rotation it does not use
     monkeypatch.setattr(cascade_module, "FALLBACK_SIGMA", 10.0)
+
+    def refuse(*args):
+        raise AssertionError("the direct rotation of a fallback block was filled")
+
+    monkeypatch.setattr(cascade_module, "_direct_rotation_polar", refuse)
     h = _random_hermitian(n, 40 + n)
     result = cascade(h)
     limit = cascade_module.STAGE_TOL * max(h.norm(), 1.0)

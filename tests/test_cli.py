@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mqspace
 import oracles
@@ -36,6 +38,7 @@ from mqspace import (
     zq_offdiagonal_cells,
 )
 from mqspace.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_NUMERICAL, EXIT_OK, main
+from mqspace.doubles import format_rows, rows_text
 from mqspace.errors import InvariantError
 from mqspace.operators import BaseOperatorSpec
 
@@ -829,8 +832,16 @@ def _json_text(value):
     return text[:-1]
 
 
+def _kernel_join(values, sep):
+    """``sep.join`` of the number kernel's texts of ``values``, one call."""
+    values = np.asarray(values, dtype=np.float64)
+    if not values.size:
+        return ""
+    return rows_text(format_rows(values, sep))[: -len(sep)]
+
+
 def test_number_writers_match_per_value_reference():
-    from mqspace.cli import _fmt, _fmt_join
+    from mqspace.cli import _fmt
 
     rng = np.random.default_rng(5)
     bits = rng.integers(0, 2**64 - 1, size=5000, dtype=np.uint64, endpoint=True)
@@ -840,14 +851,65 @@ def test_number_writers_match_per_value_reference():
     assert [_fmt(v) for v in mixed] == reference
     assert _mismatch(_json_text(values), oracles.json_text(mixed)) is None
     assert _mismatch(_json_text(mixed), oracles.json_text(mixed)) is None
-    assert _mismatch(_fmt_join(mixed, ","), ",".join(reference)) is None
-    assert _mismatch(_fmt_join(values.tolist(), ", "), ", ".join(reference)) is None
+    assert _mismatch(_kernel_join(values, ","), ",".join(reference)) is None
+    assert _mismatch(_kernel_join(values, ", "), ", ".join(reference)) is None
     for arr in (np.array([]), np.array([-0.0]), np.array([math.nan])):
         assert _json_text(arr) == oracles.json_text(arr.tolist())
-        assert _fmt_join(arr.tolist(), ",") == ",".join(map(oracles.fmt_double, arr))
+        assert _kernel_join(arr, ",") == ",".join(map(oracles.fmt_double, arr))
     nested = {"a": values[:20], "b": [values[:3], {"c": values[3:4]}], "d": np.array([])}
     listed = {"a": mixed[:20], "b": [mixed[:3], {"c": mixed[3:4]}], "d": []}
     assert _json_text(nested) == oracles.json_text(listed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(width=64), min_size=1, max_size=40))
+def test_number_kernel_matches_the_percent_format_on_any_double(values):
+    # st.floats draws subnormals, both infinities, NaN and -0.0 too
+    assert _kernel_join(values, ",") == ",".join(map(oracles.fmt_double, values))
+
+
+def _ulps_around(centres, count):
+    """``centres`` and their ``count`` nearest doubles on each side."""
+    out, below, above = [centres], centres, centres
+    for _ in range(count):
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+        out += [below, above]
+    return np.concatenate(out)
+
+
+def _dyadic_ties():
+    """Doubles ``m / 2**k`` whose exact decimal expansion has 18 significant
+    digits, the last a 5, so that 17 digits are an exact tie: ``2**-25`` is
+    ``2.98023223876953125e-08``."""
+    ties = [m / 2**k for k in range(1, 80) for m in range(1, 2**12, 2)
+            if len(str(m * 5**k)) == 18]
+    return np.array(ties)
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-310, 309)])
+KERNEL_SETS = {
+    # log10 misses the exponent next to a power of ten, both ways
+    "powers_of_ten": lambda rng: _ulps_around(np.concatenate([_POWERS, -_POWERS]), 8),
+    # the scaled value meets 1e16 or 1e17: a carry to the next exponent
+    "digit_boundaries": lambda rng: _ulps_around(np.array([1e16, 1e17, 1e-5, 1e-4, 1e21]), 64),
+    "dyadic_ties": lambda rng: _dyadic_ties(),
+    "dyadic": lambda rng: np.ldexp(rng.integers(1, 2**20, 200_000).astype(float),
+                                   rng.integers(-80, 40, 200_000)),
+    "random_bits": lambda rng: rng.integers(0, 2**64, 2**20, dtype=np.uint64).view(np.float64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SETS))
+def test_number_kernel_matches_the_percent_format_exhaustively(name):
+    values = KERNEL_SETS[name](np.random.default_rng(2024))
+    if name == "dyadic_ties":
+        assert values.size > 1000
+    texts = []
+    for i in range(0, values.size, 2**16):
+        texts += _kernel_join(values[i : i + 2**16], ",").split(",")
+    wrong = [(v, t) for v, t in zip(values.tolist(), texts) if t != oracles.fmt_double(v)]
+    assert len(texts) == values.size
+    assert not wrong, wrong[:5]
 
 
 def test_json_strings_match_the_reference_escapes():
@@ -864,19 +926,27 @@ def test_json_strings_match_the_reference_escapes():
         assert _json_text(lab) == json.dumps(lab)
 
 
-def _counting_fmt_join(monkeypatch):
-    """Record the values of every ``cli._fmt_join`` call."""
+def _counting_kernel(monkeypatch):
+    """Record the values of every call of the number kernel ``cli.format_rows``."""
     from mqspace import cli
 
     calls = []
-    fmt_join = cli._fmt_join
+    kernel = cli.format_rows
 
     def counting(values, sep):
-        calls.append(list(values))
-        return fmt_join(values, sep)
+        calls.append(values.copy())
+        return kernel(values, sep)
 
-    monkeypatch.setattr(cli, "_fmt_join", counting)
+    monkeypatch.setattr(cli, "format_rows", counting)
     return calls
+
+
+def _same_values(calls, arrays):
+    """Whether the kernel calls formatted exactly the values of ``arrays``, bit for bit."""
+    def bits(parts):
+        return np.sort(np.concatenate([np.asarray(p, np.float64) for p in parts]).view(np.uint64))
+
+    return np.array_equal(bits(calls or [[]]), bits(arrays or [[]]))
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -902,13 +972,14 @@ def test_evolve_json_formats_each_distinct_series_once(capsys, monkeypatch, n):
     assert len(series) < len(trace.channels)
     others = {np.asarray(trace.times).tobytes(), trace.conserved.tobytes()} - series
 
-    calls = _counting_fmt_join(monkeypatch)
+    calls = _counting_kernel(monkeypatch)
     argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", "--times", "0:2:9",
             "--engine", "blockwise", "--track", "all"]
     argv += [x for k, l, j in couplings for x in ("--coupling", f"{k},{l},{j!r}")]
     code, out, err = run_cli(capsys, argv)
     assert code == EXIT_OK, err
-    assert len(calls) == len(series) + len(others)
+    distinct = [np.frombuffer(b) for b in series | others]
+    assert _same_values(calls, distinct)
     doc = json.loads(out)
     assert len(doc["channels"]) == len(trace.channels)
     for lab, values in doc["channels"].items():
@@ -944,16 +1015,47 @@ def test_json_document_with_shared_and_edge_arrays_matches_reference(monkeypatch
             return [listed(v) for v in value]
         return value
 
-    calls = _counting_fmt_join(monkeypatch)
-    pieces = _resolved(_json_pieces(doc))
-    assert "".join(pieces) == oracles.json_text(listed(doc)) + "\n"
+    calls = _counting_kernel(monkeypatch)
+    text = "".join(_resolved(_json_pieces(doc)))
+    assert text == oracles.json_text(listed(doc)) + "\n"
     # equal bytes share one text; -0.0 against 0.0 and different NaN
     # payloads are different bytes, so each is formatted on its own
     arrays = [shared, doc["zeros"], doc["negative_zeros"], *payload.reshape(3, 1),
               doc["empty"], shared[::-1]]
-    assert len(calls) == len({a.tobytes() for a in arrays}) == 8
-    first = pieces.index("[0.10000000000000001, 0.33333333333333331, -2.5]")
-    assert sum(p is pieces[first] for p in pieces) == 3
+    assert len({a.tobytes() for a in arrays}) == 8
+    assert _same_values(calls, [np.frombuffer(b) for b in {a.tobytes() for a in arrays}])
+    assert text.count("[0.10000000000000001, 0.33333333333333331, -2.5]") == 3
+
+
+def test_evolve_json_is_written_a_chunk_at_a_time(monkeypatch, tmp_path):
+    # a full-track document at n = 6 has 923 channel labels; the writer hands
+    # over one text per chunk, cut short where a copy of an earlier chunk's
+    # series follows, and that copy: no piece per label
+    from mqspace import cli
+
+    taken = []
+    emit = cli._emit
+
+    def recording(pieces, out):
+        taken.extend(pieces)
+        return emit(taken, out)
+
+    monkeypatch.setattr(cli, "_emit", recording)
+    calls = _counting_kernel(monkeypatch)
+    target = tmp_path / "doc.json"
+    argv = ["evolve", "--n", "6", "--model", "dipolar_secular", "--times", "0:2:33",
+            "--engine", "blockwise", "--track", "all", "--out", str(target)]
+    argv += [x for k in range(1, 6) for x in ("--coupling", f"{k},{k + 1},{0.3 + 0.1 * k!r}")]
+    assert main(argv) == EXIT_OK
+    doc = json.loads(target.read_text())
+    assert len(doc["channels"]) == 923
+    copies = sum(isinstance(piece, cli._Copy) for piece in taken)
+    texts = len(taken) - copies
+    # a chunk is cut once it holds _CHUNK values, text counting one a _TEXT_CHARS characters
+    values = sum(c.size for c in calls)
+    chars = sum(len(piece) for piece in taken if isinstance(piece, str))
+    assert texts <= copies + (values + chars // cli._TEXT_CHARS) // cli._CHUNK + 1
+    assert len(taken) < 1.5 * len(doc["channels"])
 
 
 def test_json_pieces_free_their_arrays_without_the_cyclic_collector():
@@ -1038,6 +1140,8 @@ def test_json_copies_flush_the_spool_only_for_text_not_yet_in_the_file(tmp_path,
     rng = np.random.default_rng(5)
     one, two = rng.random(3), rng.random(3)
     doc = {"a": one, "b": one.copy(), "c": two, "d": two.copy(), "e": one.copy()}
+    # one series a chunk: a repeat is a copy of an earlier chunk's text
+    monkeypatch.setattr(cli, "_CHUNK", 3)
 
     def pieces():
         for piece in cli._json_pieces(doc):
@@ -1073,14 +1177,14 @@ def test_evolve_formats_after_every_cell_generator_is_closed(capsys, monkeypatch
         return generator
 
     monkeypatch.setattr(cli, "_engine_rows", recording)
-    fmt_join = cli._fmt_join
+    kernel = cli.format_rows
     alive = []  # the generators alive at each formatting call
 
     def checking(values, sep):
         alive.append(sum(ref() is not None for ref in made))
-        return fmt_join(values, sep)
+        return kernel(values, sep)
 
-    monkeypatch.setattr(cli, "_fmt_join", checking)
+    monkeypatch.setattr(cli, "format_rows", checking)
     gc.disable()  # a generator must be freed by its last reference going
     try:
         code, out, err = run_cli(capsys, EVOLVE_ARGS + ["--engine", engine, "--format", fmt])
@@ -1203,15 +1307,17 @@ def test_stdout_and_out_file_hold_the_same_bytes(capsysbinary, tmp_path, command
 def test_serialization_error_leaves_no_output(capsys, monkeypatch, tmp_path, fmt):
     from mqspace import cli
 
-    calls = _counting_fmt_join(monkeypatch)
-    counting = cli._fmt_join
+    # one series a chunk, so the failure comes after two chunks were written
+    monkeypatch.setattr(cli, "_CHUNK", 5)
+    calls = _counting_kernel(monkeypatch)
+    counting = cli.format_rows
 
     def failing(values, sep):
         if len(calls) == 3:
             raise InvariantError("synthetic serializer failure")
         return counting(values, sep)
 
-    monkeypatch.setattr(cli, "_fmt_join", failing)
+    monkeypatch.setattr(cli, "format_rows", failing)
     target = tmp_path / "trace.out"
     for out in ([], ["--out", str(target)]):
         calls.clear()

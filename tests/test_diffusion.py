@@ -2,6 +2,7 @@
 
 import importlib
 import itertools
+import json
 import math
 import tracemalloc
 
@@ -789,6 +790,33 @@ def test_tracked_dense_run_never_builds_the_label_universe(monkeypatch):
     assert list(trace.channels) == list(track)
     assert trace.undesired == ("4I1zI3zI6z", "I1+I2-a3a4a5a6", "b1I2-a3I4+b5a6")
     assert float(channel_discrepancy(reference, trace).max()) <= 1e-10
+
+
+@pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
+def test_tracked_subset_builds_no_table_of_every_channel_label(monkeypatch, capsys, engine):
+    # a subset track is told apart from every label by its length alone, so
+    # no table of all binomial(2n, n) - 1 labels is built or cached for it
+    from mqspace.cli import main
+
+    n = 6
+    track = ("I2z", "4I1zI3zI6z", "I1+I2-a3a4a5a6", "I1z", "b1I2-a3I4+b5a6")
+    spec = _spec("dipolar_secular", n)
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 2.0, 5), track=track)
+
+    def refuse(n):
+        raise AssertionError("the table of every channel label was built")
+
+    monkeypatch.setattr(diffusion, "_every_channel_label", refuse)
+    channels = run_blockwise(cfg).channels
+    assert list(channels) == list(track)
+    argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", "--times", "0:2:5",
+            "--track", ",".join(track), "--engine", engine]
+    argv += [x for k, l, j in spec.couplings for x in ("--coupling", f"{k},{l},{j!r}")]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["channels"]) == list(track)
+    if engine == "blockwise":
+        assert doc["channels"] == {lab: values.tolist() for lab, values in channels.items()}
 
 
 @pytest.mark.parametrize("purge_bins", [False, True])
