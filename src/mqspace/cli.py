@@ -641,13 +641,15 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
     # "both" each block-engine time is compared with its column as it
     # arrives, so no trace and no second table exist
     written = "blockwise" if engine == "blockwise" else "full"
-    labels = config.tracked_labels()
     table, rows, conserved = _stream_table(
-        system.n, labels, _engine_rows(config, written), len(config.times)
+        system.n, config.track, _engine_rows(config, written), len(config.times)
     )
     discrepancy = None
     if engine == "both":
-        discrepancy = _stream_gap(system.n, labels, table.T, _engine_rows(config, "blockwise"))
+        discrepancy = _stream_gap(
+            system.n, config.track, table.T, _engine_rows(config, "blockwise")
+        )
+    labels = config.tracked_labels()
 
     if csv:
         tails = [] if discrepancy is None else [discrepancy]
@@ -662,7 +664,7 @@ def _cmd_evolve(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
         "times": np.asarray(config.times),
         "channels": _label_series(labels, table, rows),
         "conserved": conserved,
-        "undesired": list(_undesired(system.n, config.track)),
+        "undesired": _undesired(system.n, config.track),
         "block_sizes": (
             None if block_sizes is None else {str(k): v for k, v in block_sizes.items()}
         ),

@@ -125,9 +125,8 @@ class DiffusionConfig:
             if not track:
                 raise ConfigurationError("track list is empty; use 'all' or labels")
             for lab in track:
-                cell = _label_cell(lab, self.system.n)
                 # subset 0 is the identity "E/2", which is no channel
-                if cell is None or cell == (True, 0):
+                if _label_cell(lab, self.system.n) in (None, (True, 0)):
                     raise ConfigurationError(
                         f"unknown channel label {lab!r} for n={self.system.n}"
                     )
@@ -249,9 +248,8 @@ class DiffusionTrace:
     def _channel_table(self) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
         """``(labels, table, rows)``: the tracked labels, the read-only
         :func:`_stream_table` of the stored points, and each label's row of it."""
-        labels = _tracked_labels(self._n, self.track)
-        table, rows, _ = _stream_table(self._n, labels, self._points(), len(self.times))
-        return labels, table, rows
+        table, rows, _ = _stream_table(self._n, self.track, self._points(), len(self.times))
+        return _tracked_labels(self._n, self.track), table, rows
 
     @cached_property
     def channels(self) -> dict[str, np.ndarray]:
@@ -274,27 +272,28 @@ class DiffusionTrace:
         )
 
 
-def _channel_cells(n: int, labels: tuple[str, ...]):
-    """``(columns, positions, rows)``: where the channels ``labels`` are stored.
+def _channel_cells(n: int, track: TrackSpec):
+    """``(columns, positions, rows)``: where the channels ``track`` names are stored.
 
     A label's channel is a column of :attr:`DiffusionTrace.coefficients`,
     listed in ``columns``, or the magnitude of a cell of
     :attr:`DiffusionTrace.upper_coherences`, listed in ``positions``; each
     list keeps label order. ``rows[j]`` places label ``j`` in the columns
-    followed by the positions. Every channel label of ``n`` spins gives
-    ``positions = slice(None)``: each stored cell once, read by both labels
-    of its conjugate pair.
+    followed by the positions. ``track="all"`` gives ``positions =
+    slice(None)``: each stored cell once, read by both labels of its
+    conjugate pair. The cell pair table is read only for a coherence label.
     """
-    position, _ = _zq_cell_pairs(n)
-    # a track names each label at most once, so only a track of the full count
-    # can equal every label; a shorter one is told apart without the table
-    if len(labels) == math.comb(2 * n, n) - 1 and labels == _every_channel_label(n):
+    if track == "all":
         columns = np.concatenate([idx for idx, _ in _diagonal_groups(n)])
-        return columns, slice(None), np.r_[np.arange(columns.size), columns.size + position]
-    diagonal, index = map(np.array, zip(*(_label_cell(lab, n) for lab in labels)))
+        return columns, slice(None), np.r_[
+            np.arange(columns.size), columns.size + _zq_cell_pairs(n)[0]
+        ]
+    diagonal, index = map(np.array, zip(*(_label_cell(lab, n) for lab in track)))
     # a stable sort puts the diagonal labels first; its inverse is each label's place
     rows = np.argsort(np.argsort(~diagonal, kind="stable"))
-    return index[diagonal], position[index[~diagonal]], rows
+    ranks = index[~diagonal]
+    positions = _zq_cell_pairs(n)[0][ranks] if ranks.size else ranks
+    return index[diagonal], positions, rows
 
 
 def _channel_column(coefficients: np.ndarray, upper: np.ndarray, cells, out: np.ndarray):
@@ -311,18 +310,19 @@ def _channel_column(coefficients: np.ndarray, upper: np.ndarray, cells, out: np.
     return out
 
 
-def _stream_table(n: int, labels: tuple[str, ...], points, count: int):
+def _stream_table(n: int, track: TrackSpec, points, count: int):
     """``(table, rows, conserved)`` of ``count`` points, binned one time at a time.
 
     ``points`` yields each time's ``(coefficients, upper, residual)``, as
     :func:`_binned` yields them or :meth:`DiffusionTrace._points` reads
-    them. Each time's :func:`_channel_column` of the ``labels`` is one
-    contiguous row of a time-major ``(count, rows)`` buffer, handed out
-    read-only as its ``(rows, count)`` transpose; ``rows[j]`` is label
-    ``j``'s row. ``conserved`` is :func:`_conserved` of the points.
+    them. Each time's :func:`_channel_column` of the channels ``track``
+    names is one contiguous row of a time-major ``(count, rows)`` buffer,
+    handed out read-only as its ``(rows, count)`` transpose; ``rows[j]`` is
+    the row of the track's label ``j``. ``conserved`` is :func:`_conserved`
+    of the points.
     """
     (long_idx, _), _ = _diagonal_groups(n)
-    cells = _channel_cells(n, labels)
+    cells = _channel_cells(n, track)
     # every table row is some label's
     table = np.empty((count, int(cells[2].max()) + 1))
     longitudinal = np.empty((n, count))
@@ -333,15 +333,15 @@ def _stream_table(n: int, labels: tuple[str, ...], points, count: int):
     return table.T, cells[2], _conserved(n, longitudinal)
 
 
-def _stream_gap(n: int, labels: tuple[str, ...], columns, points) -> np.ndarray:
+def _stream_gap(n: int, track: TrackSpec, columns, points) -> np.ndarray:
     """Per-time max absolute difference between ``columns``, one channel
-    column per time, and the channels of ``labels`` of ``points``.
+    column per time, and the channels ``track`` names of ``points``.
 
     ``points`` is as :func:`_stream_table` takes it and ``columns`` as the
     transpose of its table gives them; each time is compared as it arrives,
     in one scratch column.
     """
-    cells = _channel_cells(n, labels)
+    cells = _channel_cells(n, track)
     gap = np.empty(len(columns))
     x = np.empty(columns.shape[1])
     for i, ((coefficients, upper, _), column) in enumerate(zip(points, columns)):
@@ -527,16 +527,21 @@ def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:
 def channel_discrepancy(a: DiffusionTrace, b: DiffusionTrace) -> np.ndarray:
     """Per-grid-point max absolute channel difference between two traces.
 
-    Trace ``a``'s stored points fill a :func:`_stream_table`, and
-    :func:`_stream_gap` compares its columns with ``b``'s stored points,
-    one time at a time; neither trace keeps a channel table, and under
-    ``track="all"`` each conjugate pair of coherence channels is compared
-    once.
+    The traces must share their time grid and spin count, and track the
+    same channels: equal tracks, or tracks whose label sets are equal.
+    Trace ``a``'s stored points fill a :func:`_stream_table` of its track,
+    and :func:`_stream_gap` compares its columns with ``b``'s stored
+    points, one time at a time; neither trace keeps a channel table, and
+    under ``track="all"`` each conjugate pair of coherence channels is
+    compared once.
     """
     if a.times != b.times:
         raise ConfigurationError("traces cover different time grids")
-    labels = _tracked_labels(a._n, a.track)
-    if set(_tracked_labels(b._n, b.track)) != set(labels):
+    if a._n != b._n:
+        raise ConfigurationError("traces cover different spin counts")
+    if a.track != b.track and set(_tracked_labels(a._n, a.track)) != set(
+        _tracked_labels(b._n, b.track)
+    ):
         raise ConfigurationError("traces track different channels")
-    table, _, _ = _stream_table(a._n, labels, a._points(), len(a.times))
-    return _stream_gap(a._n, labels, table.T, b._points())
+    table, _, _ = _stream_table(a._n, a.track, a._points(), len(a.times))
+    return _stream_gap(a._n, a.track, table.T, b._points())

@@ -261,6 +261,14 @@ def test_channel_discrepancy_validates_inputs():
         channel_discrepancy(trace_a, run_diffusion(cfg_b))
     with pytest.raises(ConfigurationError):
         channel_discrepancy(trace_a, run_diffusion(cfg_c))
+    # one track names different cells of 2 and 3 spins: I1z is a different
+    # column of each trace's coefficients
+    chain3 = HamiltonianSpec("flipflop", couplings=((1, 2, 1.0), (2, 3, 0.7)))
+    trace_c = run_diffusion(cfg_c)
+    trace_d = run_diffusion(DiffusionConfig(SpinSystem(3), chain3, (0.0, 1.0), track=("I1z",)))
+    for x, y in ((trace_c, trace_d), (trace_d, trace_c)):
+        with pytest.raises(ConfigurationError, match="different spin counts"):
+            channel_discrepancy(x, y)
 
 
 def _per_label_discrepancy(a, b):
@@ -292,6 +300,24 @@ def test_channel_discrepancy_equals_the_per_label_maximum(track, other, points):
     assert gap.tobytes() == _per_label_discrepancy(a, b).tobytes()
     assert gap.any()  # the engines differ in roundoff, so the test compares nonzeros
     assert channel_discrepancy(b, a).tobytes() == _per_label_discrepancy(b, a).tobytes()
+
+
+def test_a_track_spelling_every_label_takes_the_subset_route():
+    # such a tuple is read label by label: its table holds both rows of each
+    # conjugate pair, and its channels and gaps are those of track="all"
+    n = 3
+    every = diffusion._every_channel_label(n)
+    times = linear_times(0.0, 2.0, 5)
+    a = run_diffusion(DiffusionConfig(SpinSystem(n), CHAIN3, times))
+    b = run_blockwise(DiffusionConfig(SpinSystem(n), CHAIN3, times, track=every))
+    c = run_blockwise(DiffusionConfig(SpinSystem(n), CHAIN3, times, track=every[::-1]))
+    assert a._channel_table[1].shape[0] < len(every) == b._channel_table[1].shape[0]
+    block = run_blockwise(DiffusionConfig(SpinSystem(n), CHAIN3, times))
+    assert {lab: s.tobytes() for lab, s in b.channels.items()} == {
+        lab: s.tobytes() for lab, s in block.channels.items()
+    }
+    for x, y in ((a, b), (b, a), (a, c), (c, b)):
+        assert channel_discrepancy(x, y).tobytes() == _per_label_discrepancy(x, y).tobytes()
 
 
 @pytest.mark.parametrize("track", ["all", ("I1-I2+", "I1z", "I1+I2-")])
@@ -807,6 +833,10 @@ def test_tracked_subset_builds_no_table_of_every_channel_label(monkeypatch, caps
         raise AssertionError("the table of every channel label was built")
 
     monkeypatch.setattr(diffusion, "_every_channel_label", refuse)
+    for module in (diffusion, dynamics, subspaces):
+        monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
+    subspaces._zq_stored_cells.cache_clear()
+    subspaces._zq_cell_pairs.cache_clear()
     channels = run_blockwise(cfg).channels
     assert list(channels) == list(track)
     argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", "--times", "0:2:5",
@@ -817,6 +847,56 @@ def test_tracked_subset_builds_no_table_of_every_channel_label(monkeypatch, caps
     assert list(doc["channels"]) == list(track)
     if engine == "blockwise":
         assert doc["channels"] == {lab: values.tolist() for lab, values in channels.items()}
+
+
+@pytest.mark.parametrize("engine", ["full", "blockwise", "both"])
+def test_track_without_coherence_labels_builds_no_cell_pair_table(monkeypatch, capsys, engine):
+    # every longitudinal and spin-order label: the channels are columns of the
+    # coefficients, so the table placing each coherence cell is never built
+    from mqspace.cli import main
+
+    n = 6
+    (_, longitudinal), (_, orders) = dynamics._diagonal_groups(n)
+    track = longitudinal + orders
+    spec = _spec("dipolar_secular", n)
+    cfg = DiffusionConfig(SpinSystem(n), spec, linear_times(0.0, 2.0, 5), track=track)
+    reference = run_diffusion(cfg)
+
+    def refuse(n):
+        raise AssertionError("the cell pair table was built")
+
+    subspaces._zq_cell_pairs.cache_clear()
+    for module in (diffusion, subspaces):
+        monkeypatch.setattr(module, "_zq_cell_pairs", refuse)
+    trace = run_blockwise(cfg)
+    channels = trace.channels
+    assert list(channels) == list(track)
+    assert float(channel_discrepancy(reference, trace).max()) <= 1e-10
+    argv = ["evolve", "--n", str(n), "--model", "dipolar_secular", "--times", "0:2:5",
+            "--track", ",".join(track), "--engine", engine]
+    argv += [x for k, l, j in spec.couplings for x in ("--coupling", f"{k},{l},{j!r}")]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["channels"]) == list(track)
+    if engine == "blockwise":
+        assert doc["channels"] == {lab: values.tolist() for lab, values in channels.items()}
+
+
+def test_discrepancy_of_two_all_traces_builds_no_label_table(monkeypatch):
+    # equal tracks are not compared label by label
+    cfg = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
+    a, b = run_diffusion(cfg), run_blockwise(cfg)
+
+    def refuse(n):
+        raise AssertionError("a label table was built")
+
+    monkeypatch.setattr(diffusion, "_every_channel_label", refuse)
+    for module in (diffusion, dynamics, subspaces):
+        monkeypatch.setattr(module, "zq_offdiagonal_cells", refuse)
+    gaps = [channel_discrepancy(a, b), channel_discrepancy(b, a)]
+    monkeypatch.undo()
+    assert gaps[0].tobytes() == _per_label_discrepancy(a, b).tobytes()
+    assert gaps[1].tobytes() == _per_label_discrepancy(b, a).tobytes()
 
 
 @pytest.mark.parametrize("purge_bins", [False, True])
@@ -1091,7 +1171,7 @@ def test_streamed_channels_equal_the_trace_route_bytewise(n, model, purge_bins, 
     labels = cfg.tracked_labels()
     for engine, trace in traces.items():
         table, rows, conserved = tables[engine] = diffusion._stream_table(
-            n, labels, diffusion._engine_rows(cfg, engine), len(cfg.times)
+            n, cfg.track, diffusion._engine_rows(cfg, engine), len(cfg.times)
         )
         want_labels, want_table, want_rows = trace._channel_table
         assert labels == want_labels == cfg.tracked_labels()
@@ -1100,6 +1180,6 @@ def test_streamed_channels_equal_the_trace_route_bytewise(n, model, purge_bins, 
         assert rows.tobytes() == want_rows.tobytes()
         assert conserved.tobytes() == trace.conserved.tobytes(), engine
     gap = diffusion._stream_gap(
-        n, labels, tables["full"][0].T, diffusion._engine_rows(cfg, "blockwise")
+        n, cfg.track, tables["full"][0].T, diffusion._engine_rows(cfg, "blockwise")
     )
     assert gap.tobytes() == channel_discrepancy(traces["full"], traces["blockwise"]).tobytes()
