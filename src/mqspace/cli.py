@@ -17,7 +17,7 @@ Floating point values are rendered with 17 significant digits in both
 CSV and JSON so output round-trips doubles exactly; identical inputs
 produce byte-identical output. Arrays of them are formatted by
 :mod:`~mqspace.doubles` a chunk of values at a time, exactly as ``%.17g``
-formats each. A document is generated as string pieces into an
+formats each. A document is generated as string pieces, encoded into an
 anonymous temporary file (in ``TMPDIR``, where :mod:`tempfile` puts it)
 and copied to the ``--out`` file or standard output only after the last
 piece, so a serialization error leaves no partial output and no document
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import io
 import json
 import os
 import shutil
@@ -65,9 +66,9 @@ from .operators import (
 from .subspaces import (
     MEMBERSHIP_TOL,
     SubspaceTag,
+    _closure_sweeps,
     block_dimension,
     subspace_dims,
-    verify_closure,
 )
 from .dynamics import HAMILTONIAN_MODELS, HamiltonianSpec, build_hamiltonian
 from .diffusion import (
@@ -320,25 +321,29 @@ def _csv_pieces(header: list[str], rows: Iterable[list[str]]) -> Iterator[str]:
 def _emit(pieces: Iterable[str | _Copy], out: str | None) -> None:
     """Write a document to ``out``, or standard output, once its last piece exists.
 
-    The pieces go to an anonymous temporary file, which is copied out
-    after the last one: a failed run writes nothing, and no document text
-    is held in memory. A :class:`_Copy` is read back from that file's
-    bytes with ``os.pread``, which leaves the file position alone; the
-    spool is flushed first only when the copied range is not yet in the
-    file. Its offset counts characters, which are bytes here since a JSON
-    document is ASCII (:func:`_json_string` escapes the rest).
+    The pieces go, UTF-8 encoded, to an anonymous binary temporary file,
+    which is copied out after the last one: a failed run writes nothing,
+    and no document text is held in memory. A :class:`_Copy` is read back
+    from that file's bytes with ``os.pread``, which leaves the file
+    position alone; the spool is flushed first only when the copied range
+    is not yet in the file. Its offset counts characters, which are bytes
+    here since a JSON document is ASCII (:func:`_json_string` escapes the
+    rest). The spool is copied to ``out`` as it is and decoded for
+    standard output.
     """
     with contextlib.ExitStack() as stack:
         try:
-            spool = stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8"))
+            spool = stack.enter_context(tempfile.TemporaryFile("w+b"))
             fd = spool.fileno()
-            written = flushed = 0  # characters written, and those already in the file
+            written = flushed = 0  # bytes written, and those already in the file
             for piece in pieces:
-                if not isinstance(piece, str):
+                if isinstance(piece, str):
+                    piece = piece.encode()
+                else:
                     if piece.offset + piece.length > flushed:
                         spool.flush()
                         flushed = written
-                    piece = os.pread(fd, piece.length, piece.offset).decode("ascii")
+                    piece = os.pread(fd, piece.length, piece.offset)
                 spool.write(piece)
                 written += len(piece)
         except OSError as exc:
@@ -349,12 +354,11 @@ def _emit(pieces: Iterable[str | _Copy], out: str | None) -> None:
             ) from exc
         spool.seek(0)
         if out is None:
-            shutil.copyfileobj(spool, sys.stdout)
+            shutil.copyfileobj(io.TextIOWrapper(spool, encoding="utf-8"), sys.stdout)
             return
         try:
-            # the spool holds the file's UTF-8 bytes; they are copied undecoded
             with open(out, "wb") as fh:
-                shutil.copyfileobj(spool.buffer, fh)
+                shutil.copyfileobj(spool, fh)
         except OSError as exc:
             raise ConfigurationError(f"cannot write output {out!r}: {exc.strerror}") from exc
 
@@ -782,10 +786,14 @@ def _cmd_verify(system: SpinSystem, resolved: dict, csv: bool) -> tuple[Iterable
 
     order = verify_order_preservation(system, trials=trials, seed=seed)
     extreme = verify_extreme_states(system, combos=combos, seed=seed)
-    closures = [
-        verify_closure(tag, system, trials=trials, seed=seed, tol=membership_tol)
-        for tag in (SubspaceTag.LOMSO, SubspaceTag.ZERO_QUANTUM, SubspaceTag.EVEN_MQ)
-    ]
+    # one sweep draws the members of all three tags
+    closures = _closure_sweeps(
+        (SubspaceTag.LOMSO, SubspaceTag.ZERO_QUANTUM, SubspaceTag.EVEN_MQ),
+        system,
+        trials,
+        seed,
+        membership_tol,
+    )
 
     checks = []
     for rep in (order, extreme):

@@ -63,6 +63,10 @@ class SubspaceTag(enum.Enum):
     FULL = "Full"
 
 
+# each pattern's place in the nesting, narrowest first
+_WIDTH = {tag: rank for rank, tag in enumerate(SubspaceTag)}
+
+
 @lru_cache(maxsize=None)
 def _mask(tag: SubspaceTag, n: int) -> np.ndarray:
     pc = _down_counts(n)
@@ -403,24 +407,47 @@ def verify_closure(
     included, which exercises the failure report.
 
     A trial works on plain ``2^n x 2^n`` arrays: four members drawn one
-    at a time and the three results, so it holds a few dense matrices
-    at once and builds no ``Operator``.
+    at a time and the three results, formed one after another, so it
+    holds a few dense matrices at once and builds no ``Operator``. The
+    members are those of ``project(random_operator(...), tag)``, drawn
+    in the order a, b, ha, hb, then the two weights. ``mqspace verify``
+    runs its three tags through the same loop, which draws once for all
+    of them and reports what three calls of this function would.
+    """
+    (report,) = _closure_sweeps((tag,), system, trials, seed, tol)
+    return report
+
+
+def _closure_sweeps(
+    tags: tuple[SubspaceTag, ...], system: SpinSystem, trials: int, seed: int, tol: float
+) -> list[ClosureReport]:
+    """:func:`verify_closure` of each tag, from one stream of draws.
+
+    Each trial draws the four Gaussian matrices and the two weights
+    once. The tags are then taken from the widest pattern to the
+    narrowest; each zeroes the draws outside its own pattern in place,
+    which leaves exactly the members :func:`project` would give, since
+    the wider patterns hold every narrower one, and runs the three
+    checks into its own report. The reports come back in ``tags`` order
+    and equal those of separate :func:`verify_closure` calls.
     """
     trials = _integer(trials, "trials", 1)
     seed = _integer(seed, "seed", 0)
     _real(tol, "tol")
     n = system.n
     rng = np.random.default_rng(seed)
-    report = ClosureReport(tag, n, trials, tol)
-    mask = _mask(tag, n)
+    reports = [ClosureReport(tag, n, trials, tol) for tag in tags]
     # is_member's rule, which would refuse a negative tol
     identity = identity_operator(system)
-    _, member = _pattern_residual(identity.entries, mask, tol, identity.norm())
-    report.identity_member = bool(member)
-    if not report.identity_member:
-        report.violations.append("identity operator failed membership")
+    for report in reports:
+        _, member = _pattern_residual(identity.entries, _mask(report.tag, n), tol, identity.norm())
+        report.identity_member = bool(member)
+        if not report.identity_member:
+            report.violations.append("identity operator failed membership")
+    widest_first = sorted(reports, key=lambda r: _WIDTH[r.tag], reverse=True)
+    sweeps = [(r, _mask(r.tag, n), ~_mask(r.tag, n)) for r in widest_first]
 
-    def _check(name: str, q: np.ndarray):
+    def _check(report, mask, name: str, q: np.ndarray):
         residual, member = _pattern_residual(q, mask, tol, float(np.linalg.norm(q)))
         report.checks += 1
         report.max_residual = max(report.max_residual, residual)
@@ -430,15 +457,26 @@ def verify_closure(
             )
 
     for trial in range(trials):
-        a = _random_member(rng, tag, n)
-        b = _random_member(rng, tag, n)
-        ha = _random_member(rng, tag, n, hermitian=True)
-        hb = _random_member(rng, tag, n, hermitian=True)
+        draws = [_gaussian_entries(rng, 1 << n, h) for h in (False, False, True, True)]
         w = rng.standard_normal(2)
-        ab = a @ b
-        _check("product", ab)
-        _check("commutator", ab - b @ a)
-        _check("hermitian combination", w[0] * ha + w[1] * hb)
+        a, b, ha, hb = draws
+        for report, mask, outside in sweeps:
+            _zero_outside(draws, outside)
+            q = a @ b
+            _check(report, mask, "product", q)
+            q -= b @ a
+            _check(report, mask, "commutator", q)
+            del q
+            _check(report, mask, "hermitian combination", w[0] * ha + w[1] * hb)
         # free this trial's matrices before the next trial draws its own
-        del a, b, ha, hb, ab
-    return report
+        del draws, a, b, ha, hb
+    return reports
+
+
+def _zero_outside(draws: list[np.ndarray], outside: np.ndarray) -> None:
+    """Zero the entries of each array in ``draws`` where ``outside`` holds.
+
+    Each array then equals ``np.where(~outside, array, 0.0)`` bit for bit.
+    """
+    for q in draws:
+        np.copyto(q, 0.0, where=outside)

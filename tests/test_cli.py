@@ -448,17 +448,43 @@ def test_verify_reports_numerical_failure(capsys, monkeypatch):
     # members drawn with no support pattern: each closure product leaves its
     # subspace, which the run reports as a numerical failure
     subspaces = importlib.import_module("mqspace.subspaces")
-    monkeypatch.setattr(
-        subspaces,
-        "_random_member",
-        lambda rng, tag, n, hermitian=False: subspaces._gaussian_entries(rng, 1 << n, hermitian),
-    )
+    monkeypatch.setattr(subspaces, "_zero_outside", lambda draws, outside: None)
     code, out, _ = run_cli(capsys, ["verify", "--n", "2", "--trials", "2", "--combos", "2"])
     assert code == EXIT_NUMERICAL
     doc = json.loads(out)
     assert doc["passed"] is False
     failing = {c["check"] for c in doc["checks"] if not c["passed"]}
     assert failing == {"closure_LOMSO", "closure_ZeroQuantum", "closure_EvenMQ"}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_verify_closure_entries_match_the_operator_level_reference(capsys, n):
+    # the three closure checks share one sweep's draws; each entry must
+    # still be the report of its own Operator-level sweep
+    trials, seed = 3, n - 1
+    code, out, _ = run_cli(
+        capsys, ["verify", "--n", str(n), "--trials", str(trials), "--combos", "2",
+                 "--seed", str(seed)]
+    )
+    assert code == EXIT_OK
+    got = json.loads(out)["checks"][2:]
+    want = []
+    for tag in (SubspaceTag.LOMSO, SubspaceTag.ZERO_QUANTUM, SubspaceTag.EVEN_MQ):
+        rep = oracles.closure_sweep_operators(tag, n, trials, seed, 1e-10)
+        want.append(
+            {
+                "check": f"closure_{tag.value}",
+                "passed": rep.passed,
+                "checks_run": rep.checks,
+                "max_residuals": {"membership": rep.max_residual},
+                "violations": rep.violations,
+            }
+        )
+    assert got == want
+    for entry, item in zip(got, want):
+        # %.17g writes an exact zero as the integer 0
+        residual = float(entry["max_residuals"]["membership"])
+        assert residual.hex() == item["max_residuals"]["membership"].hex()
 
 
 def test_verify_csv_summary(capsys):
@@ -1128,14 +1154,14 @@ def test_json_copies_flush_the_spool_only_for_text_not_yet_in_the_file(tmp_path,
     make = tempfile.TemporaryFile
     taken, flushes = [], []  # the pieces read so far; len(taken) at each flush
 
-    class Spool(io.TextIOWrapper):
+    class Spool(io.BufferedRandom):
         def flush(self):
             flushes.append(len(taken))
             super().flush()
 
-    def spool(mode, encoding=None):
-        assert mode == "w+"
-        return Spool(make("w+b"), encoding=encoding)
+    def spool(mode):
+        assert mode == "w+b"
+        return Spool(make(mode, buffering=0))
 
     rng = np.random.default_rng(5)
     one, two = rng.random(3), rng.random(3)

@@ -30,7 +30,12 @@ from mqspace import (
     zq_offdiagonal_cells,
 )
 from mqspace.operators import BaseOperatorSpec
-from mqspace.subspaces import _zq_cell_pairs, _zq_cell_rank, _zq_stored_cells
+from mqspace.subspaces import (
+    _closure_sweeps,
+    _zq_cell_pairs,
+    _zq_cell_rank,
+    _zq_stored_cells,
+)
 
 subspaces = importlib.import_module("mqspace.subspaces")
 
@@ -411,11 +416,12 @@ def test_closure_sweep_draws_and_measures_the_operator_level_stream(n, monkeypat
     trials, seed = 4, 5
     for tag in TAGS:
         drawn, measured = [], []
-        monkeypatch.setattr(
-            subspaces,
-            "_random_member",
-            _recording(drawn, subspaces._random_member, lambda args, value: value),
-        )
+
+        def members(draws, outside, zero=subspaces._zero_outside):
+            zero(draws, outside)
+            drawn.extend(q.copy() for q in draws)
+
+        monkeypatch.setattr(subspaces, "_zero_outside", members)
         monkeypatch.setattr(
             subspaces,
             "_pattern_residual",
@@ -464,6 +470,83 @@ def test_closure_sweep_memory_at_seven_spins_is_not_above_the_operator_sweep(tri
     finally:
         tracemalloc.stop()
     assert report.passed and report.checks == 3 * trials
+    assert peak <= OPERATOR_SWEEP_PEAK_N7, peak
+
+
+VERIFY_TAGS = (SubspaceTag.LOMSO, SubspaceTag.ZERO_QUANTUM, SubspaceTag.EVEN_MQ)
+
+
+@pytest.mark.parametrize("tol", [1e-10, -1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_three_tag_sweep_equals_single_tag_sweeps_and_the_reference(n, tol):
+    # tol = -1 fails every check, so the violation texts are compared too;
+    # the tags are taken in the order given, whatever their nesting
+    system = SpinSystem(n)
+    for seed in range(3):
+        for tags in (VERIFY_TAGS, VERIFY_TAGS[::-1], (SubspaceTag.ZERO_QUANTUM, SubspaceTag.LOMSO)):
+            reports = _closure_sweeps(tags, system, 3, seed, tol)
+            assert [r.tag for r in reports] == list(tags)
+            for got, tag in zip(reports, tags):
+                single = verify_closure(tag, system, trials=3, seed=seed, tol=tol)
+                want = oracles.closure_sweep_operators(tag, n, 3, seed, tol)
+                assert got == single == want, (seed, tag, got, want)
+                assert got.max_residual.hex() == single.max_residual.hex()
+                assert got.max_residual.hex() == want.max_residual.hex()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_three_tag_sweep_draws_once_and_masks_the_widest_pattern_first(n, monkeypatch):
+    # a member masked to a narrower pattern still passes a wider tag's
+    # check, so the reports would not show masks taken in the wrong order;
+    # every array a tag measures must be its own tag's product of
+    # project(random_operator(...)), drawn once for all tags in the order
+    # a, b, ha, hb, weights
+    system = SpinSystem(n)
+    trials, seed = 4, 5
+    draws, measured = [], []
+
+    def counting(*args, draw=subspaces._gaussian_entries):
+        draws.append(args)
+        return draw(*args)
+
+    def recording(q, mask, *rest, measure=subspaces._pattern_residual):
+        measured.append((mask, q.copy()))
+        return measure(q, mask, *rest)
+
+    monkeypatch.setattr(subspaces, "_gaussian_entries", counting)
+    monkeypatch.setattr(subspaces, "_pattern_residual", recording)
+    reports = _closure_sweeps(VERIFY_TAGS, system, trials, seed, 1e-10)
+    monkeypatch.undo()
+    assert len(draws) == 4 * trials
+    assert all(r.passed and r.checks == 3 * trials for r in reports)
+
+    for tag in VERIFY_TAGS:
+        got = [q for mask, q in measured if mask is subspaces._mask(tag, n)]
+        rng = np.random.default_rng(seed)
+        want = [np.eye(2**n, dtype=complex)]
+        for _ in range(trials):
+            a, b = (project(random_operator(system, rng), tag) for _ in range(2))
+            ha, hb = (project(random_operator(system, rng, hermitian=True), tag) for _ in range(2))
+            w = rng.standard_normal(2)
+            want += [(a @ b).entries, (a @ b - b @ a).entries, (w[0] * ha + w[1] * hb).entries]
+        assert len(got) == len(want) == 1 + 3 * trials, tag
+        for g, q in zip(got, want):
+            assert g.dtype == q.dtype and g.tobytes() == q.tobytes(), tag
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_three_tag_sweep_memory_at_seven_spins_is_not_above_the_operator_sweep(trials):
+    # the shared draws are masked in place, so the three tags cost no more
+    # than one
+    system = SpinSystem(7)
+    _closure_sweeps(VERIFY_TAGS, system, 1, 1, 1e-10)
+    tracemalloc.start()
+    try:
+        reports = _closure_sweeps(VERIFY_TAGS, system, trials, 0, 1e-10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed and r.checks == 3 * trials for r in reports)
     assert peak <= OPERATOR_SWEEP_PEAK_N7, peak
 
 
