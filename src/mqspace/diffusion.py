@@ -22,19 +22,16 @@ from .operators import (
     CARTESIAN,
     BaseOperatorSpec,
     SpinSystem,
-    _hermitian_part,
     _integer,
     _real,
 )
-from .subspaces import _zq_cell_pairs, zq_offdiagonal_cells
+from .subspaces import _zq_cell_pairs, _zq_stored_cells, zq_offdiagonal_cells
 from .dynamics import (
     AmplitudeProfile,
     HamiltonianSpec,
-    _assembled_propagator,
     _block_spectra,
     _blockwise_cells,
     _diagonal_groups,
-    _evolved_cells,
     _hamiltonian_blocks,
     _label_cell,
     _profile,
@@ -434,15 +431,16 @@ def _engine_rows(config: DiffusionConfig, engine: str):
     """Each grid time's ``(coefficients, upper, residual)`` from ``engine``,
     ``"full"`` or ``"blockwise"``, on ``config``: its cells, :func:`_binned`.
 
-    No reference to the Hamiltonian blocks is kept here: the full engine
-    keeps their spectra, and the block engine's generator frees them before
-    its first cell.
+    Both engines are generators over the grid. No reference to the
+    Hamiltonian blocks is kept here: the full engine keeps their spectra,
+    and allocates its three ``2^n x 2^n`` working arrays once, at its first
+    cell, for the whole run; the block engine's generator frees the blocks
+    before its first cell.
     """
     blocks = _hamiltonian_blocks(config.system, config.hamiltonian)
     q = _initial_diagonal(config)
     if engine == "full":
-        spectra = _block_spectra(blocks)
-        cells = (_dense_cells(spectra, q, t) for t in config.times)
+        cells = _dense_cells(_block_spectra(blocks), q, config.times)
     else:
         cells = _blockwise_cells(blocks, q, config.times)
     return _binned(config.system.n, cells, config.purge)
@@ -480,28 +478,67 @@ def run_diffusion(config: DiffusionConfig) -> DiffusionTrace:
     the same inputs, the spectrum of every magnetization block of the
     Hamiltonian and the initial operator's ``2^n`` diagonal ``q``, but
     takes no spin-flip reduction and no block shortcut: every grid point
-    assembles the full ``2^n x 2^n`` propagator ``u``, forms ``(u * q) @
-    u^H`` (``u diag(q) u^H``), folds it exactly Hermitian and measures the
-    weight left outside the zero-quantum pattern. It works on plain
-    arrays and builds no dense Hamiltonian.
+    writes each block's propagator into the full ``2^n x 2^n`` propagator
+    ``u``, forms the full product ``(u * q) @ u^H`` (``u diag(q) u^H``),
+    folds the cells it reads exactly Hermitian and measures the weight the
+    product holds outside the zero-quantum pattern. It works on plain
+    arrays, builds no dense Hamiltonian, and allocates its three ``2^n x
+    2^n`` arrays once per run, not once per grid point.
     """
     return _assemble(config, "full")
 
 
-def _dense_cells(spectra, q: np.ndarray, t: float):
-    """:func:`_evolved_cells` of ``u diag(q) u^H``, ``u`` the propagator at ``t``.
+def _dense_cells(spectra, q: np.ndarray, times):
+    """Each time's ``(diag, upper, residual)`` of ``u diag(q) u^H``, ``u`` the
+    dense propagator of the block spectra at that time.
 
-    ``u`` is scaled in place after its adjoint is taken, and both are
-    dropped before the fold, so at most three dense arrays are alive at
-    once and none outlives the call.
+    Three complex ``2^n x 2^n`` arrays live for the whole run: ``w``, the
+    propagator scaled by ``q``; ``c``, its conjugate; and ``r``, the full
+    product ``w @ c^T``. Each block's propagator is written into its cells
+    of ``w`` and ``c`` at every time; no other cell of either is ever
+    written, so both stay exact zeros outside the blocks. Each block's
+    ``np.ix_`` and ``v^H`` are built once. :func:`_folded_cells`
+    then reads the product's cells.
     """
-    u = _assembled_propagator(q.size, spectra, t)
-    uh = u.conj().T
-    u *= q
-    r = u @ uh
-    del u, uh
-    r = _hermitian_part(r)
-    return _evolved_cells(r)
+    dim = q.size
+    w, c = np.zeros((dim, dim), dtype=complex), np.zeros((dim, dim), dtype=complex)
+    r = np.empty((dim, dim), dtype=complex)
+    # a real v's conj() is v itself, so its v^H is a view, not a copy
+    blocks = [(np.ix_(idx, idx), q[idx], e, v, v.conj().T) for idx, e, v in spectra]
+    pattern = [ix for ix, *_ in blocks]
+    for t in times:
+        for ix, q_k, e, v, vh in blocks:
+            p = (v * np.exp(-1j * e * t)) @ vh
+            c[ix] = p.conj()
+            p *= q_k
+            w[ix] = p
+        np.matmul(w, c.T, out=r)
+        yield _folded_cells(r, pattern)
+
+
+def _folded_cells(r: np.ndarray, pattern):
+    """``(diag, upper, residual)`` of the product ``r``, folded Hermitian
+    where it is read.
+
+    Only the cells a trace stores are folded: the diagonal as ``d +
+    conj(d)`` and each upper cell ``(i, j)`` as ``r[i, j] + conj(r[j,
+    i])``, each then halved, the operations and bytes of
+    :func:`~mqspace.operators._hermitian_part`'s fold of the whole array.
+    ``pattern`` holds the ``np.ix_`` of every block, which together cover
+    the zero-quantum pattern; they are zeroed in ``r``, in place, and the
+    residual is the Frobenius norm of what is left, the weight outside the
+    pattern before the fold, which the fold never increases.
+    """
+    rows, cols = _zq_stored_cells(len(r).bit_length() - 1)
+    d = r.diagonal()
+    diag = d + d.conj()
+    diag *= 0.5
+    upper, lower = r[rows, cols], r[cols, rows]
+    upper += np.conjugate(lower, out=lower)
+    upper *= 0.5
+    for ix in pattern:
+        r[ix] = 0.0
+    return diag, upper, float(np.linalg.norm(r))
 
 
 def run_blockwise(config: DiffusionConfig) -> DiffusionTrace:

@@ -1260,10 +1260,10 @@ def test_evolve_builds_no_trace(capsys, monkeypatch, engine, fmt):
 # A run holds its channel table and one time's working arrays, and no
 # trace. Its peak is the dense engine's last time points, with the table
 # filled: 65 times x (127 + 1,652) rows x 8 B = 0.88 MiB of table, and the
-# three 128 x 128 complex arrays, 0.75 MiB, alive at once in
-# _dense_cells. JSON's 3,431 label views and its series offsets come once
-# both engines are done, below that. That reads 1.82 MiB in JSON and 1.81
-# MiB in CSV; the bounds add 0.28 MiB. The document text goes to a spool
+# three 128 x 128 complex arrays, 0.75 MiB, that _dense_cells keeps for
+# its run. JSON's 3,431 label views and its series offsets come once
+# both engines are done, below that. That reads 1.85 MiB in JSON and in
+# CSV; the bounds add 0.25 MiB. The document text goes to a spool
 # file and counts for nothing here. Binning into a whole trace first, and
 # keeping each shared series' text until its last use, the peaks read 3.85
 # and 3.55 MiB.

@@ -38,6 +38,7 @@ from mqspace.dynamics import _blockwise_cells, _profile, _walsh_bin
 
 diffusion = importlib.import_module("mqspace.diffusion")
 dynamics = importlib.import_module("mqspace.dynamics")
+operators = importlib.import_module("mqspace.operators")
 subspaces = importlib.import_module("mqspace.subspaces")
 
 CHAIN4 = HamiltonianSpec(
@@ -471,11 +472,15 @@ def test_dense_run_forms_no_dense_generator(monkeypatch, model):
 @pytest.mark.parametrize("n", range(1, 9))
 @pytest.mark.parametrize("model", ["flipflop", "dipolar_secular", "isotropic_j", "offsets"])
 def test_dense_run_cells_equal_the_public_conjugation(model, n):
+    # bit for bit, as the README and amplitude_profile claim: the dense
+    # generator's conjugation, and amplitude_profile on the block spectra
     system = SpinSystem(n)
     spec = _spec(model, n)
     h = build_hamiltonian(system, spec)
+    z = dynamics.BlockSpectra.from_spec(system, spec)
     rows, cols, _ = zq_offdiagonal_cells(n)
     stored_rows, stored_cols = subspaces._zq_stored_cells(n)
+    (long_idx, _), (order_idx, _) = dynamics._diagonal_groups(n)
     for initial in ("I1z", "2I1zI2z")[: min(n, 2)]:
         cfg = DiffusionConfig(system, spec, linear_times(0.0, 3.0, 5), initial=initial)
         trace = run_diffusion(cfg)
@@ -490,12 +495,58 @@ def test_dense_run_cells_equal_the_public_conjugation(model, n):
             assert trace.residuals[i] == residual
             binned = _walsh_bin(n, diag, upper, residual)
             assert trace.coefficients[i].tobytes() == binned.tobytes()
+            profile = dynamics.amplitude_profile(z, q0, t)
+            binned[0] = profile.identity
+            binned[long_idx] = list(profile.longitudinal.values())
+            binned[order_idx] = list(profile.spin_orders.values())
+            assert trace.coefficients[i].tobytes() == binned.tobytes()
+            profiled = np.array(list(profile.zqc.values()), dtype=complex)
+            assert trace.coherences[i].tobytes() == profiled.tobytes()
+            assert trace.residuals[i] == profile.residual
+
+
+def test_dense_engine_measures_weight_planted_outside_the_pattern():
+    # the residual is measured on each product, not assumed zero: an entry
+    # planted outside the zero-quantum pattern of the scaled propagator w,
+    # which the engine never writes there, reaches every later product
+    n = 4
+    cfg = DiffusionConfig(SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 4))
+    blocks = dynamics._hamiltonian_blocks(cfg.system, cfg.hamiltonian)
+    q = diffusion._initial_diagonal(cfg)
+    cells = diffusion._dense_cells(dynamics._block_spectra(blocks), q, cfg.times)
+    assert next(cells)[2] == 0.0
+    w, c = (cells.gi_frame.f_locals[name] for name in ("w", "c"))
+    w[0, 1] = 0.25  # state 0 lies in block 0, state 1 in block 1
+    outside = ~oracles.pattern_mask("ZeroQuantum", n)
+    residuals = [residual for _, _, residual in cells]
+    assert len(residuals) == 3 and min(residuals) > 0.0
+    # the last product, rebuilt from the arrays the engine left behind
+    assert residuals[-1] == pytest.approx(np.linalg.norm((w @ c.T)[outside]), rel=1e-12)
+
+
+def test_dense_engine_allocates_no_full_size_array_per_time_point():
+    # w, c and r are allocated once per run; between two rows only
+    # block-sized temporaries and the row's own cells come and go
+    n = 7
+    cfg = DiffusionConfig(SpinSystem(n), _spec("dipolar_secular", n), linear_times(0.0, 2.0, 6))
+    rows = diffusion._engine_rows(cfg, "full")
+    tracemalloc.start()
+    try:
+        next(rows)
+        for _ in cfg.times[1:]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            next(rows)
+            peak = tracemalloc.get_traced_memory()[1] - base
+            assert peak < 16 * 4**n, peak
+    finally:
+        tracemalloc.stop()
 
 
 # holding the propagator, its scaled copy, its conjugate, the product and
 # the previous point's product (through a view of its diagonal) at once
 # peaked at 92.79 MiB here, 5.8 dense arrays of 16 MiB; three at a time
-# peak at 60.81 MiB
+# peaked at 60.81 MiB, and three kept for the whole run peak at 58.69 MiB
 def test_dense_run_peak_stays_below_four_and_a_half_dense_arrays():
     n = 10
     spec = HamiltonianSpec(
@@ -1018,8 +1069,9 @@ def _yielded_cells(cfg, engine):
     yields to ``_assemble``, and the ``(T, cells)`` off-diagonal cells of the
     operators it evolved.
 
-    The dense engine's cells are read off each folded operator it bins; the
-    block engine's are its upper cells and their conjugates.
+    The dense engine's cells are read off the whole Hermitian fold of each
+    product it bins; the block engine's are its upper cells and their
+    conjugates.
     """
     n = cfg.system.n
     blocks = dynamics._hamiltonian_blocks(cfg.system, cfg.hamiltonian)
@@ -1028,14 +1080,15 @@ def _yielded_cells(cfg, engine):
         rows, cols, _ = zq_offdiagonal_cells(n)
         spectra = dynamics._block_spectra(blocks)
         every = []
+        folded_cells = diffusion._folded_cells
 
-        def evolved_cells(r):
-            every.append(r[rows, cols])
-            return dynamics._evolved_cells(r)
+        def read_every_cell(r, pattern):
+            every.append(operators._hermitian_part(r.copy())[rows, cols])
+            return folded_cells(r, pattern)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(diffusion, "_evolved_cells", evolved_cells)
-            upper = [diffusion._dense_cells(spectra, q, t)[1] for t in cfg.times]
+            patch.setattr(diffusion, "_folded_cells", read_every_cell)
+            upper = [zqc for _, zqc, _ in diffusion._dense_cells(spectra, q, cfg.times)]
     else:
         upper = [zqc for _, zqc, _ in _blockwise_cells(blocks, q, cfg.times)]
         every = [_every_cell(n, u) for u in upper]
