@@ -66,12 +66,10 @@ from .dynamics import (
 )
 from .cascade import (
     CascadeResult,
-    StageReduction,
     cascade,
     parity_partition,
     popcount_partition,
     singleton_partition,
-    stage_reduce,
 )
 from .encodings import (
     Encoding,
@@ -149,9 +147,7 @@ __all__ = [
     "amplitude_profile",
     "reconstruct_profile",
     "CascadeResult",
-    "StageReduction",
     "cascade",
-    "stage_reduce",
     "Encoding",
     "iz_sorted_encoding",
     "permutation_matrix",

@@ -35,8 +35,8 @@ were rotated hands on nothing, since a rotated vector is an eigenvector
 only to within its cluster's spread; the next stage diagonalizes that
 block afresh.
 
-The stage unitary is block-diagonal over the constraint blocks, and
-both callers run one block stage: each constraint block ``A_b`` of the
+The stage unitary is block-diagonal over the constraint blocks, so a
+stage is run on blocks alone: each constraint block ``A_b`` of the
 stage's input yields its unitary ``U_b``, and ``U_b A_b U_b^H`` is formed
 per block. :func:`cascade` hands each stage only the blocks of its input
 on the stage's constraint blocks: the whole input, then the two parity
@@ -47,11 +47,7 @@ to the blocks leaves that dropped weight unchanged, so each reported
 residual is the ``hypot`` of the previous one and the stage's own
 within-block off-target weight, which is the dense off-target weight of
 the reduced operator. ``stage_classes`` is read from the unitary blocks
-too, since the dense unitaries are zero outside them. :func:`stage_reduce`
-takes its blocks from a dense input and forms the dense ``V h V^H``:
-every off-block entry of ``h`` is carried through the product, so its
-residual, measured densely, is the full weight outside the target cells
-and an independent check on the number :func:`cascade` carries.
+too, since the dense unitaries are zero outside them.
 
 Stage 1 is the one dense step, and each of its phases holds the input
 and little more. ``eigh`` reads an exactly Hermitian input as it is; only
@@ -71,7 +67,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigurationError, InvariantError, ToleranceError
+from .errors import InvariantError, ToleranceError
 from .operators import (
     Operator,
     SpinSystem,
@@ -79,7 +75,6 @@ from .operators import (
     _down_counts,
     _ensure_hermitian,
     _hermitian_part,
-    _integer,
     _real,
 )
 from .subspaces import (
@@ -89,17 +84,14 @@ from .subspaces import (
     _block_scatter,
     _mask,
     _outside_weight,
-    is_member,
     selective_blocks,
 )
 
 __all__ = [
-    "StageReduction",
     "CascadeResult",
     "parity_partition",
     "popcount_partition",
     "singleton_partition",
-    "stage_reduce",
     "cascade",
 ]
 
@@ -123,32 +115,6 @@ def popcount_partition(system: SpinSystem) -> list[tuple[int, ...]]:
 
 def singleton_partition(system: SpinSystem) -> list[tuple[int, ...]]:
     return [(i,) for i in range(system.dim)]
-
-
-@dataclass(frozen=True)
-class StageReduction:
-    """One stage's unitary, its reduced operator and diagnostics.
-
-    ``smallest_sigma`` is the smallest singular value of the
-    direct-rotation sum over every constraint block; a block whose value
-    is at most ``FALLBACK_SIGMA`` took the axis mapping instead
-    (``fallback_used``).
-    """
-
-    unitary: Operator
-    reduced: Operator
-    residual: float
-    fallback_used: bool
-    smallest_sigma: float
-
-
-# the blocks of each constraint pattern, as index cells
-_CONSTRAINT_PARTITIONS = {
-    SubspaceTag.FULL: lambda system: [tuple(range(system.dim))],
-    SubspaceTag.EVEN_MQ: parity_partition,
-    SubspaceTag.ZERO_QUANTUM: popcount_partition,
-    SubspaceTag.LOMSO: singleton_partition,
-}
 
 
 def _align_cluster(cols: np.ndarray, local_cells: list[np.ndarray]) -> np.ndarray:
@@ -359,85 +325,6 @@ def _cells_by_block(dim: int, blocks, cells) -> tuple[list[list[int]], list[list
     return owned, local_cells
 
 
-def stage_reduce(
-    h: Operator,
-    target_partition,
-    unitary_constraint: SubspaceTag = SubspaceTag.FULL,
-    tol: float = STAGE_TOL,
-) -> StageReduction:
-    """Find a unitary that block-diagonalizes ``h`` onto a partition.
-
-    ``target_partition`` is a list of disjoint index cells covering the
-    whole space. ``unitary_constraint`` names the support pattern the
-    returned unitary must live in; ``h`` must already be block-diagonal
-    with respect to that pattern's blocks (within ``tol`` relative) so
-    each of them can be processed independently, which is what makes the
-    constraint hold exactly. Every target cell must lie inside a single
-    constraint block. The reduced operator is ``V h adjoint(V)`` with
-    the same spectrum as ``h``.
-
-    ``V`` comes from one :func:`cascade` stage on ``h``'s constraint
-    blocks (see the module notes). ``V h adjoint(V)`` is then formed as
-    one dense product, off-block entries of ``h`` included, so
-    ``residual``, the dense weight outside the target cells, counts them
-    too.
-
-    Each cell index follows :func:`~mqspace.operators._integer` (a float
-    or a bool is refused, never truncated) and must lie in ``0..dim - 1``;
-    ``tol`` is checked as in :func:`~mqspace.subspaces.is_member`.
-    """
-    _real(tol, "tol", 0)
-    system = h.system
-    dim = system.dim
-    try:
-        cells = [
-            [_integer(i, "target cell index", 0) for i in cell] for cell in target_partition
-        ]
-    except TypeError:
-        raise ConfigurationError("target_partition must be a list of index cells") from None
-    beyond = [i for cell in cells for i in cell if i >= dim]
-    if beyond:
-        raise ConfigurationError(f"target cell index {beyond[0]} outside 0..{dim - 1}")
-    _ensure_hermitian(h, "stage input")
-
-    cells = [np.asarray(cell, dtype=int) for cell in cells]
-    cell_of = np.full(dim, -1, dtype=int)
-    for c, cell in enumerate(cells):
-        if cell.size == 0:
-            raise ConfigurationError(f"target cell {c} is empty")
-        if (cell_of[cell] != -1).any():
-            raise ConfigurationError("target cells overlap")
-        cell_of[cell] = c
-    if (cell_of == -1).any():
-        raise ConfigurationError("target cells do not cover every index")
-
-    scale = max(h.norm(), 1.0)
-    coarse = [
-        np.array(blk) for blk in _CONSTRAINT_PARTITIONS[unitary_constraint](system)
-    ]
-    coarse_of = np.full(dim, -1, dtype=int)
-    for b, blk in enumerate(coarse):
-        coarse_of[blk] = b
-    _refuse_dropped(is_member(h, unitary_constraint).residual, unitary_constraint, tol * scale)
-    for c, cell in enumerate(cells):
-        if len(set(coarse_of[cell].tolist())) != 1:
-            raise ConfigurationError(
-                f"target cell {c} straddles {unitary_constraint.value} blocks"
-            )
-
-    stage, _ = _block_stage(dim, [(blk, h.entries[np.ix_(blk, blk)]) for blk in coarse], cells)
-    unitary = _block_scatter(dim, stage.unitary)
-    reduced = _hermitian_part(unitary @ h.entries @ unitary.conj().T)
-    off_target = np.where(cell_of[:, None] == cell_of[None, :], 0.0, reduced)
-    return StageReduction(
-        _adopt(system, unitary),
-        _adopt(system, reduced, True),
-        float(np.linalg.norm(off_target)),
-        stage.fallback_used,
-        stage.smallest_sigma,
-    )
-
-
 class _BlockStage(NamedTuple):
     """One cascade stage held as blocks.
 
@@ -455,13 +342,14 @@ class _BlockStage(NamedTuple):
 
 
 def _block_stage(dim: int, blocks, cells, pairs=None):
-    """One stage of :func:`cascade` or :func:`stage_reduce` on the blocks of its input.
+    """One stage of :func:`cascade` on the blocks of its input.
 
     ``blocks`` holds ``(indices, a_b)`` per constraint block, ``a_b`` the
     input's entries on those indices; ``cells`` holds the target cells as
     index arrays, each inside one block. ``pairs``, unless None, holds
     the eigenpairs handed on for each block, as :func:`_block_reduction`
-    takes them; an entry is set to None once read. Each block's product
+    takes them; an entry is set to None once read. Without them every
+    block is diagonalized afresh. Each block's product
     ``U_b a_b U_b^H`` is folded to its Hermitian part.
 
     Returns a :class:`_BlockStage` and each cell's hand-off.
@@ -588,9 +476,8 @@ class CascadeResult:
 def _refuse_dropped(weight: float, constraint: SubspaceTag, limit: float) -> None:
     """Refuse a stage input carrying ``weight`` outside its constraint pattern.
 
-    :func:`stage_reduce` measures that weight on its dense input; stages
-    2 and 3 of :func:`cascade` read it from the weight dropped so far,
-    which lies outside their constraint pattern.
+    Stages 2 and 3 of :func:`cascade` read that weight from the weight
+    dropped so far, which lies outside their constraint pattern.
     """
     if weight > limit:
         raise ToleranceError(
@@ -605,9 +492,9 @@ def cascade(h: Operator, tol: float = STAGE_TOL) -> CascadeResult:
     Each stage takes its input's blocks on its constraint blocks, and
     their eigenpairs, from the stage before (see the module notes), so a
     generic input costs one ``eigh`` of the whole input plus the stages'
-    small SVDs and block products. As in :func:`stage_reduce`, stages 2
-    and 3 raise :class:`ToleranceError` for an input carrying more than
-    ``tol`` relative weight outside their constraint pattern. Raises
+    small SVDs and block products. Stages 2 and 3 raise
+    :class:`ToleranceError` for an input carrying more than ``tol``
+    relative weight outside their constraint pattern. Raises
     :class:`InvariantError` if any stage residual, membership or the
     spectrum comparison fails its tolerance; for a Hermitian input this
     indicates an internal defect, not a data problem. ``tol`` is checked

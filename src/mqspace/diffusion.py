@@ -215,6 +215,7 @@ class DiffusionTrace:
     the tracked labels other than the single-spin longitudinal ones, and
     ``profiles`` presents the binned numbers as one
     :class:`~mqspace.dynamics.AmplitudeProfile` per grid point; it reads
+    the stored upper cells one time at a time and builds no
     ``coherences``.
     """
 
@@ -261,10 +262,11 @@ class DiffusionTrace:
     @cached_property
     def profiles(self) -> tuple[AmplitudeProfile, ...]:
         """One amplitude profile per grid point, built on first access."""
+        n = self._n
         return tuple(
-            _profile(self._n, t, coeff, zqc, residual)
-            for t, coeff, zqc, residual in zip(
-                self.times, self.coefficients, self.coherences, self.residuals.tolist()
+            _profile(n, t, coeff, _full_coherences(n, upper[None])[0], residual)
+            for t, coeff, upper, residual in zip(
+                self.times, self.coefficients, self.upper_coherences, self.residuals.tolist()
             )
         )
 

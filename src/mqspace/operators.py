@@ -46,7 +46,6 @@ __all__ = [
     "CARTESIAN",
     "SHIFT",
     "max_spins",
-    "single_spin_matrix",
     "build_operator",
     "enumerate_basis",
     "hs_inner",
@@ -146,20 +145,6 @@ def _complex(value, what: str) -> complex:
     if not (math.isfinite(number.real) and math.isfinite(number.imag)):
         raise ConfigurationError(f"{what} must be finite, got {value!r}")
     return number
-
-
-def single_spin_matrix(factor: str) -> np.ndarray:
-    """Return the 2x2 matrix for one single-spin factor.
-
-    Cartesian factors are ``e``, ``x``, ``y``, ``z`` (identity and the
-    three spin-1/2 angular momentum components). Shift factors are
-    ``a``, ``b``, ``+``, ``-`` (up projector, down projector, raising,
-    lowering).
-    """
-    try:
-        return _SINGLE_SPIN[factor].copy()
-    except KeyError:
-        raise ConfigurationError(f"unknown single-spin factor {factor!r}") from None
 
 
 @dataclass(frozen=True)

@@ -237,27 +237,55 @@ def direct_rotation_polar_dense(v, local_cells, assigned_cols):
 
 
 def cascade_by_stages(h):
-    """The cascade as three public ``stage_reduce`` calls, each with its own ``eigh``.
+    """The cascade as three independent dense stages, each with its own ``eigh``.
 
-    No eigenpair passes from one stage to the next, and the spectrum
-    check compares the final diagonal with an independent ``eigvalsh``
-    of the input. Returns a namespace with ``CascadeResult``'s fields.
+    Each stage hands the cascade's ``_block_stage`` its dense input's
+    blocks on the stage's constraint blocks and no eigenpairs, so every
+    block is diagonalized afresh. The block unitary is scattered into a
+    dense ``V`` and the reduced operator is the folded dense ``V h V^H``:
+    entries of ``h`` outside the constraint blocks are carried through
+    the product, and each residual is the dense weight of the reduced
+    operator outside the stage's target cells. The spectrum check compares
+    the final diagonal with an independent ``eigvalsh`` of the input.
+    Returns a namespace with ``CascadeResult``'s fields.
     """
+    import importlib
     from types import SimpleNamespace
 
-    from mqspace import (
-        SubspaceTag,
-        is_member,
-        parity_partition,
-        popcount_partition,
-        singleton_partition,
-        stage_reduce,
-    )
+    from mqspace import Operator, SubspaceTag, is_member
 
+    stages = importlib.import_module("mqspace.cascade")
     system = h.system
-    s1 = stage_reduce(h, parity_partition(system), SubspaceTag.FULL)
-    s2 = stage_reduce(s1.reduced, popcount_partition(system), SubspaceTag.EVEN_MQ)
-    s3 = stage_reduce(s2.reduced, singleton_partition(system), SubspaceTag.ZERO_QUANTUM)
+    dim = system.dim
+    counts = np.array([popcount(i) for i in range(dim)])
+    parity = [np.flatnonzero(counts % 2 == bit) for bit in (0, 1)]
+    blocks = [np.flatnonzero(counts == k) for k in range(system.n + 1)]
+    singles = [np.array([i]) for i in range(dim)]
+
+    def stage(a, constraint, cells):
+        reduction, _ = stages._block_stage(
+            dim, [(idx, a[np.ix_(idx, idx)]) for idx in constraint], cells
+        )
+        v = np.zeros((dim, dim), dtype=complex)
+        for idx, u in reduction.unitary:
+            v[np.ix_(idx, idx)] = u
+        r = v @ a @ v.conj().T
+        r = 0.5 * (r + r.conj().T)
+        cell_of = np.empty(dim, dtype=int)
+        for c, cell in enumerate(cells):
+            cell_of[cell] = c
+        off_target = np.where(cell_of[:, None] == cell_of[None, :], 0.0, r)
+        return SimpleNamespace(
+            unitary=Operator(system, v),
+            reduced=Operator(system, r, True),
+            residual=float(np.linalg.norm(off_target)),
+            fallback_used=reduction.fallback_used,
+            smallest_sigma=reduction.smallest_sigma,
+        )
+
+    s1 = stage(h.entries, [np.arange(dim)], parity)
+    s2 = stage(s1.reduced.entries, parity, blocks)
+    s3 = stage(s2.reduced.entries, blocks, singles)
     eigenvalues = np.sort(np.linalg.eigvalsh(h.entries))
     diagonal = np.sort(np.real(np.diag(s3.reduced.entries)))
     return SimpleNamespace(

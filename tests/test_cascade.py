@@ -9,7 +9,6 @@ import pytest
 import oracles
 from mqspace import (
     CARTESIAN,
-    ConfigurationError,
     HamiltonianSpec,
     Operator,
     OperatorExpansion,
@@ -21,11 +20,9 @@ from mqspace import (
     is_member,
     parity_partition,
     popcount_partition,
-    project,
     random_operator,
     singleton_partition,
     spin_operator,
-    stage_reduce,
     support_mask,
     total_z,
 )
@@ -45,60 +42,42 @@ def test_partitions_cover_and_respect_their_invariants():
     assert single == [(i,) for i in range(8)]
 
 
-def test_stage_reduce_validates_partitions():
-    rng = np.random.default_rng(0)
-    system = SpinSystem(2)
-    h = random_operator(system, rng, hermitian=True)
-    with pytest.raises(ConfigurationError):
-        stage_reduce(h, [(0, 1), (1, 2, 3)])  # overlap
-    with pytest.raises(ConfigurationError):
-        stage_reduce(h, [(0, 1), (2,)])  # missing index
-    with pytest.raises(ConfigurationError):
-        stage_reduce(h, [(0, 1), (2, 3), ()])  # empty cell
-
-
-def test_stage_reduce_rejects_non_hermitian_input():
-    rng = np.random.default_rng(1)
-    system = SpinSystem(2)
-    with pytest.raises(ToleranceError):
-        stage_reduce(random_operator(system, rng), parity_partition(system))
-
-
-def test_stage_reduce_rejects_input_outside_constraint():
-    # a generic dense operator is not even-order block-diagonal
+def test_cascade_refuses_a_stage_input_outside_its_constraint():
+    # stage 2 refuses weight outside the even-order pattern beyond tol; at
+    # tol = 0 the roundoff stage 1 leaves behind is already too much
     rng = np.random.default_rng(2)
-    system = SpinSystem(2)
-    h = random_operator(system, rng, hermitian=True)
-    with pytest.raises(ToleranceError):
-        stage_reduce(h, popcount_partition(system), SubspaceTag.EVEN_MQ)
+    h = random_operator(SpinSystem(2), rng, hermitian=True)
+    with pytest.raises(ToleranceError, match="outside the EvenMQ constraint pattern"):
+        cascade(h, 0)
 
 
-def test_stage_reduce_rejects_straddling_cells():
-    rng = np.random.default_rng(3)
-    system = SpinSystem(2)
-    h = project(random_operator(system, rng, hermitian=True), SubspaceTag.EVEN_MQ)
-    # cell {0, 1} mixes even and odd down-spin counts
-    with pytest.raises(ConfigurationError):
-        stage_reduce(h, [(0, 1), (2, 3)], SubspaceTag.EVEN_MQ)
-
-
-def test_single_stage_block_diagonalizes_random_input():
-    rng = np.random.default_rng(4)
-    system = SpinSystem(3)
-    h = random_operator(system, rng, hermitian=True)
-    stage = stage_reduce(h, parity_partition(system))
-    assert stage.residual <= 1e-8 * h.norm()
-    assert is_member(stage.reduced, SubspaceTag.EVEN_MQ)
-    u = stage.unitary.entries
-    assert np.allclose(u @ u.conj().T, np.eye(8), atol=1e-12)
-    assert np.allclose(
-        stage.reduced.entries, u @ h.entries @ u.conj().T, atol=1e-12
+@pytest.mark.parametrize("n, seed", [(3, 4), (4, 31)])
+def test_each_stage_block_diagonalizes_random_input(n, seed):
+    system = SpinSystem(n)
+    h = random_operator(system, np.random.default_rng(seed), hermitian=True)
+    result = cascade(h)
+    scale = max(h.norm(), 1.0)
+    # each stage's input is the reduced operator of the stage before
+    stages = zip(
+        (h, result.h1, result.h2),
+        (result.v1, result.v2, result.v3),
+        (result.h1, result.h2, result.h3),
+        (SubspaceTag.EVEN_MQ, SubspaceTag.ZERO_QUANTUM, SubspaceTag.LOMSO),
     )
-    assert np.allclose(
-        np.linalg.eigvalsh(stage.reduced.entries),
-        np.linalg.eigvalsh(h.entries),
-        atol=1e-10,
-    )
+    for source, unitary, reduced, tag in stages:
+        assert is_member(reduced, tag)
+        u = unitary.entries
+        assert np.allclose(u @ u.conj().T, np.eye(system.dim), atol=1e-12)
+        r = u @ source.entries @ u.conj().T
+        dense = 0.5 * (r + r.conj().T)
+        assert np.max(np.abs(reduced.entries - dense)) <= 1e-12 * scale
+        assert reduced.hermiticity_defect() == 0.0
+        assert not reduced.entries.flags.writeable
+        assert not u.flags.writeable
+        assert np.allclose(
+            np.linalg.eigvalsh(reduced.entries), np.linalg.eigvalsh(h.entries), atol=1e-10
+        )
+    assert max(result.residuals.values()) <= 1e-8 * scale
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -426,64 +405,10 @@ def test_forced_fallback_still_reduces(n, monkeypatch):
     assert all(0.0 < sigma <= 1.0 for sigma in result.smallest_sigmas)
 
 
-def _symmetrized_dense_product(stage, h):
-    u = stage.unitary.entries
-    r = u @ h.entries @ u.conj().T
-    return 0.5 * (r + r.conj().T)
-
-
-def test_block_order_conjugation_matches_dense_product():
-    system = SpinSystem(4)
-    h = random_operator(system, np.random.default_rng(31), hermitian=True)
-    # each input lies inside its constraint pattern
-    cases = [
-        (h, parity_partition(system), SubspaceTag.FULL),
-        (project(h, SubspaceTag.EVEN_MQ), popcount_partition(system), SubspaceTag.EVEN_MQ),
-        (
-            project(h, SubspaceTag.ZERO_QUANTUM),
-            singleton_partition(system),
-            SubspaceTag.ZERO_QUANTUM,
-        ),
-    ]
-    for source, partition, constraint in cases:
-        stage = stage_reduce(source, partition, constraint)
-        scale = max(source.norm(), 1.0)
-        dense = _symmetrized_dense_product(stage, source)
-        assert np.max(np.abs(stage.reduced.entries - dense)) <= 1e-12 * scale
-        assert stage.reduced.hermiticity_defect() == 0.0
-        assert not stage.reduced.entries.flags.writeable
-        assert not stage.unitary.entries.flags.writeable
-
-
-@pytest.mark.parametrize("constraint", [SubspaceTag.EVEN_MQ, SubspaceTag.ZERO_QUANTUM])
-def test_residual_counts_off_block_weight_below_tolerance(constraint):
-    # weight outside the constraint pattern, small enough to be accepted,
-    # stays in the product and therefore in the residual
-    system = SpinSystem(4)
-    rng = np.random.default_rng(32)
-    h = random_operator(system, rng, hermitian=True)
-    inside = project(h, constraint)
-    outside = h - inside
-    planted_norm = 1e-3 * cascade_module.STAGE_TOL * max(inside.norm(), 1.0)
-    noisy = inside + outside * (planted_norm / outside.norm())
-    planted = is_member(noisy, constraint).residual
-    assert 0.0 < planted <= cascade_module.STAGE_TOL * max(noisy.norm(), 1.0)
-    partition = (
-        popcount_partition(system)
-        if constraint is SubspaceTag.EVEN_MQ
-        else singleton_partition(system)
-    )
-    stage = stage_reduce(noisy, partition, constraint)
-    scale = max(noisy.norm(), 1.0)
-    dense = _symmetrized_dense_product(stage, noisy)
-    assert np.max(np.abs(stage.reduced.entries - dense)) <= 1e-12 * scale
-    assert abs(stage.residual - planted) <= 1e-3 * planted
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_cascade_matches_the_stage_by_stage_route(n):
     # handing each stage's eigenpairs to the next stage must leave every
-    # result where three independent stage_reduce calls put it
+    # result where three independent dense stages put it
     for seed in range(1, 21):
         h = _random_hermitian(n, seed)
         result = cascade(h)
@@ -681,8 +606,8 @@ _BLOCK_STAGE_INPUTS = [
 def test_block_stage_products_equal_the_dense_conjugate_route(make_input, monkeypatch):
     # each constraint block's U a U^H is formed without a conjugate copy of
     # U; its target-cell blocks and dropped weight must equal those of the
-    # folded dense product u @ a @ u.conj().T, in stage_reduce's one stage
-    # and in each of the cascade's three
+    # folded dense product u @ a @ u.conj().T, in each of the cascade's
+    # three stages
     h = make_input()
     scale = max(h.norm(), 1.0)
     calls = []
@@ -694,9 +619,8 @@ def test_block_stage_products_equal_the_dense_conjugate_route(make_input, monkey
         return stage, handed
 
     monkeypatch.setattr(cascade_module, "_block_stage", recording_stage)
-    stage_reduce(h, parity_partition(h.system))
     cascade(h)
-    assert len(calls) == 4
+    assert len(calls) == 3
     for blocks, cells, stage in calls:
         dropped = 0.0
         for (blk, a), (idx, u) in zip(blocks, stage.unitary):
@@ -717,15 +641,16 @@ def test_block_stage_products_equal_the_dense_conjugate_route(make_input, monkey
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_stage_reduce_runs_one_block_stage(n, monkeypatch):
-    # stage_reduce is the cascade's block stage plus one dense product, so
-    # its stage-1 unitary is the cascade's v1, byte for byte
+def test_stage_oracle_runs_three_fresh_block_stages(n, monkeypatch):
+    # the oracle hands no eigenpairs on, so each of its three stages
+    # diagonalizes afresh; its stage 1 is the cascade's, so its v1 is the
+    # cascade's v1, byte for byte
     entered = []
     block_stage = cascade_module._block_stage
 
-    def counting_stage(*args, **kwargs):
-        entered.append(True)
-        return block_stage(*args, **kwargs)
+    def counting_stage(dim, blocks, cells, pairs=None):
+        entered.append(pairs)
+        return block_stage(dim, blocks, cells, pairs)
 
     for seed in (1, 2, 3):
         h = _random_hermitian(n, seed)
@@ -734,7 +659,7 @@ def test_stage_reduce_runs_one_block_stage(n, monkeypatch):
         entered.clear()
         reference = oracles.cascade_by_stages(h)
         monkeypatch.undo()
-        assert len(entered) == 3
+        assert entered == [None, None, None]
         assert reference.v1.entries.tobytes() == v1
 
 

@@ -797,6 +797,18 @@ def test_profiles_are_built_on_first_read(monkeypatch, run):
 
 
 @pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
+def test_profiles_build_no_coherence_copy(run):
+    # each time's cells are rebuilt on their own from the stored upper
+    # cells, with the bits the whole (T, cells) copy holds
+    cfg = DiffusionConfig(SpinSystem(4), CHAIN4, linear_times(0.0, 2.0, 5))
+    trace = run(cfg)
+    profiles = trace.profiles
+    assert "coherences" not in vars(trace)
+    for profile, row in zip(profiles, trace.coherences):
+        assert np.array(list(profile.zqc.values())).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("run", [run_diffusion, run_blockwise])
 def test_every_label_view_reads_one_cached_label_tuple(run):
     n = 4
     cfg = DiffusionConfig(SpinSystem(n), CHAIN4, linear_times(0.0, 2.0, 3))

@@ -1,6 +1,8 @@
-"""Every module-level import and private name in the package is referenced."""
+"""Every module-level import and private name in the package is referenced,
+and every public name of a library module is exported by the package."""
 
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
@@ -96,3 +98,16 @@ def test_private_module_names_are_used():
         if loads[name] == (name in loaded)
     ]
     assert orphans == [], f"private names nothing loads: {', '.join(sorted(orphans))}"
+
+
+# the command line and its number formatter are not library API
+NOT_REEXPORTED = {"cli.py", "doubles.py"}
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name not in NOT_REEXPORTED], ids=lambda p: p.name
+)
+def test_module_exports_are_package_exports(path):
+    module = importlib.import_module(f"mqspace.{path.stem}")
+    missing = sorted(set(getattr(module, "__all__", ())) - set(mqspace.__all__))
+    assert missing == [], f"{path.name} exports names mqspace does not: {', '.join(missing)}"

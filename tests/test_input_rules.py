@@ -33,12 +33,9 @@ from mqspace import (
     expm_hermitian,
     is_member,
     linear_times,
-    parity_partition,
-    random_operator,
     reconstruct,
     reconstruct_profile,
     spin_operator,
-    stage_reduce,
     verify_closure,
     zq_propagator,
 )
@@ -154,33 +151,6 @@ def test_encoding_takes_numpy_integers():
     assert all(type(p) is int for p in enc.permutation)
 
 
-@pytest.mark.parametrize("bad", [-1, "dim", 0.9, True])
-def test_stage_reduce_refuses_cell_indices_that_are_not_indices(bad):
-    system = SpinSystem(2)
-    h = random_operator(system, np.random.default_rng(0), hermitian=True)
-    if bad == "dim":
-        bad = system.dim
-    with pytest.raises(ConfigurationError, match="target cell index"):
-        stage_reduce(h, [(0, 1), (2, bad)])
-
-
-def test_stage_reduce_refuses_a_partition_of_scalars():
-    system = SpinSystem(2)
-    h = random_operator(system, np.random.default_rng(0), hermitian=True)
-    with pytest.raises(ConfigurationError, match="list of index cells"):
-        stage_reduce(h, [0, 1, 2, 3])
-
-
-def test_stage_reduce_takes_numpy_integer_cells():
-    system = SpinSystem(3)
-    h = random_operator(system, np.random.default_rng(1), hermitian=True)
-    cells = parity_partition(system)
-    plain = stage_reduce(h, cells)
-    numpy = stage_reduce(h, [np.array(c, dtype=np.int64) for c in cells])
-    assert numpy.unitary.entries.tobytes() == plain.unitary.entries.tobytes()
-    assert numpy.reduced.entries.tobytes() == plain.reduced.entries.tobytes()
-
-
 @pytest.mark.parametrize("bad", [1.5, True, "1"])
 def test_spin_and_element_indices_refuse_what_is_not_an_integer(bad):
     system = SpinSystem(2)
@@ -247,12 +217,11 @@ def _tolerance_entries():
         "verify_closure": lambda tol: verify_closure(
             SubspaceTag.ZERO_QUANTUM, system, trials=2, tol=tol
         ),
-        "stage_reduce": lambda tol: stage_reduce(h, parity_partition(system), tol=tol),
         "cascade": lambda tol: cascade(h, tol),
     }
 
 
-@pytest.mark.parametrize("entry", ["is_member", "verify_closure", "stage_reduce", "cascade"])
+@pytest.mark.parametrize("entry", ["is_member", "verify_closure", "cascade"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", True, HUGE])
 def test_tolerances_refuse_what_is_not_a_finite_real(entry, bad):
     # a NaN tol would call an exact zero-quantum member a non-member
@@ -261,7 +230,7 @@ def test_tolerances_refuse_what_is_not_a_finite_real(entry, bad):
 
 
 # a sweep keeps a negative tol, which fails every check on purpose
-@pytest.mark.parametrize("entry", ["is_member", "stage_reduce", "cascade"])
+@pytest.mark.parametrize("entry", ["is_member", "cascade"])
 @pytest.mark.parametrize("bad", [-1, -1e-300])
 def test_membership_decisions_refuse_negative_tolerances(entry, bad):
     with pytest.raises(ConfigurationError, match="^tol must be at least 0"):
