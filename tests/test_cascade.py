@@ -42,6 +42,27 @@ def test_partitions_cover_and_respect_their_invariants():
     assert single == [(i,) for i in range(8)]
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_each_stage_cell_lies_inside_one_constraint_block(n):
+    # the cascade's stages take parity, popcount and singleton cells in
+    # turn; each partition covers every state once with no empty cell, and
+    # each cell lies inside one cell of the partition before it, which is
+    # the block that stage is confined to
+    system = SpinSystem(n)
+    partitions = [
+        [tuple(range(system.dim))],
+        parity_partition(system),
+        popcount_partition(system),
+        singleton_partition(system),
+    ]
+    for partition in partitions:
+        assert all(partition)
+        assert sorted(i for cell in partition for i in cell) == list(range(system.dim))
+    for blocks, cells in zip(partitions, partitions[1:]):
+        for cell in cells:
+            assert sum(set(cell) <= set(block) for block in blocks) == 1, cell
+
+
 def test_cascade_refuses_a_stage_input_outside_its_constraint():
     # stage 2 refuses weight outside the even-order pattern beyond tol; at
     # tol = 0 the roundoff stage 1 leaves behind is already too much
@@ -712,6 +733,40 @@ def test_carried_residuals_equal_the_dense_off_target_weight(n):
             r = v @ h.entries @ v.conj().T
             dense = float(np.linalg.norm(np.where(support_mask(tag, h.system), 0.0, r)))
             assert abs(result.residuals[name] - dense) <= 1e-14 * scale, name
+
+
+@pytest.mark.parametrize(
+    "before, constraint", [(0, SubspaceTag.EVEN_MQ), (1, SubspaceTag.ZERO_QUANTUM)]
+)
+def test_weight_outside_a_stage_constraint_is_carried_within_tol(before, constraint, monkeypatch):
+    # weight the stage before drops lies outside this stage's constraint
+    # pattern: below tol it is accepted and carried into every later
+    # residual, above tol the stage refuses its input
+    h = _random_hermitian(4, 32)
+    scale = max(h.norm(), 1.0)
+    limit = cascade_module.STAGE_TOL * scale
+    plain = cascade(h).residuals
+    block_stage = cascade_module._block_stage
+    calls, planted = [], []
+
+    def planting_stage(*args, **kwargs):
+        stage, handed = block_stage(*args, **kwargs)
+        if len(calls) == before:
+            stage = stage._replace(dropped=float(np.hypot(stage.dropped, planted[-1])))
+        calls.append(True)
+        return stage, handed
+
+    monkeypatch.setattr(cascade_module, "_block_stage", planting_stage)
+    planted.append(1e-3 * limit)
+    residuals = cascade(h).residuals
+    for name in list(plain)[:before]:
+        assert residuals[name] == plain[name], name
+    for name in list(plain)[before:]:
+        assert plain[name] < residuals[name] <= 1.001e-3 * limit, name
+    calls.clear()
+    planted.append(2.0 * limit)
+    with pytest.raises(ToleranceError, match=f"outside the {constraint.value} constraint"):
+        cascade(h)
 
 
 # in units of one dense 2^n x 2^n complex matrix, the input and eigh's
